@@ -16,7 +16,7 @@ from .first_order import (
     gradient,
     project_gradient,
 )
-from .linesearch import LineSearchStalled, line_search
+from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import (
     LyapunovSolution,
     NotHurwitzError,
@@ -33,6 +33,7 @@ from .problem import (
     ConstraintSet,
     ConstraintTerm,
     CostSpec,
+    Evaluation,
     InfeasibleConstraintsError,
     InfiniteCostError,
     Plant,
@@ -44,6 +45,7 @@ from .problem import (
     cost,
     cost_certificate,
     effective_weight,
+    evaluate,
     flatten_constraints,
     is_stabilizing,
     weights_from_performance_output,
@@ -77,6 +79,7 @@ __all__ = [
     "ConstraintSet",
     "ConstraintTerm",
     "CostSpec",
+    "Evaluation",
     "GradientPair",
     "HessianMatrix",
     "HessianWorkspace",
@@ -85,6 +88,7 @@ __all__ = [
     "LineSearchStalled",
     "LyapunovSolution",
     "NewtonStep",
+    "NotDescentError",
     "NotHurwitzError",
     "PTMatrix",
     "Plant",
@@ -102,6 +106,7 @@ __all__ = [
     "cost",
     "cost_certificate",
     "effective_weight",
+    "evaluate",
     "first_order_solve",
     "flatten_constraints",
     "gradient",

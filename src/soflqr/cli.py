@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .first_order import first_order_solve, gradient
-from .lyapunov import NotHurwitzError, spectral_abscissa
+from .lyapunov import HURWITZ_MARGIN, NotHurwitzError, spectral_abscissa
 from .problem import InfeasibleConstraintsError, check_feasible, closed_loop
 from .problems import (
     BUILTIN_NAMES,
@@ -125,7 +125,7 @@ def _resolve_problem(spec):
 def _check_start(problem):
     """Exit-code-4 conditions: K0 must stabilize and satisfy constraints."""
     abscissa = spectral_abscissa(closed_loop(problem.plant, problem.gain0))
-    if abscissa >= -1e-10:
+    if abscissa >= HURWITZ_MARGIN:
         return (
             f"initial gain K0 does not stabilize the plant "
             f"(closed-loop spectral abscissa {abscissa:.6e}); the solvers "

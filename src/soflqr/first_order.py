@@ -1,4 +1,5 @@
-"""Analytic cost gradient and the gradient-projection baseline solver.
+"""Analytic cost gradient, the shared descent loop, and the
+gradient-projection baseline solver.
 
 The gradient of the infinite-horizon cost with respect to the gain is
 assembled from two Lyapunov solves against the closed loop,
@@ -7,37 +8,34 @@ assembled from two Lyapunov solves against the closed loop,
 
 where ``P`` solves the primal equation with the effective state weight
 and ``G`` is the state-covariance Gramian for the initial-state second
-moment.  The baseline solver projects this gradient orthogonally onto
-the homogeneous constraint subspace and descends along it with the
-stability-guarded backtracking line search.
+moment.  Both solvers run the same stability-guarded line-search descent
+and differ only in the direction: the baseline projects the gradient
+orthogonally onto the homogeneous constraint subspace.
 """
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .linesearch import LineSearchStalled, line_search
+from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import (
     LyapunovSolution,
     SchurSolver,
     solve_lyapunov_adjoint,
-    solve_lyapunov_primal,
-    spectral_abscissa,
     unvec,
     vec,
 )
 from .problem import (
+    Evaluation,
+    InfiniteCostError,
     SolveResult,
     SolveTrace,
     TraceRecord,
     check_feasible,
-    closed_loop,
-    effective_weight,
-    is_stabilizing,
+    evaluate,
 )
 
 __all__ = ["GradientPair", "gradient", "project_gradient", "first_order_solve"]
@@ -58,11 +56,14 @@ class GradientPair:
         cost at the evaluated gain.
     gramian : LyapunovSolution
         State-covariance Gramian ``G`` from the adjoint equation.
+    solver : SchurSolver
+        Schur factorization of the closed loop behind both solutions.
     """
 
     grad: np.ndarray
     cost_matrix: LyapunovSolution
     gramian: LyapunovSolution
+    solver: SchurSolver
 
     def cost(self, costspec):
         """Cost at the gain where this gradient was evaluated."""
@@ -72,17 +73,17 @@ class GradientPair:
 def gradient(plant, costspec, K):
     """Analytic gradient of the cost at a stabilizing gain ``K``.
 
-    Both Lyapunov solves reuse a single Schur factorization of the
-    closed loop.  Raises :class:`NotHurwitzError` if ``K`` does not
-    stabilize the plant.
+    ``K`` is a gain or an :class:`Evaluation` at it.  An evaluation
+    already holds the Schur factorization and ``P``, so only the adjoint
+    solve for ``G`` is added.  Raises :class:`InfiniteCostError` if the
+    gain does not stabilize the plant.
     """
-    K = np.asarray(K, dtype=float)
-    solver = SchurSolver(closed_loop(plant, K))
-    P = solve_lyapunov_primal(solver, effective_weight(costspec, plant, K))
-    G = solve_lyapunov_adjoint(solver, costspec.X0)
-    grad = 2.0 * (plant.B.T @ P.value
-                  + costspec.R @ K @ plant.C) @ G.value @ plant.C.T
-    return GradientPair(grad=grad, cost_matrix=P, gramian=G)
+    ev = K if isinstance(K, Evaluation) else evaluate(plant, costspec, K)
+    G = solve_lyapunov_adjoint(ev.solver, costspec.X0)
+    grad = 2.0 * (plant.B.T @ ev.P.value
+                  + costspec.R @ ev.K @ plant.C) @ G.value @ plant.C.T
+    return GradientPair(grad=grad, cost_matrix=ev.P, gramian=G,
+                        solver=ev.solver)
 
 
 def project_gradient(grad, cs):
@@ -92,21 +93,14 @@ def project_gradient(grad, cs):
     norm, i.e. ``unvec((I - Abar^T (Abar Abar^T)^-1 Abar) vec(grad))``.
     The dual variables of the projection are recovered by the Cholesky
     solve of the normal equations; ``Abar`` must have full row rank
-    (guaranteed by the pruning in ``flatten_constraints``).
+    (guaranteed by the pruning in ``flatten_constraints``).  The
+    right-hand side ``cbar`` plays no part: directions in the null space
+    keep a feasible gain feasible.
     """
     grad = np.asarray(grad, dtype=float)
-    Abar, cbar = cs.flattened(grad.shape)
+    Abar, _ = cs.flattened(grad.shape)
     if Abar.shape[0] == 0:
         return grad.copy()
-    if np.any(cbar != 0.0):
-        # Directions live in the null space regardless of the constraint
-        # right-hand side: steps from a feasible gain then stay feasible.
-        warnings.warn(
-            "constraint set has a nonzero right-hand side; the projected "
-            "direction satisfies the homogeneous condition so that steps "
-            "preserve feasibility of the current gain",
-            RuntimeWarning, stacklevel=2,
-        )
     g = vec(grad)
     try:
         lam = cho_solve(cho_factor(Abar @ Abar.T), Abar @ g)
@@ -116,6 +110,74 @@ def project_gradient(grad, cs):
             "have been pruned during flattening"
         ) from exc
     return unvec(g - Abar.T @ lam, *grad.shape)
+
+
+def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
+             max_iters, keep_iterates, name, step_measure=False):
+    """Line-search descent shared by both solvers.
+
+    ``direction(K, gp)`` returns ``(delta, grad_norm, measure)``: the
+    search direction, the trace's gradient norm, and the quantity whose
+    falling to ``tol`` ends the run.  With ``step_measure`` the measure
+    is ``||delta||`` and is reported as the result's ``step_norm``, else
+    that is the last accepted step.  A direction without descent, or a
+    line search that cannot certify a decrease, ends the run as stalled.
+    """
+    try:
+        ev = evaluate(plant, costspec, np.array(K0, dtype=float))
+    except InfiniteCostError as exc:
+        raise ValueError("initial gain K0 does not stabilize the plant") \
+            from exc
+    if not check_feasible(cs, ev.K):
+        raise ValueError("initial gain K0 does not satisfy the constraints")
+
+    trace = SolveTrace()
+    iterates = [ev.K.copy()] if keep_iterates else None
+    start = time.perf_counter()
+    status = "max_iters"
+    evals_total = 0
+    last_step_norm = 0.0
+    last_t = 0.0
+
+    for it in range(max_iters + 1):
+        gp = gradient(plant, costspec, ev)
+        delta, grad_norm, measure = direction(ev.K, gp)
+        trace.append(TraceRecord(
+            iteration=it, cost=ev.cost, grad_norm=grad_norm,
+            step_norm=last_step_norm, step_size=last_t,
+            spectral_abscissa=ev.solver.abscissa,
+            seconds=time.perf_counter() - start,
+        ))
+        if measure <= tol:
+            status = "converged"
+            break
+        if it == max_iters:
+            break
+        try:
+            ev, t, evals = line_search(plant, costspec, cs, ev.K, delta,
+                                       gp.grad, alpha, beta,
+                                       current_cost=ev.cost)
+        except (LineSearchStalled, NotDescentError) as exc:
+            status = "stalled"
+            logger.info(
+                "%s solve stalled after %d iterations at stopping measure "
+                "%.3e (tol %.1e): %s", name, it, measure, tol, exc,
+            )
+            break
+        evals_total += evals
+        last_step_norm = float(t * np.linalg.norm(vec(delta)))
+        last_t = t
+        if keep_iterates:
+            iterates.append(ev.K.copy())
+
+    final = trace.records[-1]
+    return SolveResult(
+        K=ev.K, cost=final.cost, converged=(status == "converged"),
+        status=status, iterations=final.iteration,
+        grad_norm=final.grad_norm,
+        step_norm=measure if step_measure else final.step_norm,
+        line_search_evals=evals_total, trace=trace, iterates=iterates,
+    )
 
 
 def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
@@ -141,57 +203,10 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
         ``status == "stalled"`` means the line search hit the numerical
         precision floor of the cost before the tolerance was met.
     """
-    K = np.asarray(K0, dtype=float).copy()
-    if not is_stabilizing(plant, K):
-        raise ValueError("initial gain K0 does not stabilize the plant")
-    if not check_feasible(cs, K):
-        raise ValueError("initial gain K0 does not satisfy the constraints")
+    def direction(K, gp):
+        d = -project_gradient(gp.grad, cs)
+        gnorm = float(np.linalg.norm(vec(d)))
+        return d, gnorm, gnorm
 
-    trace = SolveTrace()
-    iterates = [K.copy()] if keep_iterates else None
-    start = time.perf_counter()
-    status = "max_iters"
-    evals_total = 0
-    last_step_norm = 0.0
-    last_t = 0.0
-    gnorm = np.inf
-
-    for it in range(max_iters + 1):
-        gp = gradient(plant, costspec, K)
-        J = gp.cost(costspec)
-        direction = -project_gradient(gp.grad, cs)
-        gnorm = float(np.linalg.norm(vec(direction)))
-        trace.append(TraceRecord(
-            iteration=it, cost=J, grad_norm=gnorm,
-            step_norm=last_step_norm, step_size=last_t,
-            spectral_abscissa=spectral_abscissa(closed_loop(plant, K)),
-            seconds=time.perf_counter() - start,
-        ))
-        if gnorm <= tol:
-            status = "converged"
-            break
-        if it == max_iters:
-            break
-        try:
-            K, t, evals = line_search(plant, costspec, cs, K, direction,
-                                      gp.grad, alpha, beta, current_cost=J)
-        except LineSearchStalled:
-            status = "stalled"
-            logger.info(
-                "first-order solve stalled after %d iterations at "
-                "projected-gradient norm %.3e (tol %.1e)", it, gnorm, tol,
-            )
-            break
-        evals_total += evals
-        last_step_norm = float(t * np.linalg.norm(vec(direction)))
-        last_t = t
-        if keep_iterates:
-            iterates.append(K.copy())
-
-    final = trace.records[-1]
-    return SolveResult(
-        K=K, cost=final.cost, converged=(status == "converged"),
-        status=status, iterations=final.iteration, grad_norm=gnorm,
-        step_norm=final.step_norm, line_search_evals=evals_total,
-        trace=trace, iterates=iterates,
-    )
+    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
+                    max_iters, keep_iterates, "first-order")

@@ -2,16 +2,16 @@
 
 Shared by the gradient-projection and Newton solvers: starting from a
 unit step, the step size is shrunk geometrically until the trial gain
-satisfies the Armijo sufficient-decrease condition, keeps the closed
-loop Hurwitz, and yields a positive definite cost certificate matrix.
+keeps the closed loop Hurwitz and satisfies the Armijo
+sufficient-decrease condition.
 """
 
 import numpy as np
 
-from .lyapunov import NotHurwitzError, SchurSolver, solve_lyapunov_primal
-from .problem import check_feasible, closed_loop, cost, effective_weight
+from .problem import InfiniteCostError, check_feasible, evaluate
 
-__all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
+__all__ = ["LineSearchStalled", "NotDescentError", "line_search",
+           "MIN_STEP"]
 
 # Step sizes below this are treated as underflow: the search has reached
 # the floating-point floor of the cost along the given direction.
@@ -38,15 +38,18 @@ class LineSearchStalled(RuntimeError):
         super().__init__(message)
 
 
+class NotDescentError(ValueError):
+    """The search direction has a nonnegative slope along the gradient."""
+
+
 def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
                 current_cost=None):
     """Backtracking search along the descent direction ``delta``.
 
     Accepts the first ``t`` in ``1, beta, beta^2, ...`` for which
-    ``J(K + t*delta)`` is strictly below ``J(K)``, satisfies the Armijo
-    condition with parameter ``alpha`` (evaluated with the full gradient
-    ``grad``), and has a positive definite cost certificate matrix.
-    Destabilizing trial points count as rejections.
+    ``J(K + t*delta)`` is strictly below ``J(K)`` and satisfies the
+    Armijo condition with parameter ``alpha`` (evaluated with the full
+    gradient ``grad``).  Destabilizing trial points count as rejections.
 
     Parameters
     ----------
@@ -59,9 +62,11 @@ def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
 
     Returns
     -------
-    (ndarray, float, int)
-        Accepted gain ``K + t*delta``, the accepted ``t``, and the
-        number of cost evaluations performed.
+    (Evaluation, float, int)
+        Evaluation at the accepted gain ``K + t*delta``, the accepted
+        ``t``, and the number of cost evaluations performed.  Raises
+        :class:`NotDescentError` if ``<grad, delta> >= 0`` and
+        :class:`LineSearchStalled` if ``t`` falls below ``MIN_STEP``.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
@@ -71,39 +76,32 @@ def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
     delta = np.asarray(delta, dtype=float)
     slope = float(np.trace(np.asarray(grad).T @ delta))
     if slope >= 0.0:
-        raise ValueError(
+        raise NotDescentError(
             f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
         )
     if current_cost is None:
-        current_cost = cost(plant, costspec, K)
+        current_cost = evaluate(plant, costspec, K).cost
     slack = _ARMIJO_SLACK * max(1.0, abs(current_cost))
 
-    X0 = costspec.X0
     t = 1.0
     evals = 0
     while t > MIN_STEP:
-        Kt = K + t * delta
         evals += 1
         try:
-            # The solver gates on the spectral abscissa before solving, so
-            # a destabilizing trial never reaches the Lyapunov solve.
-            solver = SchurSolver(closed_loop(plant, Kt))
-        except NotHurwitzError:
+            # The Hurwitz gate comes before the Lyapunov solve, so a
+            # destabilizing trial is never solved.
+            trial = evaluate(plant, costspec, K + t * delta)
+        except InfiniteCostError:
             t *= beta
             continue
-        P = solve_lyapunov_primal(solver,
-                                  effective_weight(costspec, plant, Kt))
-        trial_cost = float(np.trace(P.value @ X0))
         sufficient = current_cost + alpha * t * slope + slack
-        if (trial_cost < current_cost
-                and trial_cost <= sufficient
-                and np.linalg.eigvalsh(P.value).min() > 0.0):
-            if len(cs) and not check_feasible(cs, Kt):
+        if trial.cost < current_cost and trial.cost <= sufficient:
+            if len(cs) and not check_feasible(cs, trial.K):
                 raise RuntimeError(
                     "accepted line-search iterate violates the constraint "
                     "set; the step direction was not in the constraint "
                     "null space"
                 )
-            return Kt, t, evals
+            return trial, t, evals
         t *= beta
     raise LineSearchStalled()

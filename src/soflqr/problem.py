@@ -3,8 +3,8 @@
 Holds the plant ``(A, B, C)``, the quadratic cost specification
 ``(Q, R, X0)``, linear matrix-equality constraints on the gain, and the
 basic evaluations built on them: closed loop, effective state weight,
-infinite-horizon cost, stability and feasibility checks, and constraint
-flattening to the vectorized form ``Abar vec(K) = cbar``.
+the evaluation of the cost at a gain, stability and feasibility checks,
+and constraint flattening to the vectorized form ``Abar vec(K) = cbar``.
 """
 
 import csv
@@ -16,6 +16,7 @@ from scipy.linalg import qr
 
 from .lyapunov import (
     HURWITZ_MARGIN,
+    LyapunovSolution,
     NotHurwitzError,
     SchurSolver,
     solve_lyapunov_primal,
@@ -32,11 +33,13 @@ __all__ = [
     "ConstraintTerm",
     "Constraint",
     "ConstraintSet",
+    "Evaluation",
     "TraceRecord",
     "SolveTrace",
     "SolveResult",
     "closed_loop",
     "effective_weight",
+    "evaluate",
     "cost",
     "cost_certificate",
     "is_stabilizing",
@@ -347,29 +350,54 @@ def is_stabilizing(plant, K):
     return spectral_abscissa(closed_loop(plant, K)) < HURWITZ_MARGIN
 
 
-def cost_certificate(plant, costspec, K):
-    """Cost and its certificate matrix.
+@dataclass(frozen=True)
+class Evaluation:
+    """The closed loop at the gain ``K``, factored once, and its cost.
 
-    Returns ``(J, P)`` where ``P`` solves the closed-loop Lyapunov
-    equation with the effective weight and ``J = trace(P @ X0)``.
-    Stability of the closed loop is certified by ``P`` being positive
-    definite whenever the effective weight is positive definite.
-
-    Raises
-    ------
-    InfiniteCostError
-        If ``K`` is not stabilizing.
+    ``solver`` is the Schur factorization of ``A + B K C``, whose
+    ``abscissa`` is the closed-loop spectral abscissa; ``P`` solves the
+    closed-loop Lyapunov equation with the effective weight; ``cost`` is
+    ``trace(P @ X0)``.
     """
-    Ac = closed_loop(plant, K)
+
+    K: np.ndarray
+    solver: SchurSolver
+    P: LyapunovSolution
+    cost: float
+
+
+def evaluate(plant, costspec, K):
+    """Factor the closed loop at ``K`` and solve for its cost.
+
+    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    """
+    K = np.asarray(K, dtype=float)
     try:
-        solver = SchurSolver(Ac)
+        solver = SchurSolver(closed_loop(plant, K))
     except NotHurwitzError as exc:
         raise InfiniteCostError(
             f"gain is not stabilizing (spectral abscissa {exc.abscissa:.6e}); "
             f"the infinite-horizon cost is infinite"
         ) from exc
     P = solve_lyapunov_primal(solver, effective_weight(costspec, plant, K))
-    return float(np.trace(P.value @ costspec.X0)), P.value
+    return Evaluation(K=K, solver=solver, P=P,
+                      cost=float(np.trace(P.value @ costspec.X0)))
+
+
+def cost_certificate(plant, costspec, K):
+    """Cost and its certificate matrix.
+
+    Returns ``(J, P)`` where ``P`` solves the closed-loop Lyapunov
+    equation with the effective weight and ``J = trace(P @ X0)``.
+    ``P`` is positive definite whenever the effective weight is.
+
+    Raises
+    ------
+    InfiniteCostError
+        If ``K`` is not stabilizing.
+    """
+    ev = evaluate(plant, costspec, K)
+    return ev.cost, ev.P.value
 
 
 def cost(plant, costspec, K):
@@ -377,7 +405,7 @@ def cost(plant, costspec, K):
 
     Raises :class:`InfiniteCostError` for non-stabilizing gains.
     """
-    return cost_certificate(plant, costspec, K)[0]
+    return evaluate(plant, costspec, K).cost
 
 
 @dataclass(frozen=True)
@@ -436,8 +464,9 @@ class SolveResult:
     """Outcome of a solver run.
 
     ``status`` is one of ``"converged"``, ``"stalled"`` (the line search
-    could not certify further decrease in floating point), or
-    ``"max_iters"``.  ``iterations`` counts accepted steps.
+    could not certify further decrease in floating point, or rounding
+    left the search direction without descent), or ``"max_iters"``.
+    ``iterations`` counts accepted steps.
     """
 
     K: np.ndarray

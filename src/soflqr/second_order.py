@@ -9,26 +9,15 @@ the constrained Newton step comes from the bordered KKT system, keeping
 every iterate on the constraint set.
 """
 
-import logging
-import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .first_order import gradient, project_gradient
+from .first_order import _descend, gradient, project_gradient
 from .linesearch import LineSearchStalled, line_search
-from .lyapunov import SchurSolver, spectral_abscissa, unvec, vec
-from .problem import (
-    SolveResult,
-    SolveTrace,
-    TraceRecord,
-    check_feasible,
-    closed_loop,
-    effective_weight,
-    is_stabilizing,
-)
+from .lyapunov import unvec, vec
 
 __all__ = [
     "HessianWorkspace",
@@ -43,8 +32,6 @@ __all__ = [
     "line_search",
     "LineSearchStalled",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Column-wise asymmetry of the assembled Hessian beyond this level is
 # surfaced as a warning; the matrix is symmetric in exact arithmetic.
@@ -107,13 +94,13 @@ def build_hessian_workspace(plant, costspec, K, gp):
     """Solve the auxiliary Lyapunov equations for every gain entry.
 
     ``gp`` is the :class:`GradientPair` evaluated at the same ``K``; its
-    cost matrix and Gramian seed the right-hand sides.  All solves share
-    one Schur factorization of the closed loop.
+    cost matrix and Gramian seed the right-hand sides, and all solves
+    reuse its Schur factorization of the closed loop.
     """
     K = np.asarray(K, dtype=float)
     B, C, R = plant.B, plant.C, costspec.R
     m, q = plant.gain_shape()
-    solver = SchurSolver(closed_loop(plant, K))
+    solver = gp.solver
     P = gp.cost_matrix.value
     G = gp.gramian.value
     KC = K @ C
@@ -264,61 +251,11 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     SolveResult
         Final gain, cost, convergence status, and per-iteration trace.
     """
-    K = np.asarray(K0, dtype=float).copy()
-    if not is_stabilizing(plant, K):
-        raise ValueError("initial gain K0 does not stabilize the plant")
-    if not check_feasible(cs, K):
-        raise ValueError("initial gain K0 does not satisfy the constraints")
-
-    trace = SolveTrace()
-    iterates = [K.copy()] if keep_iterates else None
-    start = time.perf_counter()
-    status = "max_iters"
-    evals_total = 0
-    last_step_norm = 0.0
-    last_t = 0.0
-    step_norm = np.inf
-
-    for it in range(max_iters + 1):
-        gp = gradient(plant, costspec, K)
-        J = gp.cost(costspec)
+    def direction(K, gp):
         hess = hessian(plant, costspec, K, gp)
-        model = pt_matrix(hess.matrix, pt_eps)
-        ns = newton_step(model, gp.grad, cs)
-        step_norm = float(np.linalg.norm(vec(ns.step)))
-        trace.append(TraceRecord(
-            iteration=it, cost=J,
-            grad_norm=float(np.linalg.norm(vec(
-                project_gradient(gp.grad, cs)))),
-            step_norm=last_step_norm, step_size=last_t,
-            spectral_abscissa=spectral_abscissa(closed_loop(plant, K)),
-            seconds=time.perf_counter() - start,
-        ))
-        if step_norm <= tol:
-            status = "converged"
-            break
-        if it == max_iters:
-            break
-        try:
-            K, t, evals = line_search(plant, costspec, cs, K, ns.step,
-                                      gp.grad, alpha, beta, current_cost=J)
-        except LineSearchStalled:
-            status = "stalled"
-            logger.info(
-                "Newton solve stalled after %d iterations at step norm "
-                "%.3e (tol %.1e)", it, step_norm, tol,
-            )
-            break
-        evals_total += evals
-        last_step_norm = float(t * step_norm)
-        last_t = t
-        if keep_iterates:
-            iterates.append(K.copy())
+        ns = newton_step(pt_matrix(hess.matrix, pt_eps), gp.grad, cs)
+        grad_norm = float(np.linalg.norm(vec(project_gradient(gp.grad, cs))))
+        return ns.step, grad_norm, float(np.linalg.norm(vec(ns.step)))
 
-    final = trace.records[-1]
-    return SolveResult(
-        K=K, cost=final.cost, converged=(status == "converged"),
-        status=status, iterations=final.iteration, grad_norm=final.grad_norm,
-        step_norm=step_norm, line_search_evals=evals_total,
-        trace=trace, iterates=iterates,
-    )
+    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
+                    max_iters, keep_iterates, "Newton", step_measure=True)

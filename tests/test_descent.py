@@ -1,0 +1,93 @@
+"""Tests for the line-search descent loop shared by both solvers."""
+
+import numpy as np
+import pytest
+
+import soflqr.second_order
+from soflqr import (
+    ConstraintSet,
+    CostSpec,
+    NewtonStep,
+    Plant,
+    SchurSolver,
+    builtin_problem,
+    evaluate,
+    first_order_solve,
+    gradient,
+    newton_solve,
+)
+
+SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
+
+
+def unobservable_psd_problem():
+    """PSD state weight that leaves two stable modes unobserved.
+
+    The cost matrix ``P`` is singular at every gain; the optimum is
+    ``K = 1 - sqrt(2)`` with ``J = sqrt(2) - 1``.
+    """
+    plant = Plant(A=np.diag([-1.0, -2.0, -3.0]), B=[[1.0], [0.0], [0.0]],
+                  C=[[1.0, 0.0, 0.0]])
+    costspec = CostSpec(Q=np.diag([1.0, 0.0, 0.0]), R=[[1.0]], X0=np.eye(3))
+    return plant, costspec
+
+
+@pytest.mark.parametrize("method, tol, iterations",
+                         [("newton", 1e-9, 5), ("grad", 1e-5, 9)])
+def test_psd_weight_with_singular_certificate_converges(method, tol,
+                                                        iterations):
+    plant, costspec = unobservable_psd_problem()
+    result = SOLVERS[method](plant, costspec, ConstraintSet.empty(),
+                             np.zeros((1, 1)), tol=tol)
+    assert result.status == "converged"
+    assert result.iterations == iterations
+    assert result.cost == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-9)
+    assert result.K[0, 0] == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-5)
+
+
+def test_rounding_level_ascent_direction_stalls(monkeypatch):
+    # A Newton step with a positive slope along the gradient, as rounding
+    # can produce near the optimum, ends the run instead of raising.
+    def ascent_step(Heps, grad, cs):
+        return NewtonStep(step=1e-12 * np.asarray(grad), dual=np.zeros(0),
+                          predicted_decrease=0.0)
+
+    monkeypatch.setattr(soflqr.second_order, "newton_step", ascent_step)
+    prob = builtin_problem("example1")
+    result = newton_solve(prob.plant, prob.costspec, prob.constraints,
+                          prob.gain0, tol=1e-15)
+    assert result.status == "stalled"
+    assert not result.converged
+    assert result.iterations == 0
+    assert result.line_search_evals == 0
+    np.testing.assert_array_equal(result.K, prob.gain0)
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_one_factorization_per_visited_gain(method, monkeypatch):
+    count = 0
+    init = SchurSolver.__init__
+
+    def counting_init(self, Ac):
+        nonlocal count
+        count += 1
+        init(self, Ac)
+
+    monkeypatch.setattr(SchurSolver, "__init__", counting_init)
+    prob = builtin_problem("example2")
+    result = SOLVERS[method](prob.plant, prob.costspec, prob.constraints,
+                             prob.gain0)
+    assert result.converged
+    assert result.iterations > 0
+    assert count == 1 + result.line_search_evals
+
+
+def test_gradient_reuses_evaluation():
+    prob = builtin_problem("example2")
+    ev = evaluate(prob.plant, prob.costspec, prob.gain0)
+    gp = gradient(prob.plant, prob.costspec, ev)
+    assert gp.solver is ev.solver
+    assert gp.cost_matrix is ev.P
+    assert gp.cost(prob.costspec) == ev.cost
+    np.testing.assert_array_equal(
+        gp.grad, gradient(prob.plant, prob.costspec, prob.gain0).grad)

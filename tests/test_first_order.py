@@ -116,14 +116,6 @@ class TestProjectGradient:
             h = project_gradient(rng.standard_normal((2, 2)), cs)
             assert best <= np.linalg.norm(G - h, "fro") + 1e-12
 
-    def test_nonzero_rhs_warns(self):
-        cs = ConstraintSet(constraints=[Constraint(
-            terms=(ConstraintTerm(left=[[1.0, 0.0]], right=[[1.0], [0.0]]),),
-            rhs=[[-2.0]],
-        )])
-        with pytest.warns(RuntimeWarning, match="nonzero right-hand side"):
-            project_gradient(np.ones((2, 2)), cs)
-
 
 class TestFirstOrderSolve:
     def test_zero_gradient_start(self):
@@ -181,10 +173,8 @@ class TestFirstOrderSolve:
             terms=(ConstraintTerm(left=[[1.0, 0.0]], right=[[1.0], [0.0]]),),
             rhs=[[-2.0]],
         )])
-        with pytest.warns(RuntimeWarning, match="nonzero right-hand side"):
-            result = first_order_solve(prob.plant, prob.costspec, cs,
-                                       prob.gain0, tol=1e-6,
-                                       keep_iterates=True)
+        result = first_order_solve(prob.plant, prob.costspec, cs,
+                                   prob.gain0, tol=1e-6, keep_iterates=True)
         for K in result.iterates:
             assert K[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert result.cost < 22.2010

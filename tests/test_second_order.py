@@ -166,13 +166,13 @@ class TestLineSearch:
         plant, costspec = scalar_problem()
         K = np.array([[0.0]])
         gp = gradient(plant, costspec, K)
-        K_new, t, evals = line_search(plant, costspec,
+        trial, t, evals = line_search(plant, costspec,
                                       ConstraintSet.empty(), K,
                                       np.array([[-0.25]]), gp.grad,
                                       alpha=0.2, beta=0.1)
         assert t == 1.0
         assert evals == 1
-        assert K_new[0, 0] == pytest.approx(-0.25)
+        assert trial.K[0, 0] == pytest.approx(-0.25)
 
     def test_backtracks_past_unstable_trial(self):
         # Unstable plant A = 1: gains above -1 destabilize.  From K = -3
@@ -182,14 +182,14 @@ class TestLineSearch:
         K = np.array([[-3.0]])
         gp = gradient(plant, costspec, K)
         assert gp.grad[0, 0] == pytest.approx(-0.25, abs=1e-12)
-        K_new, t, evals = line_search(plant, costspec,
+        trial, t, evals = line_search(plant, costspec,
                                       ConstraintSet.empty(), K,
                                       np.array([[2.5]]), gp.grad,
                                       alpha=0.2, beta=0.1)
         assert t == pytest.approx(0.1)
         assert evals == 2
-        assert K_new[0, 0] == pytest.approx(-2.75)
-        assert cost(plant, costspec, K_new) < cost(plant, costspec, K)
+        assert trial.K[0, 0] == pytest.approx(-2.75)
+        assert cost(plant, costspec, trial.K) < cost(plant, costspec, K)
 
     def test_rejects_ascent_direction(self):
         plant, costspec = scalar_problem()
