@@ -61,10 +61,8 @@ from .problems import (
 )
 from .second_order import (
     HessianMatrix,
-    HessianWorkspace,
     NewtonStep,
     PTMatrix,
-    build_hessian_workspace,
     hessian,
     newton_solve,
     newton_step,
@@ -82,7 +80,6 @@ __all__ = [
     "Evaluation",
     "GradientPair",
     "HessianMatrix",
-    "HessianWorkspace",
     "InfeasibleConstraintsError",
     "InfiniteCostError",
     "LineSearchStalled",
@@ -99,7 +96,6 @@ __all__ = [
     "SolveTrace",
     "SolverParams",
     "TraceRecord",
-    "build_hessian_workspace",
     "builtin_problem",
     "check_feasible",
     "closed_loop",

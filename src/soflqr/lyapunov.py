@@ -15,7 +15,8 @@ re-exports ``kron``; all Kronecker identities in the package assume
 column-major ordering.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy import kron  # noqa: F401  (re-exported: standard Kronecker product)
@@ -65,13 +66,22 @@ class LyapunovSolution:
     ----------
     value : ndarray
         The n x n symmetric solution, returned as ``(X + X.T) / 2``.
+    operator, rhs : ndarray
+        ``A`` and ``W`` of the equation written as ``A^T X + X A + W = 0``
+        (``A = Ac^T`` for the adjoint equation).
     residual_norm : float
         Frobenius norm of the equation residual evaluated with the
-        symmetrized solution.
+        symmetrized solution, computed on first access.
     """
 
     value: np.ndarray
-    residual_norm: float
+    operator: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def residual_norm(self):
+        A, X = self.operator, self.value
+        return float(np.linalg.norm(A.T @ X + X @ A + self.rhs, "fro"))
 
 
 def spectral_abscissa(M):
@@ -127,7 +137,9 @@ class SchurSolver:
     Factorizes ``Ac = U T U^T`` (real Schur form) on construction and
     solves each right-hand side with a single quasi-triangular Sylvester
     solve (LAPACK ``trsyl``), so repeated solves cost O(n^2) beyond the
-    one-time O(n^3) factorization.
+    one-time O(n^3) factorization.  ``T`` and ``U`` are kept;
+    :meth:`solve_schur` is the kernel in their coordinates, which
+    :meth:`solve_primal` and :meth:`solve_adjoint` wrap in the basis change.
 
     Raises
     ------
@@ -142,17 +154,23 @@ class SchurSolver:
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
         self.matrix = Ac
-        self._T, self._U = schur(Ac, output="real")
+        self.T, self.U = schur(Ac, output="real")
         self.abscissa = float(
-            np.max(_quasi_triangular_eigenvalues(self._T).real)
+            np.max(_quasi_triangular_eigenvalues(self.T).real)
         )
         if self.abscissa >= HURWITZ_MARGIN:
             raise NotHurwitzError(self.abscissa)
-        self._trsyl = get_lapack_funcs("trsyl", (self._T,))
+        self._trsyl = get_lapack_funcs("trsyl", (self.T,))
 
-    def _solve(self, rhs, trana, tranb):
-        ct = -self._U.T @ rhs @ self._U
-        x, scale, info = self._trsyl(self._T, self._T, ct, isgn=1,
+    def solve_schur(self, Wt, adjoint=False):
+        """Solve ``T^T Z + Z T + Wt = 0`` in Schur coordinates.
+
+        With ``adjoint`` the equation is ``Z T^T + T Z + Wt = 0``.  For
+        ``Wt = U^T W U`` the solution is ``Z = U^T X U``, where ``X``
+        solves the primal (adjoint) equation with constant term ``W``.
+        """
+        trana, tranb = ("N", "T") if adjoint else ("T", "N")
+        x, scale, info = self._trsyl(self.T, self.T, -Wt, isgn=1,
                                      trana=trana, tranb=tranb)
         if info < 0:
             raise np.linalg.LinAlgError(
@@ -166,15 +184,20 @@ class SchurSolver:
                 "Lyapunov equation is singular: the closed-loop matrix and "
                 "its negation share an eigenvalue within tolerance",
             )
-        return self._U @ (x / scale) @ self._U.T
+        return x / scale
+
+    def _solve(self, W, adjoint):
+        U = self.U
+        W = np.asarray(W, dtype=float)
+        return U @ self.solve_schur(U.T @ W @ U, adjoint) @ U.T
 
     def solve_primal(self, W):
         """Solve ``Ac^T X + X Ac + W = 0`` for general square ``W``."""
-        return self._solve(np.asarray(W, dtype=float), "T", "N")
+        return self._solve(W, adjoint=False)
 
     def solve_adjoint(self, W):
         """Solve ``X Ac^T + Ac X + W = 0`` for general square ``W``."""
-        return self._solve(np.asarray(W, dtype=float), "N", "T")
+        return self._solve(W, adjoint=True)
 
 
 def _require_symmetric(M, name):
@@ -199,11 +222,8 @@ def solve_lyapunov_primal(Ac, Qc):
     Qc = _require_symmetric(Qc, "Qc")
     solver = Ac if isinstance(Ac, SchurSolver) else SchurSolver(Ac)
     P = solver.solve_primal(Qc)
-    P = 0.5 * (P + P.T)
-    residual = np.linalg.norm(
-        solver.matrix.T @ P + P @ solver.matrix + Qc, "fro"
-    )
-    return LyapunovSolution(value=P, residual_norm=float(residual))
+    return LyapunovSolution(value=0.5 * (P + P.T), operator=solver.matrix,
+                            rhs=Qc)
 
 
 def solve_lyapunov_adjoint(Ac, X0):
@@ -216,8 +236,5 @@ def solve_lyapunov_adjoint(Ac, X0):
     X0 = _require_symmetric(X0, "X0")
     solver = Ac if isinstance(Ac, SchurSolver) else SchurSolver(Ac)
     G = solver.solve_adjoint(X0)
-    G = 0.5 * (G + G.T)
-    residual = np.linalg.norm(
-        G @ solver.matrix.T + solver.matrix @ G + X0, "fro"
-    )
-    return LyapunovSolution(value=G, residual_norm=float(residual))
+    return LyapunovSolution(value=0.5 * (G + G.T), operator=solver.matrix.T,
+                            rhs=X0)

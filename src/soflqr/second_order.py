@@ -1,16 +1,17 @@
 """Equality-constrained Newton solver with an exact Lyapunov-based Hessian.
 
-Each entry-column of the Hessian of the cost with respect to the gain is
-assembled from three auxiliary Lyapunov solves against the same closed
-loop, so one iteration costs ``3*m*q + 2`` quasi-triangular solves on a
-single Schur factorization.  Indefiniteness is handled by the PT
-(positive-definite truncation) transform of the Hessian spectrum, and
-the constrained Newton step comes from the bordered KKT system, keeping
-every iterate on the constraint set.
+Each entry-column of the Hessian of the cost with respect to the gain
+takes one auxiliary Lyapunov solve against the closed loop, done in
+Schur coordinates; the adjoint identity between the primal and adjoint
+Lyapunov operators supplies the rest.  One iteration therefore costs
+``m*q + 2`` quasi-triangular solves on a single Schur factorization.
+Indefiniteness is handled by the PT (positive-definite truncation)
+transform of the Hessian spectrum, and the constrained Newton step comes
+from the bordered KKT system, keeping every iterate on the constraint
+set.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -20,11 +21,9 @@ from .linesearch import LineSearchStalled, line_search
 from .lyapunov import unvec, vec
 
 __all__ = [
-    "HessianWorkspace",
     "HessianMatrix",
     "PTMatrix",
     "NewtonStep",
-    "build_hessian_workspace",
     "hessian",
     "pt_matrix",
     "newton_step",
@@ -33,38 +32,12 @@ __all__ = [
     "LineSearchStalled",
 ]
 
-# Column-wise asymmetry of the assembled Hessian beyond this level is
-# surfaced as a warning; the matrix is symmetric in exact arithmetic.
-ASYMMETRY_WARN = 1e-6
-
-
-@dataclass
-class HessianWorkspace:
-    """Auxiliary Lyapunov solutions behind one Hessian evaluation.
-
-    For every gain entry ``(i, j)`` (row ``i``, column ``j``) there are
-    three n x n solutions; keys are the ``(i, j)`` index pairs.  The
-    shared cost matrix and Gramian come from the gradient evaluation at
-    the same gain.
-    """
-
-    cost_terms: dict = field(default_factory=dict)
-    gramian_terms: dict = field(default_factory=dict)
-    weight_terms: dict = field(default_factory=dict)
-    cost_matrix: np.ndarray = None
-    gramian: np.ndarray = None
-
 
 @dataclass(frozen=True)
 class HessianMatrix:
-    """Symmetrized Hessian in the vectorized gain coordinates.
-
-    ``asymmetry`` records ``||H_raw - H_raw^T||_F / ||H_raw||_F`` of the
-    column-assembled matrix before averaging.
-    """
+    """Hessian in the vectorized gain coordinates, exactly symmetric."""
 
     matrix: np.ndarray
-    asymmetry: float
 
 
 @dataclass(frozen=True)
@@ -90,81 +63,46 @@ class NewtonStep:
     predicted_decrease: float
 
 
-def build_hessian_workspace(plant, costspec, K, gp):
-    """Solve the auxiliary Lyapunov equations for every gain entry.
+def hessian(plant, costspec, K, gp):
+    """Hessian of the cost in vectorized gain coordinates.
 
-    ``gp`` is the :class:`GradientPair` evaluated at the same ``K``; its
-    cost matrix and Gramian seed the right-hand sides, and all solves
-    reuse its Schur factorization of the closed loop.
+    ``gp`` is the :class:`GradientPair` at the same ``K``; its ``P``,
+    ``G`` and Schur factorization ``Ac = U T U^T`` are reused.  Columns
+    follow the column-major ordering of the gain entries.  With
+    ``M = B^T P + R K C``, the column of entry ``E = E_ij`` is
+
+        2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
+
+    where ``Ac^T X + X Ac + M^T E C = 0`` and
+    ``Ac Y + Y Ac^T + B E C G = 0``.  The two Lyapunov operators are
+    adjoint to each other, so the matrix of ``Y`` terms is the transpose
+    of the matrix ``S`` of ``X`` terms, and
+    ``H = S + S^T + 2 kron(C G C^T, R)``: one solve per entry.  Its
+    rank-one right-hand side is formed, solved and contracted in Schur
+    coordinates, with no n x n basis change.  Both kron factors are
+    symmetrized, so ``H`` is symmetric to the last bit.
     """
     K = np.asarray(K, dtype=float)
     B, C, R = plant.B, plant.C, costspec.R
     m, q = plant.gain_shape()
     solver = gp.solver
-    P = gp.cost_matrix.value
-    G = gp.gramian.value
-    KC = K @ C
+    U = solver.U
+    GCt = gp.gramian.value @ C.T
+    Ms = U.T @ (gp.cost_matrix.value @ B + C.T @ K.T @ R)
+    Cs = U.T @ C.T
+    Bs = U.T @ B
+    GCs = U.T @ GCt
 
-    ws = HessianWorkspace(cost_matrix=P, gramian=G)
-    for j in range(q):
-        for i in range(m):
-            # B E_ij C and R E_ij have rank one; build them as outers.
-            BEC = np.outer(B[:, i], C[j, :])
-            ws.cost_terms[i, j] = solver.solve_primal(P @ BEC)
-            ws.gramian_terms[i, j] = solver.solve_adjoint(G @ BEC.T)
-            ws.weight_terms[i, j] = solver.solve_primal(
-                np.outer(KC.T @ R[:, i], C[j, :]))
-    return ws
-
-
-def hessian(plant, costspec, K, gp, workspace=None):
-    """Hessian of the cost in vectorized gain coordinates.
-
-    Columns follow the column-major ordering of the gain entries, so the
-    matrix acts on ``vec(K)``.  Each column combines the three auxiliary
-    solutions for its entry with the shared gradient data:
-
-        2 B^T (P1 + P1^T) G C^T + 2 (B^T P + R K C)(G1 + G1^T) C^T
-        + 2 B^T (R1 + R1^T) G C^T + 2 R E_ij C G C^T.
-
-    The assembled matrix is symmetrized by averaging; asymmetry beyond
-    ``ASYMMETRY_WARN`` triggers a warning but is not fatal.
-    """
-    K = np.asarray(K, dtype=float)
-    if workspace is None:
-        workspace = build_hessian_workspace(plant, costspec, K, gp)
-    B, C, R = plant.B, plant.C, costspec.R
-    m, q = plant.gain_shape()
-    P = workspace.cost_matrix
-    G = workspace.gramian
-    BtP_RKC = B.T @ P + R @ K @ C
-    GCt = G @ C.T
-
-    H = np.empty((m * q, m * q))
+    S = np.empty((m * q, m * q))
     col = 0
     for j in range(q):
         for i in range(m):
-            P1 = workspace.cost_terms[i, j]
-            G1 = workspace.gramian_terms[i, j]
-            R1 = workspace.weight_terms[i, j]
-            block = (2.0 * B.T @ (P1.T + P1) @ GCt
-                     + 2.0 * BtP_RKC @ (G1.T + G1) @ C.T
-                     + 2.0 * B.T @ (R1.T + R1) @ GCt
-                     + 2.0 * np.outer(R[:, i], C[j, :] @ GCt))
-            H[:, col] = vec(block)
+            Z = solver.solve_schur(np.outer(Ms[:, i], Cs[:, j]))
+            S[:, col] = vec(2.0 * (Bs.T @ Z @ GCs + (GCs.T @ Z @ Bs).T))
             col += 1
-
-    norm = np.linalg.norm(H, "fro")
-    asymmetry = 0.0
-    if norm > 0.0:
-        asymmetry = float(np.linalg.norm(H - H.T, "fro") / norm)
-    if asymmetry > ASYMMETRY_WARN:
-        warnings.warn(
-            f"Hessian asymmetry {asymmetry:.3e} exceeds {ASYMMETRY_WARN:.0e}; "
-            f"the column solves may be inaccurate",
-            RuntimeWarning, stacklevel=2,
-        )
-    return HessianMatrix(matrix=0.5 * (H + H.T), asymmetry=asymmetry)
+    CGCt = C @ GCt
+    weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
+    return HessianMatrix(matrix=S + S.T + 2.0 * weight)
 
 
 def pt_matrix(H, eps):
@@ -231,9 +169,9 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
                  beta=0.1, max_iters=200, keep_iterates=False):
     """Constrained Newton descent on the structured feedback LQR cost.
 
-    Per iteration: evaluate the gradient, assemble the Hessian from the
-    auxiliary Lyapunov solves, truncate its spectrum to the positive
-    definite model, solve the KKT system for the step, and accept a step
+    Per iteration: evaluate the gradient, assemble the Hessian from one
+    auxiliary Lyapunov solve per gain entry, truncate its spectrum to the
+    positive definite model, solve the KKT system for the step, and accept a step
     size with the stability-guarded backtracking search.  Terminates
     when ``||vec(dK)|| <= tol``.
 

@@ -24,6 +24,7 @@ __all__ = [
     "fd_gradient",
     "fd_hessian",
     "kron_lyapunov",
+    "kron_hessian",
     "are_gain",
     "quadrature_cost",
 ]
@@ -158,6 +159,47 @@ def kron_lyapunov(Ac, Qc, max_order=8):
         )
     M = np.kron(np.eye(n), Ac.T) + np.kron(Ac.T, np.eye(n))
     return unvec(np.linalg.solve(M, vec(-Qc)), n, n)
+
+
+def kron_hessian(plant, costspec, K, max_order=8):
+    """Hessian from the paper's three-solve column formula.
+
+    For each entry ``E = E_ij``, with ``BEC = B E C`` and
+    ``M = B^T P + R K C``, the column is ``vec`` of
+
+        2 B^T (P1 + P1^T + R1 + R1^T) G C^T + 2 M (G1 + G1^T) C^T
+        + 2 R E C G C^T,
+
+    where ``Ac^T P1 + P1 Ac + P BEC = 0``,
+    ``Ac G1 + G1 Ac^T + G BEC^T = 0`` and
+    ``Ac^T R1 + R1 Ac + (K C)^T R E C = 0``.  ``P``, ``G`` and every
+    term are Kronecker solves, so the state order is limited to
+    ``max_order``.  Symmetrized like :func:`fd_hessian`.
+    """
+    K = np.asarray(K, dtype=float)
+    m, q = K.shape
+    B, C, R = plant.B, plant.C, costspec.R
+    Ac = closed_loop(plant, K)
+    P = kron_lyapunov(Ac, effective_weight(costspec, plant, K), max_order)
+    G = kron_lyapunov(Ac.T, costspec.X0, max_order)
+    M = B.T @ P + R @ K @ C
+    GCt = G @ C.T
+    H = np.empty((m * q, m * q))
+    col = 0
+    for j in range(q):
+        for i in range(m):
+            E = np.zeros((m, q))
+            E[i, j] = 1.0
+            BEC = B @ E @ C
+            P1 = kron_lyapunov(Ac, P @ BEC, max_order)
+            G1 = kron_lyapunov(Ac.T, G @ BEC.T, max_order)
+            R1 = kron_lyapunov(Ac, (K @ C).T @ R @ E @ C, max_order)
+            block = (2.0 * B.T @ (P1 + P1.T + R1 + R1.T) @ GCt
+                     + 2.0 * M @ (G1 + G1.T) @ C.T
+                     + 2.0 * R @ E @ C @ GCt)
+            H[:, col] = vec(block)
+            col += 1
+    return 0.5 * (H + H.T)
 
 
 def are_gain(plant, costspec, K_init=None, tol=1e-12, max_iters=500):

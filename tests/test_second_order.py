@@ -8,9 +8,8 @@ from soflqr import (
     CostSpec,
     LineSearchStalled,
     Plant,
-    build_hessian_workspace,
+    SchurSolver,
     builtin_problem,
-    closed_loop,
     cost,
     gradient,
     hessian,
@@ -20,7 +19,7 @@ from soflqr import (
     pt_matrix,
     vec,
 )
-from soflqr.verify import are_gain, error_report, fd_hessian
+from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
 from conftest import identity_cost, random_spd, stable_plant
 
@@ -52,32 +51,56 @@ class TestHessian:
             report = error_report(fd_hessian(plant, costspec, K), H.matrix)
             assert report.max_rel_error <= 1e-4
 
-    def test_asymmetry_small(self):
+    def test_exactly_symmetric(self):
         rng = np.random.default_rng(73)
         plant = stable_plant(rng, 4, 2, 2)
         costspec = identity_cost(4, 2)
         K = 0.1 * rng.standard_normal((2, 2))
         gp = gradient(plant, costspec, K)
-        assert hessian(plant, costspec, K, gp).asymmetry <= 1e-8
+        H = hessian(plant, costspec, K, gp).matrix
+        assert np.array_equal(H, H.T)
+        report = error_report(kron_hessian(plant, costspec, K), H)
+        assert report.max_rel_error <= 1e-10
 
-    def test_workspace_residuals(self):
+    def test_matches_kron_oracle(self):
+        # Each column's one Schur-coordinate solve against the paper's
+        # three Kronecker-solved terms, on the bundled decentralized
+        # problem and on random plants with non-identity weights.
         prob = builtin_problem("example2")
-        K = prob.gain0
-        gp = gradient(prob.plant, prob.costspec, K)
-        ws = build_hessian_workspace(prob.plant, prob.costspec, K, gp)
-        Ac = closed_loop(prob.plant, K)
-        B, C, R = prob.plant.B, prob.plant.C, prob.costspec.R
-        KC = K @ C
-        for (i, j), P1 in ws.cost_terms.items():
-            BEC = np.outer(B[:, i], C[j])
-            res = Ac.T @ P1 + P1 @ Ac + ws.cost_matrix @ BEC
-            assert np.linalg.norm(res, "fro") <= 1e-8
-            G1 = ws.gramian_terms[i, j]
-            res = G1 @ Ac.T + Ac @ G1 + ws.gramian @ BEC.T
-            assert np.linalg.norm(res, "fro") <= 1e-8
-            R1 = ws.weight_terms[i, j]
-            res = Ac.T @ R1 + R1 @ Ac + np.outer(KC.T @ R[:, i], C[j])
-            assert np.linalg.norm(res, "fro") <= 1e-8
+        cases = [(prob.plant, prob.costspec, prob.gain0)]
+        rng = np.random.default_rng(75)
+        for n, m, q in [(3, 2, 2), (5, 1, 3), (6, 3, 2)]:
+            costspec = CostSpec(Q=random_spd(rng, n), R=random_spd(rng, m),
+                                X0=random_spd(rng, n))
+            cases.append((stable_plant(rng, n, m, q), costspec,
+                          0.05 * rng.standard_normal((m, q))))
+        for plant, costspec, K in cases:
+            gp = gradient(plant, costspec, K)
+            H = hessian(plant, costspec, K, gp).matrix
+            report = error_report(kron_hessian(plant, costspec, K), H)
+            assert report.max_rel_error <= 1e-10
+
+    @pytest.mark.parametrize("case", ["example1", "random3x2"])
+    def test_one_schur_solve_per_entry(self, monkeypatch, case):
+        if case == "example1":
+            prob = builtin_problem("example1")
+            plant, costspec, K = prob.plant, prob.costspec, prob.gain0
+        else:
+            plant = stable_plant(np.random.default_rng(77), 5, 3, 2)
+            costspec = identity_cost(5, 3)
+            K = np.zeros((3, 2))
+        gp = gradient(plant, costspec, K)
+        calls = {"solve_schur": 0, "__init__": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(SchurSolver,
+                                                             name),
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(SchurSolver, name, counted)
+        hessian(plant, costspec, K, gp)
+        assert calls == {"solve_schur": K.size, "__init__": 0}
 
 
 class TestPTMatrix:
