@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import (
@@ -90,26 +89,14 @@ def project_gradient(grad, cs):
     """Orthogonal projection of ``grad`` onto the constraint null space.
 
     Returns the feasible direction closest to ``grad`` in the Frobenius
-    norm, i.e. ``unvec((I - Abar^T (Abar Abar^T)^-1 Abar) vec(grad))``.
-    The dual variables of the projection are recovered by the Cholesky
-    solve of the normal equations; ``Abar`` must have full row rank
-    (guaranteed by the pruning in ``flatten_constraints``).  The
+    norm, ``unvec(Z Z^T vec(grad))`` for the orthonormal null-space
+    basis ``Z`` of ``Abar`` cached by the constraint set.  The
     right-hand side ``cbar`` plays no part: directions in the null space
     keep a feasible gain feasible.
     """
     grad = np.asarray(grad, dtype=float)
-    Abar, _ = cs.flattened(grad.shape)
-    if Abar.shape[0] == 0:
-        return grad.copy()
-    g = vec(grad)
-    try:
-        lam = cho_solve(cho_factor(Abar @ Abar.T), Abar @ g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "constraint matrix is rank deficient; redundant rows should "
-            "have been pruned during flattening"
-        ) from exc
-    return unvec(g - Abar.T @ lam, *grad.shape)
+    Z = cs.null_basis(grad.shape)
+    return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
 
 def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,

@@ -115,22 +115,6 @@ def unvec(v, rows, cols):
     return v.reshape((rows, cols), order="F")
 
 
-def _quasi_triangular_eigenvalues(T):
-    # Eigenvalues of a real Schur form: 1x1 blocks on the diagonal are real
-    # eigenvalues, 2x2 blocks hold complex-conjugate pairs.
-    n = T.shape[0]
-    vals = np.empty(n, dtype=complex)
-    k = 0
-    while k < n:
-        if k + 1 < n and T[k + 1, k] != 0.0:
-            vals[k : k + 2] = np.linalg.eigvals(T[k : k + 2, k : k + 2])
-            k += 2
-        else:
-            vals[k] = T[k, k]
-            k += 1
-    return vals
-
-
 class SchurSolver:
     """Lyapunov solves against a fixed Hurwitz matrix.
 
@@ -155,9 +139,9 @@ class SchurSolver:
             raise ValueError("matrix contains non-finite entries")
         self.matrix = Ac
         self.T, self.U = schur(Ac, output="real")
-        self.abscissa = float(
-            np.max(_quasi_triangular_eigenvalues(self.T).real)
-        )
+        # A 2x2 block of LAPACK's real Schur form has equal diagonal
+        # entries, the real part of its complex-conjugate eigenvalues.
+        self.abscissa = float(np.diag(self.T).max())
         if self.abscissa >= HURWITZ_MARGIN:
             raise NotHurwitzError(self.abscissa)
         self._trsyl = get_lapack_funcs("trsyl", (self.T,))

@@ -233,9 +233,11 @@ class Constraint:
 class ConstraintSet:
     """Collection of linear matrix-equality constraints on an m x q gain.
 
-    The flattened form ``Abar vec(K) = cbar`` is computed lazily by
+    The flattened form ``Abar vec(K) = cbar`` and an orthonormal basis
+    ``Z`` of the null space of ``Abar`` are computed lazily by
     :func:`flatten_constraints` and cached; redundant rows are pruned
-    there so ``Abar`` always has full row rank.
+    there so ``Abar`` always has full row rank.  Feasible gains are
+    exactly ``vec(K) = vec(K0) + Z theta`` for any feasible ``K0``.
     """
 
     constraints: list = field(default_factory=list)
@@ -248,28 +250,43 @@ class ConstraintSet:
     def __len__(self):
         return len(self.constraints)
 
+    def _flat(self, gain_shape):
+        if self._flattened is None or self._flattened[0] != gain_shape:
+            self._flattened = (gain_shape, *flatten_constraints(
+                self, gain_shape, null_basis=True))
+        return self._flattened[1:]
+
     def flattened(self, gain_shape):
         """Cached ``(Abar, cbar)`` for gains of the given shape."""
-        if self._flattened is None or self._flattened[0] != gain_shape:
-            Abar, cbar = flatten_constraints(self, gain_shape)
-            self._flattened = (gain_shape, Abar, cbar)
-        return self._flattened[1], self._flattened[2]
+        Abar, cbar, _ = self._flat(gain_shape)
+        return Abar, cbar
+
+    def null_basis(self, gain_shape):
+        """Cached orthonormal basis ``Z`` of the null space of ``Abar``,
+        shape ``(m*q, m*q - p)``; the identity without constraints."""
+        return self._flat(gain_shape)[2]
 
 
-def flatten_constraints(cs, gain_shape):
+def flatten_constraints(cs, gain_shape, null_basis=False):
     """Convert matrix equalities to the vector form ``Abar vec(K) = cbar``.
 
     Each constraint ``sum_j L_j K R_j = C0`` contributes the block
     ``sum_j kron(R_j^T, L_j)`` and the stacked right-hand side
     ``vec(C0)``.  Redundant rows are removed with a rank-revealing
-    pivoted QR factorization (threshold ``1e-10 * ||Abar||_2``); an
-    inconsistent system raises :class:`InfeasibleConstraintsError`.
+    pivoted QR factorization of ``Abar^T`` (threshold
+    ``1e-10 * ||Abar||_2``); an inconsistent system raises
+    :class:`InfeasibleConstraintsError`.  The trailing ``m*q - p``
+    columns of the same factorization's ``Q`` are an orthonormal basis
+    of the null space of ``Abar``.  For pinned entries the factorization
+    is a product of exact coordinate swaps, so the basis selects the
+    free entries exactly.
 
     Returns
     -------
     (ndarray, ndarray)
         ``Abar`` with full row rank, shape ``(p, m*q)``, and ``cbar``
-        of length ``p``.
+        of length ``p``.  With ``null_basis``, the basis ``Z`` of shape
+        ``(m*q, m*q - p)`` follows as a third element.
     """
     m, q = gain_shape
     blocks = []
@@ -287,7 +304,8 @@ def flatten_constraints(cs, gain_shape):
         blocks.append(block)
         rhs_parts.append(vec(con.rhs))
     if not blocks:
-        return np.zeros((0, m * q)), np.zeros(0)
+        flat = (np.zeros((0, m * q)), np.zeros(0))
+        return (*flat, np.eye(m * q)) if null_basis else flat
     Abar = np.vstack(blocks)
     cbar = np.concatenate(rhs_parts)
 
@@ -300,7 +318,7 @@ def flatten_constraints(cs, gain_shape):
             f"(least-squares misfit {misfit:.3e})"
         )
 
-    r, pivots = qr(Abar.T, mode="r", pivoting=True)
+    Qf, r, pivots = qr(Abar.T, pivoting=True)
     diag = np.abs(np.diag(r))
     threshold = 1e-10 * np.linalg.norm(Abar, 2)
     rank = int(np.sum(diag > threshold))
@@ -312,7 +330,7 @@ def flatten_constraints(cs, gain_shape):
         )
         Abar = Abar[keep]
         cbar = cbar[keep]
-    return Abar, cbar
+    return (Abar, cbar, Qf[:, rank:]) if null_basis else (Abar, cbar)
 
 
 def check_feasible(cs, K):

@@ -1,14 +1,16 @@
 """Equality-constrained Newton solver with an exact Lyapunov-based Hessian.
 
-Each entry-column of the Hessian of the cost with respect to the gain
-takes one auxiliary Lyapunov solve against the closed loop, done in
-Schur coordinates; the adjoint identity between the primal and adjoint
-Lyapunov operators supplies the rest.  One iteration therefore costs
-``m*q + 2`` quasi-triangular solves on a single Schur factorization.
-Indefiniteness is handled by the PT (positive-definite truncation)
-transform of the Hessian spectrum, and the constrained Newton step comes
-from the bordered KKT system, keeping every iterate on the constraint
-set.
+Feasible gains are parameterized as ``vec(K) = vec(K0) + Z theta`` with
+an orthonormal basis ``Z`` of the constraint null space (the identity
+without constraints), so only the reduced Hessian ``Z^T H Z`` is built.
+Each of its columns takes one auxiliary Lyapunov solve against the
+closed loop, done in Schur coordinates; the adjoint identity between
+the primal and adjoint Lyapunov operators supplies the rest.  With
+``p`` independent constraint rows, one iteration therefore costs
+``(m*q - p) + 2`` quasi-triangular solves on a single Schur
+factorization.  Indefiniteness is handled by the PT (positive-definite
+truncation) transform of the reduced Hessian's spectrum, and the step
+``Z theta`` keeps every iterate on the constraint set.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HessianMatrix:
-    """Hessian in the vectorized gain coordinates, exactly symmetric."""
+    """Hessian in the vectorized gain coordinates, or reduced to the
+    coordinates of a null-space basis; exactly symmetric."""
 
     matrix: np.ndarray
 
@@ -56,19 +59,21 @@ class PTMatrix:
 
 @dataclass(frozen=True)
 class NewtonStep:
-    """Constrained Newton step and its KKT dual variables."""
+    """Constrained Newton step and the decrease its model predicts."""
 
     step: np.ndarray
-    dual: np.ndarray
     predicted_decrease: float
 
 
-def hessian(plant, costspec, K, gp):
+def hessian(plant, costspec, K, gp, basis=None):
     """Hessian of the cost in vectorized gain coordinates.
 
     ``gp`` is the :class:`GradientPair` at the same ``K``; its ``P``,
     ``G`` and Schur factorization ``Ac = U T U^T`` are reused.  Columns
     follow the column-major ordering of the gain entries.  With
+    ``basis`` (an ``m*q x N`` matrix ``Z``, such as
+    :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
+    ``Z^T H Z`` from ``N`` solves instead of ``m*q``.  With
     ``M = B^T P + R K C``, the column of entry ``E = E_ij`` is
 
         2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
@@ -77,14 +82,20 @@ def hessian(plant, costspec, K, gp):
     ``Ac Y + Y Ac^T + B E C G = 0``.  The two Lyapunov operators are
     adjoint to each other, so the matrix of ``Y`` terms is the transpose
     of the matrix ``S`` of ``X`` terms, and
-    ``H = S + S^T + 2 kron(C G C^T, R)``: one solve per entry.  Its
-    rank-one right-hand side is formed, solved and contracted in Schur
+    ``H = S + S^T + 2 kron(C G C^T, R)``: one solve per entry.  By
+    linearity, the solve with ``E = unvec(z)`` gives ``S z`` for a basis
+    column ``z``, and the reduced Hessian is
+    ``Z^T S Z + (Z^T S Z)^T + 2 Z^T kron(C G C^T, R) Z``.  Each
+    right-hand side is formed, solved and contracted in Schur
     coordinates, with no n x n basis change.  Both kron factors are
-    symmetrized, so ``H`` is symmetric to the last bit.
+    symmetrized, so the result is symmetric to the last bit; a basis of
+    coordinate vectors, such as the identity, selects its entries
+    exactly.
     """
     K = np.asarray(K, dtype=float)
     B, C, R = plant.B, plant.C, costspec.R
     m, q = plant.gain_shape()
+    Z = np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
     solver = gp.solver
     U = solver.U
     GCt = gp.gramian.value @ C.T
@@ -93,16 +104,14 @@ def hessian(plant, costspec, K, gp):
     Bs = U.T @ B
     GCs = U.T @ GCt
 
-    S = np.empty((m * q, m * q))
-    col = 0
-    for j in range(q):
-        for i in range(m):
-            Z = solver.solve_schur(np.outer(Ms[:, i], Cs[:, j]))
-            S[:, col] = vec(2.0 * (Bs.T @ Z @ GCs + (GCs.T @ Z @ Bs).T))
-            col += 1
+    SZ = np.empty(Z.shape)
+    for col in range(Z.shape[1]):
+        Y = solver.solve_schur(Ms @ unvec(Z[:, col], m, q) @ Cs.T)
+        SZ[:, col] = vec(2.0 * (Bs.T @ Y @ GCs + (GCs.T @ Y @ Bs).T))
+    S = Z.T @ SZ
     CGCt = C @ GCt
     weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
-    return HessianMatrix(matrix=S + S.T + 2.0 * weight)
+    return HessianMatrix(matrix=S + S.T + 2.0 * (Z.T @ weight @ Z))
 
 
 def pt_matrix(H, eps):
@@ -125,43 +134,24 @@ def pt_matrix(H, eps):
 
 
 def newton_step(Heps, grad, cs):
-    """Solve the bordered KKT system for the constrained Newton step.
+    """Constrained Newton step from the reduced curvature model.
 
-    With curvature model ``Heps`` (a :class:`PTMatrix`) and gradient
-    ``grad`` (m x q), solves
-
-        [Heps  Abar^T] [vec(dK)]   [-vec(grad)]
-        [Abar    0   ] [  w    ] = [     0    ]
-
-    so the step satisfies ``Abar vec(dK) = 0`` and iterates stay on the
-    constraint set.  Without constraints this reduces to the plain
-    Newton system.
+    ``Heps`` (a :class:`PTMatrix` or matrix) is the positive definite
+    model of ``Z^T H Z`` for the null-space basis ``Z`` of the
+    constraints, and ``grad`` is the m x q gradient.  Solves
+    ``Heps theta = -Z^T vec(grad)`` by Cholesky and returns the step
+    ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so iterates
+    stay on the constraint set.  Without constraints ``Z`` is the
+    identity and this is the plain Newton system.
     """
     grad = np.asarray(grad, dtype=float)
     m, q = grad.shape
-    gv = vec(grad)
+    Z = cs.null_basis((m, q))
     Hm = Heps.matrix if isinstance(Heps, PTMatrix) else np.asarray(Heps)
-    Abar, _ = cs.flattened((m, q))
-    p = Abar.shape[0]
-    if p == 0:
-        d = scipy.linalg.solve(Hm, -gv, assume_a="pos")
-        w = np.zeros(0)
-    else:
-        kkt = np.zeros((m * q + p, m * q + p))
-        kkt[: m * q, : m * q] = Hm
-        kkt[: m * q, m * q :] = Abar.T
-        kkt[m * q :, : m * q] = Abar
-        rhs = np.concatenate([-gv, np.zeros(p)])
-        try:
-            sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"KKT system is singular; the constraint matrix is likely "
-                f"rank deficient ({exc})"
-            ) from exc
-        d, w = sol[: m * q], sol[m * q :]
-    predicted = -(gv @ d + 0.5 * d @ Hm @ d)
-    return NewtonStep(step=unvec(d, m, q), dual=w,
+    g = Z.T @ vec(grad)
+    theta = scipy.linalg.solve(Hm, -g, assume_a="pos")
+    predicted = -(g @ theta + 0.5 * theta @ Hm @ theta)
+    return NewtonStep(step=unvec(Z @ theta, m, q),
                       predicted_decrease=float(predicted))
 
 
@@ -169,10 +159,11 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
                  beta=0.1, max_iters=200, keep_iterates=False):
     """Constrained Newton descent on the structured feedback LQR cost.
 
-    Per iteration: evaluate the gradient, assemble the Hessian from one
-    auxiliary Lyapunov solve per gain entry, truncate its spectrum to the
-    positive definite model, solve the KKT system for the step, and accept a step
-    size with the stability-guarded backtracking search.  Terminates
+    Per iteration: evaluate the gradient, assemble the Hessian reduced to
+    the constraint null space from one auxiliary Lyapunov solve per free
+    coordinate, truncate its spectrum to the positive definite model,
+    solve it for the step, and accept a step size with the
+    stability-guarded backtracking search.  Terminates
     when ``||vec(dK)|| <= tol``.
 
     Parameters
@@ -190,7 +181,7 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
         Final gain, cost, convergence status, and per-iteration trace.
     """
     def direction(K, gp):
-        hess = hessian(plant, costspec, K, gp)
+        hess = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
         ns = newton_step(pt_matrix(hess.matrix, pt_eps), gp.grad, cs)
         grad_norm = float(np.linalg.norm(vec(project_gradient(gp.grad, cs))))
         return ns.step, grad_norm, float(np.linalg.norm(vec(ns.step)))

@@ -49,7 +49,7 @@ def test_rounding_level_ascent_direction_stalls(monkeypatch):
     # A Newton step with a positive slope along the gradient, as rounding
     # can produce near the optimum, ends the run instead of raising.
     def ascent_step(Heps, grad, cs):
-        return NewtonStep(step=1e-12 * np.asarray(grad), dual=np.zeros(0),
+        return NewtonStep(step=1e-12 * np.asarray(grad),
                           predicted_decrease=0.0)
 
     monkeypatch.setattr(soflqr.second_order, "newton_step", ascent_step)

@@ -166,6 +166,31 @@ class TestSchurSolver:
             assert SchurSolver(A).abscissa == pytest.approx(
                 spectral_abscissa(A), abs=1e-10)
 
+    def test_abscissa_is_exact_schur_diagonal_maximum(self):
+        # Every quasi-triangular T here mixes 1x1 and 2x2 blocks; the
+        # rightmost eigenvalue is real for some and a complex pair for
+        # others.  The abscissa read off diag(T) equals the largest real
+        # part of the eigenvalues of T to the last bit.
+        rng = np.random.default_rng(31)
+        rightmost = set()
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 41))
+            A = stable_plant(rng, n, 1, 1).A
+            solver = SchurSolver(A)
+            T = solver.T
+            pairs = np.flatnonzero(np.diag(T, -1))
+            if pairs.size == 0 or 2 * pairs.size == n:
+                continue
+            checked += 1
+            np.testing.assert_array_equal(T[pairs, pairs],
+                                          T[pairs + 1, pairs + 1])
+            eigs = np.linalg.eigvals(T)
+            assert solver.abscissa == np.max(eigs.real)
+            rightmost.add(bool(eigs[np.argmax(eigs.real)].imag != 0.0))
+        assert checked >= 100
+        assert rightmost == {False, True}
+
 
 class TestVecUnvec:
     def test_column_major(self):

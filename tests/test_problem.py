@@ -226,6 +226,34 @@ class TestFlattenConstraints:
         Abar, cbar = flatten_constraints(ConstraintSet.empty(), (2, 3))
         assert Abar.shape == (0, 6)
         assert cbar.shape == (0,)
+        np.testing.assert_array_equal(
+            ConstraintSet.empty().null_basis((2, 3)), np.eye(6))
+
+    def test_null_basis_selects_free_entries_exactly(self):
+        # example2 pins K[1, 0] and K[0, 1]; the basis spans the
+        # coordinate vectors of the free entries, vec indices 0 and 3.
+        cs = builtin_problem("example2").constraints
+        Z = cs.null_basis((2, 2))
+        np.testing.assert_array_equal(np.abs(Z), [[1.0, 0.0], [0.0, 0.0],
+                                                  [0.0, 0.0], [0.0, 1.0]])
+        G = np.array([[1.5, -2.0], [3.0, 0.25]])
+        np.testing.assert_array_equal(Z @ (Z.T @ vec(G)),
+                                      [1.5, 0.0, 0.0, 0.25])
+
+    def test_null_basis_orthonormal_complement(self):
+        rng = np.random.default_rng(9)
+        m, q = 2, 3
+        term = ConstraintTerm(left=rng.standard_normal((2, m)),
+                              right=rng.standard_normal((q, 1)))
+        con = Constraint(terms=(term,), rhs=np.zeros((2, 1)))
+        cs = ConstraintSet(constraints=[con, con])
+        Abar, _ = cs.flattened((m, q))
+        Z = cs.null_basis((m, q))
+        assert Abar.shape == (2, 6)
+        assert Z.shape == (6, 4)
+        np.testing.assert_allclose(Z.T @ Z, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(Abar @ Z, 0.0, atol=1e-14)
+        assert np.linalg.matrix_rank(np.vstack([Abar, Z.T])) == 6
 
 
 class TestCheckFeasible:

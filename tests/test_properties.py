@@ -1,26 +1,40 @@
-"""Property tests of the Hessian over random plants and weights.
+"""Property tests of the Hessian and of constrained solves over random
+plants and weights.
 
-Plants have n in [1, 6] states and m, q in [1, 3] inputs and outputs,
-with a random positive definite R, a rank-deficient positive
-semidefinite Q, an X0 of rank at least one that is singular for n > 1,
-and a small stabilizing gain.  Matrix
-entries are drawn on a grid of eighths, which keeps the Lyapunov solves
-well conditioned while still reaching zero rows, repeated eigenvalues
-and defective state matrices.
+Plants have n in [1, 6] states and m, q in [1, 3] inputs and outputs.
+For the Hessian, R is a random positive definite matrix, Q a
+rank-deficient positive semidefinite one, X0 of rank at least one and
+singular for n > 1, and the gain small and stabilizing.  Constrained
+solves use positive definite weights, random pins or general rows
+``L K R = c`` with a nonzero right-hand side, and a feasible stabilizing
+start.  Matrix entries are drawn on a grid of eighths, which keeps the
+Lyapunov solves well conditioned while still reaching zero rows,
+repeated eigenvalues and defective state matrices.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soflqr import (
+    Constraint,
+    ConstraintSet,
+    ConstraintTerm,
     CostSpec,
     Plant,
+    check_feasible,
     closed_loop,
+    first_order_solve,
     gradient,
     hessian,
+    is_stabilizing,
+    newton_solve,
+    newton_step,
+    pt_matrix,
     spectral_abscissa,
+    vec,
 )
 from soflqr.verify import error_report, fd_hessian, kron_hessian
 
@@ -81,3 +95,82 @@ def test_hessian_symmetric_and_matches_oracles(problem):
     assert kron.max_abs_error <= 1e-9 * scale
     fd = error_report(fd_hessian(plant, costspec, K, h=1e-4), H)
     assert fd.max_abs_error <= 1e-4 * scale
+
+
+@st.composite
+def constrained_problems(draw):
+    """Plant, positive definite weights, a feasible stabilizing start and
+    equality constraints it satisfies: random pins, or general rows
+    ``L K R = L K0 R``, with a nonzero right-hand side."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    A = _matrix(draw, n, n)
+    A -= (spectral_abscissa(A) + 0.5) * np.eye(n)
+    plant = Plant(A=A, B=_matrix(draw, n, m), C=_matrix(draw, q, n))
+    FQ, FR = _matrix(draw, n, n), _matrix(draw, m, m)
+    costspec = CostSpec(Q=FQ @ FQ.T + 0.1 * np.eye(n),
+                        R=FR @ FR.T + 0.1 * np.eye(m), X0=np.eye(n))
+    K0 = 0.1 * _matrix(draw, m, q)
+    assume(spectral_abscissa(closed_loop(plant, K0)) < -0.1)
+    constraints = []
+    if draw(st.booleans()):
+        pins = draw(arrays(np.bool_, (m, q)))
+        for i, j in zip(*np.nonzero(pins)):
+            left, right = np.zeros((1, m)), np.zeros((q, 1))
+            left[0, i] = right[j, 0] = 1.0
+            constraints.append(Constraint(
+                terms=(ConstraintTerm(left, right),), rhs=[[K0[i, j]]]))
+    else:
+        for _ in range(draw(st.integers(1, 2))):
+            term = ConstraintTerm(_matrix(draw, draw(st.integers(1, m)), m),
+                                  _matrix(draw, q, 1))
+            constraints.append(Constraint(
+                terms=(term,), rhs=term.left @ K0 @ term.right))
+    cs = ConstraintSet(constraints=constraints)
+    assume(np.any(cs.flattened((m, q))[1] != 0.0))
+    return plant, costspec, cs, K0
+
+
+def _check_descent(plant, costspec, cs, result):
+    assert all(check_feasible(cs, K) and is_stabilizing(plant, K)
+               for K in result.iterates)
+    costs = result.trace.costs
+    assert all(a > b for a, b in zip(costs, costs[1:]))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(constrained_problems())
+def test_constrained_newton_step_and_solves(problem):
+    plant, costspec, cs, K0 = problem
+    Abar, _ = cs.flattened(K0.shape)
+    Z = cs.null_basis(K0.shape)
+
+    def reduced_model(K):
+        gp = gradient(plant, costspec, K)
+        return gp, pt_matrix(hessian(plant, costspec, K, gp, Z).matrix, 1e-6)
+
+    gp, Heps = reduced_model(K0)
+    ns = newton_step(Heps, gp.grad, cs)
+    d, g = vec(ns.step), vec(gp.grad)
+    # The step lies in null(Abar) and is stationary for the reduced model.
+    assert np.abs(Abar @ d).max(initial=0.0) <= 1e-12 * max(
+        1.0, np.linalg.norm(Abar, 2) * np.linalg.norm(d))
+    np.testing.assert_allclose(
+        Heps.matrix @ (Z.T @ d) + Z.T @ g, 0.0,
+        atol=1e-12 * max(1.0, np.linalg.norm(Z.T @ g)))
+
+    newton = newton_solve(plant, costspec, cs, K0, tol=1e-9,
+                          keep_iterates=True)
+    _check_descent(plant, costspec, cs, newton)
+    # Gradient descent needs about cond(Z^T H Z) iterations per digit at
+    # the optimum; badly conditioned draws stop at the Newton checks.
+    curvature = np.linalg.eigvalsh(reduced_model(newton.K)[1].matrix)
+    if curvature.size and curvature[-1] > 100.0 * curvature[0]:
+        return
+    grad = first_order_solve(plant, costspec, cs, K0, tol=1e-6,
+                             keep_iterates=True)
+    _check_descent(plant, costspec, cs, grad)
+    assert newton.cost == pytest.approx(grad.cost, rel=1e-9)

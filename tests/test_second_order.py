@@ -1,22 +1,26 @@
-"""Tests for the Hessian, PT truncation, KKT step, and Newton solver."""
+"""Tests for the Hessian, PT truncation, Newton step, and Newton solver."""
 
 import numpy as np
 import pytest
 
 from soflqr import (
+    Constraint,
     ConstraintSet,
+    ConstraintTerm,
     CostSpec,
     LineSearchStalled,
     Plant,
     SchurSolver,
     builtin_problem,
     cost,
+    first_order_solve,
     gradient,
     hessian,
     line_search,
     newton_solve,
     newton_step,
     pt_matrix,
+    spectral_abscissa,
     vec,
 )
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
@@ -27,6 +31,37 @@ from conftest import identity_cost, random_spd, stable_plant
 def scalar_problem():
     plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
     return plant, identity_cost(1, 1)
+
+
+def pinned_diagonal_problem(n=40, k=4, seed=0):
+    """Random n-state plant with a diagonal k x k gain.
+
+    ``A = randn / sqrt(n)`` shifted to spectral abscissa -0.5, standard
+    normal ``B`` and ``C``, identity weights.  Every off-diagonal gain
+    entry is pinned to 0, except ``K[0, 1]``, pinned to 0.1, which the
+    start gain also holds.  Only k of the k*k entries are free.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    A -= (spectral_abscissa(A) + 0.5) * np.eye(n)
+    plant = Plant(A=A, B=rng.standard_normal((n, k)),
+                  C=rng.standard_normal((k, n)))
+    constraints = []
+    for j in range(k):
+        for i in range(k):
+            if i != j:
+                left = np.zeros((1, k))
+                left[0, i] = 1.0
+                right = np.zeros((k, 1))
+                right[j, 0] = 1.0
+                value = 0.1 if (i, j) == (0, 1) else 0.0
+                constraints.append(Constraint(
+                    terms=(ConstraintTerm(left=left, right=right),),
+                    rhs=[[value]]))
+    K0 = np.zeros((k, k))
+    K0[0, 1] = 0.1
+    return (plant, identity_cost(n, k), ConstraintSet(constraints=constraints),
+            K0)
 
 
 class TestHessian:
@@ -102,6 +137,36 @@ class TestHessian:
         hessian(plant, costspec, K, gp)
         assert calls == {"solve_schur": K.size, "__init__": 0}
 
+    @pytest.mark.parametrize("case, free", [("example2", 2),
+                                            ("diag40k4", 4)])
+    def test_one_schur_solve_per_free_coordinate(self, monkeypatch, case,
+                                                 free):
+        if case == "example2":
+            prob = builtin_problem("example2")
+            plant, costspec, cs, K = (prob.plant, prob.costspec,
+                                      prob.constraints, prob.gain0)
+        else:
+            plant, costspec, cs, K = pinned_diagonal_problem()
+        Z = cs.null_basis(K.shape)
+        gp = gradient(plant, costspec, K)
+        calls = 0
+        original = SchurSolver.solve_schur
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(SchurSolver, "solve_schur", counted)
+        reduced = hessian(plant, costspec, K, gp, Z).matrix
+        assert calls == free
+        assert reduced.shape == (free, free)
+        assert np.array_equal(reduced, reduced.T)
+        monkeypatch.setattr(SchurSolver, "solve_schur", original)
+        full = hessian(plant, costspec, K, gp).matrix
+        report = error_report(Z.T @ full @ Z, reduced)
+        assert report.max_rel_error <= 1e-12
+
 
 class TestPTMatrix:
     def test_truncation_rule(self):
@@ -145,8 +210,8 @@ class TestNewtonStep:
         assert step.predicted_decrease == pytest.approx(0.0625, abs=1e-14)
 
     def test_fully_pinned_gain_cannot_move(self):
-        # Pinning every entry leaves only the zero step.
-        from soflqr import Constraint, ConstraintTerm
+        # Pinning every entry leaves an empty null space, a 0 x 0 reduced
+        # model and only the zero step.
         constraints = []
         for i in range(2):
             for j in range(2):
@@ -158,30 +223,38 @@ class TestNewtonStep:
                     terms=(ConstraintTerm(left=left, right=right),),
                     rhs=[[0.0]]))
         cs = ConstraintSet(constraints=constraints)
-        H = pt_matrix(np.diag([3.0, 1.0, 2.0, 5.0]), 1e-9)
+        Z = cs.null_basis((2, 2))
+        assert Z.shape == (4, 0)
+        H = pt_matrix(Z.T @ np.diag([3.0, 1.0, 2.0, 5.0]) @ Z, 1e-9)
         step = newton_step(H, np.ones((2, 2)), cs)
-        np.testing.assert_allclose(step.step, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(step.step, np.zeros((2, 2)))
+        assert step.predicted_decrease == 0.0
 
     def test_random_kkt_residual(self):
+        # The reduced model Z^T H Z of an indefinite H: the step lies in
+        # the null space, is stationary for the PT model restricted to
+        # it, and descends along the raw gradient.
         rng = np.random.default_rng(89)
         m, q, p = 2, 3, 2
         M = rng.standard_normal((m * q, m * q))
-        H = pt_matrix(M + M.T, 1e-6)
-        from soflqr import Constraint, ConstraintTerm
         cs = ConstraintSet(constraints=[Constraint(
             terms=(ConstraintTerm(left=rng.standard_normal((p, m)),
                                   right=rng.standard_normal((q, 1))),),
             rhs=np.zeros((p, 1)),
         )])
         Abar, _ = cs.flattened((m, q))
+        Z = cs.null_basis((m, q))
+        assert Z.shape == (m * q, m * q - p)
+        H = pt_matrix(Z.T @ (M + M.T) @ Z, 1e-6)
         G = rng.standard_normal((m, q))
         step = newton_step(H, G, cs)
         d = vec(step.step)
         np.testing.assert_allclose(Abar @ d, 0.0, atol=1e-10)
-        residual = H.matrix @ d + Abar.T @ step.dual + vec(G)
+        residual = H.matrix @ (Z.T @ d) + Z.T @ vec(G)
         np.testing.assert_allclose(residual, 0.0, atol=1e-10)
         # Descent against the raw gradient.
         assert float(vec(G) @ d) < 0.0
+        assert step.predicted_decrease > 0.0
 
 
 class TestLineSearch:
@@ -280,6 +353,19 @@ class TestNewtonSolve:
                               np.zeros((2, 3)), tol=1e-9, pt_eps=1e-9)
         np.testing.assert_allclose(result.K, are_gain(plant, costspec),
                                    atol=1e-6)
+
+    def test_pinned_diagonal_converges_to_gradient_optimum(self):
+        # PT of the full indefinite Hessian used to distort the step on
+        # this instance: 29 iterations, ending stalled.  PT of the
+        # positive definite reduced Hessian converges quadratically.
+        plant, costspec, cs, K0 = pinned_diagonal_problem()
+        newton = newton_solve(plant, costspec, cs, K0, tol=1e-9,
+                              pt_eps=1e-6)
+        assert newton.status == "converged"
+        assert newton.iterations <= 10
+        grad = first_order_solve(plant, costspec, cs, K0, tol=1e-5)
+        assert newton.cost == pytest.approx(grad.cost, rel=1e-9)
+        assert newton.K[0, 1] == 0.1
 
     def test_zero_step_start(self):
         prob = builtin_problem("example2")
