@@ -43,7 +43,6 @@ from .problem import (
     check_feasible,
     closed_loop,
     cost,
-    cost_certificate,
     effective_weight,
     evaluate,
     flatten_constraints,
@@ -60,7 +59,6 @@ from .problems import (
     save_problem,
 )
 from .second_order import (
-    HessianMatrix,
     NewtonStep,
     PTMatrix,
     hessian,
@@ -79,7 +77,6 @@ __all__ = [
     "CostSpec",
     "Evaluation",
     "GradientPair",
-    "HessianMatrix",
     "InfeasibleConstraintsError",
     "InfiniteCostError",
     "LineSearchStalled",
@@ -100,7 +97,6 @@ __all__ = [
     "check_feasible",
     "closed_loop",
     "cost",
-    "cost_certificate",
     "effective_weight",
     "evaluate",
     "first_order_solve",

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .first_order import first_order_solve, gradient
-from .lyapunov import HURWITZ_MARGIN, NotHurwitzError, spectral_abscissa
+from .lyapunov import NotHurwitzError, SchurSolver
 from .problem import InfeasibleConstraintsError, check_feasible, closed_loop
 from .problems import (
     BUILTIN_NAMES,
@@ -123,16 +123,22 @@ def _resolve_problem(spec):
 
 
 def _check_start(problem):
-    """Exit-code-4 conditions: K0 must stabilize and satisfy constraints."""
-    abscissa = spectral_abscissa(closed_loop(problem.plant, problem.gain0))
-    if abscissa >= HURWITZ_MARGIN:
+    """Exit-code-4 conditions: K0 must stabilize and satisfy consistent
+    constraints."""
+    try:
+        SchurSolver(closed_loop(problem.plant, problem.gain0))
+    except NotHurwitzError as exc:
         return (
             f"initial gain K0 does not stabilize the plant "
-            f"(closed-loop spectral abscissa {abscissa:.6e}); the solvers "
+            f"(closed-loop spectral abscissa {exc.abscissa:.6e}); the solvers "
             f"assume a stabilizing initial gain is supplied, e.g. from an "
             f"external stabilization procedure"
         )
-    if not check_feasible(problem.constraints, problem.gain0):
+    try:
+        feasible = check_feasible(problem.constraints, problem.gain0)
+    except InfeasibleConstraintsError as exc:
+        return str(exc)
+    if not feasible:
         return "initial gain K0 does not satisfy the constraints"
     return None
 
@@ -148,12 +154,6 @@ def _cmd_solve(args):
         method=args.method, tol=args.tol, pt_eps=args.pt_eps,
         alpha=args.alpha, beta=args.beta, max_iters=args.max_iters,
     )
-    try:
-        problem.constraints.flattened(problem.plant.gain_shape())
-    except InfeasibleConstraintsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_START
-
     start_error = _check_start(problem)
     if start_error is not None:
         print(f"error: {start_error}", file=sys.stderr)
@@ -164,19 +164,15 @@ def _cmd_solve(args):
         tol=params.resolved_tol(), alpha=params.alpha, beta=params.beta,
         max_iters=params.resolved_max_iters(),
     )
-    try:
-        if params.method == "newton":
-            result = newton_solve(problem.plant, problem.costspec,
-                                  problem.constraints, problem.gain0,
-                                  pt_eps=params.pt_eps, **common)
-        else:
-            result = first_order_solve(problem.plant, problem.costspec,
-                                       problem.constraints, problem.gain0,
-                                       **common)
-    except (np.linalg.LinAlgError, NotHurwitzError) as exc:
-        print(f"error: numerical failure during solve: {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+    # Numerical failures propagate to main, which maps them to exit 5.
+    if params.method == "newton":
+        result = newton_solve(problem.plant, problem.costspec,
+                              problem.constraints, problem.gain0,
+                              pt_eps=params.pt_eps, **common)
+    else:
+        result = first_order_solve(problem.plant, problem.costspec,
+                                   problem.constraints, problem.gain0,
+                                   **common)
 
     out_path = Path(args.out) if args.out else Path(f"{stem}.result.json")
     trace_path = Path(args.trace) if args.trace else Path(f"{stem}.trace.csv")
@@ -232,7 +228,7 @@ def _cmd_check(args, which):
                                 **({"h": args.step} if args.step else {}))
         threshold = GRADIENT_CHECK_TOL
     else:
-        analytic = hessian(plant, costspec, K0, gp).matrix.copy()
+        analytic = hessian(plant, costspec, K0, gp)
         reference = fd_hessian(plant, costspec, K0,
                                **({"h": args.step} if args.step else {}))
         threshold = HESSIAN_CHECK_TOL

@@ -22,7 +22,6 @@ import numpy as np
 from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import (
     LyapunovSolution,
-    SchurSolver,
     solve_lyapunov_adjoint,
     unvec,
     vec,
@@ -44,29 +43,22 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GradientPair:
-    """Cost gradient together with the Lyapunov solutions behind it.
+    """Cost gradient at an evaluated gain.
 
     Attributes
     ----------
     grad : ndarray
         m x q gradient of the cost with respect to the gain.
-    cost_matrix : LyapunovSolution
-        Solution ``P`` of the primal equation; ``trace(P @ X0)`` is the
-        cost at the evaluated gain.
     gramian : LyapunovSolution
         State-covariance Gramian ``G`` from the adjoint equation.
-    solver : SchurSolver
-        Schur factorization of the closed loop behind both solutions.
+    evaluation : Evaluation
+        The evaluation at the gain: its Schur factorization of the closed
+        loop, the cost matrix ``P`` and the cost.
     """
 
     grad: np.ndarray
-    cost_matrix: LyapunovSolution
     gramian: LyapunovSolution
-    solver: SchurSolver
-
-    def cost(self, costspec):
-        """Cost at the gain where this gradient was evaluated."""
-        return float(np.trace(self.cost_matrix.value @ costspec.X0))
+    evaluation: Evaluation
 
 
 def gradient(plant, costspec, K):
@@ -81,8 +73,7 @@ def gradient(plant, costspec, K):
     G = solve_lyapunov_adjoint(ev.solver, costspec.X0)
     grad = 2.0 * (plant.B.T @ ev.P.value
                   + costspec.R @ ev.K @ plant.C) @ G.value @ plant.C.T
-    return GradientPair(grad=grad, cost_matrix=ev.P, gramian=G,
-                        solver=ev.solver)
+    return GradientPair(grad=grad, gramian=G, evaluation=ev)
 
 
 def project_gradient(grad, cs):
@@ -103,13 +94,16 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
              max_iters, keep_iterates, name, step_measure=False):
     """Line-search descent shared by both solvers.
 
-    ``direction(K, gp)`` returns ``(delta, grad_norm, measure)``: the
-    search direction, the trace's gradient norm, and the quantity whose
-    falling to ``tol`` ends the run.  With ``step_measure`` the measure
-    is ``||delta||`` and is reported as the result's ``step_norm``, else
-    that is the last accepted step.  A direction without descent, or a
-    line search that cannot certify a decrease, ends the run as stalled.
+    At each iterate the gradient ``gp`` and its projection ``pg`` are
+    computed once, and ``direction(gp, pg)`` returns the search direction
+    ``delta``.  The trace records ``||pg||``, and the run has converged
+    when ``||delta||`` falls to ``tol``.  With ``step_measure`` that
+    ``||delta||`` is reported as the result's ``step_norm``, else the
+    last accepted step is.  A direction without descent, or a line
+    search that cannot certify a decrease, ends the run as stalled.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     try:
         ev = evaluate(plant, costspec, np.array(K0, dtype=float))
     except InfiniteCostError as exc:
@@ -128,9 +122,12 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
 
     for it in range(max_iters + 1):
         gp = gradient(plant, costspec, ev)
-        delta, grad_norm, measure = direction(ev.K, gp)
+        pg = project_gradient(gp.grad, cs)
+        delta = direction(gp, pg)
+        measure = float(np.linalg.norm(vec(delta)))
         trace.append(TraceRecord(
-            iteration=it, cost=ev.cost, grad_norm=grad_norm,
+            iteration=it, cost=ev.cost,
+            grad_norm=float(np.linalg.norm(vec(pg))),
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,
@@ -141,9 +138,8 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
         if it == max_iters:
             break
         try:
-            ev, t, evals = line_search(plant, costspec, cs, ev.K, delta,
-                                       gp.grad, alpha, beta,
-                                       current_cost=ev.cost)
+            ev, t, evals = line_search(plant, costspec, cs, ev, delta,
+                                       gp.grad, alpha, beta)
         except (LineSearchStalled, NotDescentError) as exc:
             status = "stalled"
             logger.info(
@@ -152,7 +148,7 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
             )
             break
         evals_total += evals
-        last_step_norm = float(t * np.linalg.norm(vec(delta)))
+        last_step_norm = t * measure
         last_t = t
         if keep_iterates:
             iterates.append(ev.K.copy())
@@ -190,10 +186,5 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
         ``status == "stalled"`` means the line search hit the numerical
         precision floor of the cost before the tolerance was met.
     """
-    def direction(K, gp):
-        d = -project_gradient(gp.grad, cs)
-        gnorm = float(np.linalg.norm(vec(d)))
-        return d, gnorm, gnorm
-
-    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-                    max_iters, keep_iterates, "first-order")
+    return _descend(plant, costspec, cs, K0, lambda gp, pg: -pg, tol, alpha,
+                    beta, max_iters, keep_iterates, "first-order")

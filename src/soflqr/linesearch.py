@@ -28,22 +28,18 @@ _ARMIJO_SLACK = 16.0 * np.finfo(float).eps
 class LineSearchStalled(RuntimeError):
     """No acceptable step found before the step size underflowed."""
 
-    def __init__(self, grad_norm=None, message=None):
-        self.grad_norm = grad_norm
-        if message is None:
-            message = (
-                f"line search stalled: no trial step above {MIN_STEP:.0e} "
-                f"produced a certified cost decrease"
-            )
-        super().__init__(message)
+    def __init__(self):
+        super().__init__(
+            f"line search stalled: no trial step above {MIN_STEP:.0e} "
+            f"produced a certified cost decrease"
+        )
 
 
 class NotDescentError(ValueError):
     """The search direction has a nonnegative slope along the gradient."""
 
 
-def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
-                current_cost=None):
+def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
     """Backtracking search along the descent direction ``delta``.
 
     Accepts the first ``t`` in ``1, beta, beta^2, ...`` for which
@@ -55,10 +51,10 @@ def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
     ----------
     cs : ConstraintSet
         Used to verify the accepted iterate stays feasible.
+    current : Evaluation
+        Evaluation at the current gain ``K``; its cost is ``J(K)``.
     grad : ndarray
         Cost gradient at ``K`` (not the projected gradient).
-    current_cost : float, optional
-        ``J(K)`` if already known; avoids one Lyapunov solve.
 
     Returns
     -------
@@ -72,15 +68,13 @@ def line_search(plant, costspec, cs, K, delta, grad, alpha, beta,
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    K = np.asarray(K, dtype=float)
+    K, current_cost = current.K, current.cost
     delta = np.asarray(delta, dtype=float)
     slope = float(np.trace(np.asarray(grad).T @ delta))
     if slope >= 0.0:
         raise NotDescentError(
             f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
         )
-    if current_cost is None:
-        current_cost = evaluate(plant, costspec, K).cost
     slack = _ARMIJO_SLACK * max(1.0, abs(current_cost))
 
     t = 1.0

@@ -15,12 +15,10 @@ import numpy as np
 from scipy.linalg import qr
 
 from .lyapunov import (
-    HURWITZ_MARGIN,
     LyapunovSolution,
     NotHurwitzError,
     SchurSolver,
     solve_lyapunov_primal,
-    spectral_abscissa,
     vec,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "effective_weight",
     "evaluate",
     "cost",
-    "cost_certificate",
     "is_stabilizing",
     "flatten_constraints",
     "check_feasible",
@@ -250,24 +247,21 @@ class ConstraintSet:
     def __len__(self):
         return len(self.constraints)
 
-    def _flat(self, gain_shape):
-        if self._flattened is None or self._flattened[0] != gain_shape:
-            self._flattened = (gain_shape, *flatten_constraints(
-                self, gain_shape, null_basis=True))
-        return self._flattened[1:]
-
     def flattened(self, gain_shape):
-        """Cached ``(Abar, cbar)`` for gains of the given shape."""
-        Abar, cbar, _ = self._flat(gain_shape)
-        return Abar, cbar
+        """Cached ``(Abar, cbar, Z)`` of :func:`flatten_constraints` for
+        gains of the given shape."""
+        if self._flattened is None or self._flattened[0] != gain_shape:
+            self._flattened = (gain_shape,
+                               *flatten_constraints(self, gain_shape))
+        return self._flattened[1:]
 
     def null_basis(self, gain_shape):
         """Cached orthonormal basis ``Z`` of the null space of ``Abar``,
         shape ``(m*q, m*q - p)``; the identity without constraints."""
-        return self._flat(gain_shape)[2]
+        return self.flattened(gain_shape)[2]
 
 
-def flatten_constraints(cs, gain_shape, null_basis=False):
+def flatten_constraints(cs, gain_shape):
     """Convert matrix equalities to the vector form ``Abar vec(K) = cbar``.
 
     Each constraint ``sum_j L_j K R_j = C0`` contributes the block
@@ -283,10 +277,9 @@ def flatten_constraints(cs, gain_shape, null_basis=False):
 
     Returns
     -------
-    (ndarray, ndarray)
-        ``Abar`` with full row rank, shape ``(p, m*q)``, and ``cbar``
-        of length ``p``.  With ``null_basis``, the basis ``Z`` of shape
-        ``(m*q, m*q - p)`` follows as a third element.
+    (ndarray, ndarray, ndarray)
+        ``Abar`` with full row rank, shape ``(p, m*q)``, ``cbar`` of
+        length ``p``, and the basis ``Z`` of shape ``(m*q, m*q - p)``.
     """
     m, q = gain_shape
     blocks = []
@@ -304,8 +297,7 @@ def flatten_constraints(cs, gain_shape, null_basis=False):
         blocks.append(block)
         rhs_parts.append(vec(con.rhs))
     if not blocks:
-        flat = (np.zeros((0, m * q)), np.zeros(0))
-        return (*flat, np.eye(m * q)) if null_basis else flat
+        return np.zeros((0, m * q)), np.zeros(0), np.eye(m * q)
     Abar = np.vstack(blocks)
     cbar = np.concatenate(rhs_parts)
 
@@ -330,14 +322,14 @@ def flatten_constraints(cs, gain_shape, null_basis=False):
         )
         Abar = Abar[keep]
         cbar = cbar[keep]
-    return (Abar, cbar, Qf[:, rank:]) if null_basis else (Abar, cbar)
+    return Abar, cbar, Qf[:, rank:]
 
 
 def check_feasible(cs, K):
     """True iff ``K`` satisfies every constraint to within
     ``FEASIBILITY_TOL`` in the infinity norm of the flattened system."""
     K = np.asarray(K, dtype=float)
-    Abar, cbar = cs.flattened(K.shape)
+    Abar, cbar, _ = cs.flattened(K.shape)
     if Abar.shape[0] == 0:
         return True
     return bool(np.abs(Abar @ vec(K) - cbar).max() <= FEASIBILITY_TOL)
@@ -364,8 +356,12 @@ def effective_weight(costspec, plant, K):
 
 def is_stabilizing(plant, K):
     """True iff the closed loop is Hurwitz with margin below
-    ``HURWITZ_MARGIN``."""
-    return spectral_abscissa(closed_loop(plant, K)) < HURWITZ_MARGIN
+    ``HURWITZ_MARGIN``, by the same Schur-diagonal test as the solvers."""
+    try:
+        SchurSolver(closed_loop(plant, K))
+    except NotHurwitzError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -400,22 +396,6 @@ def evaluate(plant, costspec, K):
     P = solve_lyapunov_primal(solver, effective_weight(costspec, plant, K))
     return Evaluation(K=K, solver=solver, P=P,
                       cost=float(np.trace(P.value @ costspec.X0)))
-
-
-def cost_certificate(plant, costspec, K):
-    """Cost and its certificate matrix.
-
-    Returns ``(J, P)`` where ``P`` solves the closed-loop Lyapunov
-    equation with the effective weight and ``J = trace(P @ X0)``.
-    ``P`` is positive definite whenever the effective weight is.
-
-    Raises
-    ------
-    InfiniteCostError
-        If ``K`` is not stabilizing.
-    """
-    ev = evaluate(plant, costspec, K)
-    return ev.cost, ev.P.value
 
 
 def cost(plant, costspec, K):

@@ -23,6 +23,7 @@ constraints.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +57,11 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Solver selection and tuning knobs carried by a problem file."""
+    """Solver selection and tuning knobs carried by a problem file.
+
+    A field out of range raises :class:`ProblemFormatError`.  ``tol``
+    and ``max_iters`` may be None for the method's default.
+    """
 
     method: str = "newton"
     tol: float = None
@@ -71,6 +76,23 @@ class SolverParams:
                 f"field 'solver.method': expected one of {_METHODS}, "
                 f"got {self.method!r}"
             )
+        # Open bounds: NaN and infinities fail the comparison.
+        for name, kind, low, high, expected in (
+                ("tol", numbers.Real, -np.inf, np.inf, "a finite number"),
+                ("pt_eps", numbers.Real, 0.0, np.inf, "a number > 0"),
+                ("alpha", numbers.Real, 0.0, 0.5, "a number in (0, 0.5)"),
+                ("beta", numbers.Real, 0.0, 1.0, "a number in (0, 1)"),
+                ("max_iters", numbers.Integral, -1, np.inf,
+                 "an integer >= 0")):
+            value = getattr(self, name)
+            if value is None and name in ("tol", "max_iters"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not low < value < high:
+                raise ProblemFormatError(
+                    f"field 'solver.{name}': expected {expected}, "
+                    f"got {value!r}"
+                )
 
     def resolved_tol(self):
         return _DEFAULT_TOL[self.method] if self.tol is None else self.tol
@@ -112,6 +134,8 @@ def _matrix_field(data, key, required=True):
         raise ProblemFormatError(
             f"field '{key}': expected a 2-D array, got ndim={M.ndim}"
         )
+    if not np.all(np.isfinite(M)):
+        raise ProblemFormatError(f"field '{key}': non-finite entries")
     return M
 
 
@@ -190,17 +214,14 @@ def problem_from_dict(data):
     solver = data.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemFormatError("field 'solver': expected an object")
-    try:
-        params = SolverParams(
-            method=solver.get("method", "newton"),
-            tol=solver.get("tol"),
-            pt_eps=solver.get("pt_eps", 1e-6),
-            alpha=solver.get("alpha", 0.2),
-            beta=solver.get("beta", 0.1),
-            max_iters=solver.get("max_iters"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field 'solver': {exc}") from exc
+    params = SolverParams(
+        method=solver.get("method", "newton"),
+        tol=solver.get("tol"),
+        pt_eps=solver.get("pt_eps", 1e-6),
+        alpha=solver.get("alpha", 0.2),
+        beta=solver.get("beta", 0.1),
+        max_iters=solver.get("max_iters"),
+    )
 
     return Problem(
         plant=plant, costspec=costspec,

@@ -18,29 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .first_order import _descend, gradient, project_gradient
-from .linesearch import LineSearchStalled, line_search
+from .first_order import _descend
 from .lyapunov import unvec, vec
 
 __all__ = [
-    "HessianMatrix",
     "PTMatrix",
     "NewtonStep",
     "hessian",
     "pt_matrix",
     "newton_step",
     "newton_solve",
-    "line_search",
-    "LineSearchStalled",
 ]
-
-
-@dataclass(frozen=True)
-class HessianMatrix:
-    """Hessian in the vectorized gain coordinates, or reduced to the
-    coordinates of a null-space basis; exactly symmetric."""
-
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,8 +56,9 @@ class NewtonStep:
 def hessian(plant, costspec, K, gp, basis=None):
     """Hessian of the cost in vectorized gain coordinates.
 
-    ``gp`` is the :class:`GradientPair` at the same ``K``; its ``P``,
-    ``G`` and Schur factorization ``Ac = U T U^T`` are reused.  Columns
+    ``gp`` is the :class:`GradientPair` at the same ``K``; its Gramian
+    ``G`` and its evaluation's ``P`` and Schur factorization
+    ``Ac = U T U^T`` are reused.  Returns the symmetric ndarray.  Columns
     follow the column-major ordering of the gain entries.  With
     ``basis`` (an ``m*q x N`` matrix ``Z``, such as
     :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
@@ -96,10 +85,10 @@ def hessian(plant, costspec, K, gp, basis=None):
     B, C, R = plant.B, plant.C, costspec.R
     m, q = plant.gain_shape()
     Z = np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
-    solver = gp.solver
+    solver = gp.evaluation.solver
     U = solver.U
     GCt = gp.gramian.value @ C.T
-    Ms = U.T @ (gp.cost_matrix.value @ B + C.T @ K.T @ R)
+    Ms = U.T @ (gp.evaluation.P.value @ B + C.T @ K.T @ R)
     Cs = U.T @ C.T
     Bs = U.T @ B
     GCs = U.T @ GCt
@@ -111,7 +100,7 @@ def hessian(plant, costspec, K, gp, basis=None):
     S = Z.T @ SZ
     CGCt = C @ GCt
     weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
-    return HessianMatrix(matrix=S + S.T + 2.0 * (Z.T @ weight @ Z))
+    return S + S.T + 2.0 * (Z.T @ weight @ Z)
 
 
 def pt_matrix(H, eps):
@@ -136,8 +125,8 @@ def pt_matrix(H, eps):
 def newton_step(Heps, grad, cs):
     """Constrained Newton step from the reduced curvature model.
 
-    ``Heps`` (a :class:`PTMatrix` or matrix) is the positive definite
-    model of ``Z^T H Z`` for the null-space basis ``Z`` of the
+    ``Heps`` is the :class:`PTMatrix` of ``Z^T H Z``, a positive
+    definite model, for the null-space basis ``Z`` of the
     constraints, and ``grad`` is the m x q gradient.  Solves
     ``Heps theta = -Z^T vec(grad)`` by Cholesky and returns the step
     ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so iterates
@@ -147,7 +136,7 @@ def newton_step(Heps, grad, cs):
     grad = np.asarray(grad, dtype=float)
     m, q = grad.shape
     Z = cs.null_basis((m, q))
-    Hm = Heps.matrix if isinstance(Heps, PTMatrix) else np.asarray(Heps)
+    Hm = Heps.matrix
     g = Z.T @ vec(grad)
     theta = scipy.linalg.solve(Hm, -g, assume_a="pos")
     predicted = -(g @ theta + 0.5 * theta @ Hm @ theta)
@@ -180,11 +169,10 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     SolveResult
         Final gain, cost, convergence status, and per-iteration trace.
     """
-    def direction(K, gp):
-        hess = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
-        ns = newton_step(pt_matrix(hess.matrix, pt_eps), gp.grad, cs)
-        grad_norm = float(np.linalg.norm(vec(project_gradient(gp.grad, cs))))
-        return ns.step, grad_norm, float(np.linalg.norm(vec(ns.step)))
+    def direction(gp, pg):
+        K = gp.evaluation.K
+        H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
+        return newton_step(pt_matrix(H, pt_eps), gp.grad, cs).step
 
     return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
                     max_iters, keep_iterates, "Newton", step_measure=True)

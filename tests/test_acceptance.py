@@ -13,7 +13,7 @@ from soflqr import (
     ConstraintSet,
     Plant,
     builtin_problem,
-    cost_certificate,
+    evaluate,
     first_order_solve,
     gradient,
     hessian,
@@ -196,9 +196,9 @@ def test_criterion_7_hessian_oracle_suite():
         gp = gradient(plant, costspec, K)
         H = hessian(plant, costspec, K, gp)
         fd = fd_hessian(plant, costspec, K, h=1e-4)
-        worst = max(worst, error_report(fd, H.matrix).max_rel_error)
+        worst = max(worst, error_report(fd, H).max_rel_error)
         worst_kron = max(worst_kron, error_report(
-            kron_hessian(plant, costspec, K), H.matrix).max_rel_error)
+            kron_hessian(plant, costspec, K), H).max_rel_error)
     report(7, worst <= 1e-4 and worst_kron <= 1e-9,
            f"Hessian vs differenced gradient on 10 instances: worst rel "
            f"error {worst:.2e} (tol 1e-04), worst rel error vs Kronecker "
@@ -284,7 +284,7 @@ def test_criterion_11_descent_with_stability(aircraft_newton, aircraft_grad,
         stable &= all(r.spectral_abscissa < 0.0
                       for r in result.trace.records)
         for K in result.iterates:
-            _, P = cost_certificate(plant, costspec, K)
+            P = evaluate(plant, costspec, K).P.value
             certified &= np.linalg.eigvalsh(P).min() > 0.0
     ok = monotone and stable and certified
     report(11, ok,

@@ -6,8 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from soflqr import load_problem
+from soflqr import (
+    NotHurwitzError,
+    Plant,
+    ProblemFormatError,
+    SchurSolver,
+    SolverParams,
+    is_stabilizing,
+    load_problem,
+    spectral_abscissa,
+)
 from soflqr.cli import main
+from soflqr.lyapunov import HURWITZ_MARGIN
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +75,7 @@ class TestExamples:
         out = tmp_path / "ex2.json"
         main(["examples", "example2", "--out", str(out)])
         problem = load_problem(out)
-        Abar, cbar = problem.constraints.flattened((2, 2))
+        Abar, cbar, _ = problem.constraints.flattened((2, 2))
         np.testing.assert_array_equal(
             Abar, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(cbar, [0.0, 0.0])
@@ -173,6 +183,88 @@ class TestSolve:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestSolverFields:
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--alpha", "0.7", "alpha"),
+        ("--alpha", "0", "alpha"),
+        ("--beta", "2", "beta"),
+        ("--beta", "1", "beta"),
+        ("--pt-eps", "0", "pt_eps"),
+        ("--pt-eps", "-1e-6", "pt_eps"),
+        ("--tol", "nan", "tol"),
+        ("--max-iters", "-1", "max_iters"),
+    ])
+    def test_out_of_range_flag_is_a_parse_error(self, flag, value, field,
+                                                capsys):
+        assert main(["solve", "example1", f"{flag}={value}"]) == 3
+        assert f"solver.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver, field", [
+        ({"alpha": "0.1"}, "alpha"),
+        ({"beta": None}, "beta"),
+        ({"pt_eps": float("inf")}, "pt_eps"),
+        ({"tol": [1e-9]}, "tol"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+    ])
+    def test_bad_solver_field_in_file(self, tmp_path, capsys, solver, field):
+        path = write_problem(tmp_path / "p.json", solver=solver)
+        assert main(["solve", str(path)]) == 3
+        assert f"solver.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, value):
+        path = write_problem(tmp_path / "p.json",
+                             K0=[[value, 0.0], [0.0, -3.0]])
+        assert main(["solve", str(path)]) == 3
+        assert "'K0'" in capsys.readouterr().err
+
+    def test_range_ends_and_defaults_accepted(self):
+        params = SolverParams(method="grad", tol=0, pt_eps=1e-300,
+                              alpha=0.4999, beta=1e-9, max_iters=0)
+        assert params.resolved_max_iters() == 0
+        assert SolverParams().resolved_tol() == 1e-9
+        with pytest.raises(ProblemFormatError, match="solver.alpha"):
+            SolverParams(alpha=0.5)
+
+
+def near_margin_problem(tmp_path, seed):
+    """Single-input problem whose open loop sits at ``HURWITZ_MARGIN`` by
+    ``eigvals``, with rows scaled over five decades.  Rounding puts the
+    Schur diagonal on either side of the margin, depending on the seed.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 3, size=(n, 1))
+    A = M - (spectral_abscissa(M) - HURWITZ_MARGIN) * np.eye(n)
+    e1 = np.eye(n)[:, :1]
+    path = tmp_path / f"margin{seed}.json"
+    path.write_text(json.dumps({
+        "A": A.tolist(), "B": e1.tolist(), "C": e1.T.tolist(),
+        "Q": np.eye(n).tolist(), "R": [[1.0]], "K0": [[0.0]],
+    }))
+    return path, A
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_start_check_uses_the_solvers_hurwitz_test(tmp_path, capsys, seed):
+    # Seed 0 reads stable by eigvals and unstable by the Schur diagonal.
+    path, A = near_margin_problem(tmp_path, seed)
+    try:
+        SchurSolver(A)
+        rejected = False
+    except NotHurwitzError:
+        rejected = True
+    e1 = np.eye(A.shape[0])[:, :1]
+    assert is_stabilizing(Plant(A=A, B=e1, C=e1.T), [[0.0]]) != rejected
+    for command in (["solve", str(path)], ["check-gradient", str(path)]):
+        code = main(command)
+        err = capsys.readouterr().err
+        assert (code == 4) == rejected, (command, code, err)
+        if rejected:
+            assert "stabiliz" in err
+
+
 class TestChecks:
     def test_gradient_check_passes(self, capsys):
         assert main(["check-gradient", "example1"]) == 0
@@ -190,6 +282,16 @@ class TestChecks:
 
     def test_perturbed_hessian_detected(self, capsys):
         assert main(["check-hessian", "example2", "--perturb", "5.0"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "check-gradient",
+                                         "check-hessian"])
+    def test_inconsistent_constraints(self, tmp_path, capsys, command):
+        pin = {"terms": [{"left": [[1.0, 0.0]], "right": [[0.0], [1.0]]}],
+               "rhs": [[0.0]]}
+        path = write_problem(tmp_path / "p.json",
+                             constraints=[pin, {**pin, "rhs": [[1.0]]}])
+        assert main([command, str(path)]) == 4
+        assert "inconsistent" in capsys.readouterr().err
 
     def test_check_requires_stabilizing_gain(self, tmp_path):
         path = write_problem(tmp_path / "p.json",

@@ -27,7 +27,7 @@ class TestGradient:
         # grad = 2 * 0.5 * 0.5 = 0.5 at K = 0.
         plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         gp = gradient(plant, identity_cost(1, 1), [[0.0]])
-        assert gp.cost_matrix.value[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert gp.evaluation.P.value[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert gp.gramian.value[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert gp.grad[0, 0] == pytest.approx(0.5, abs=1e-13)
 
@@ -57,12 +57,12 @@ class TestGradient:
         rng = np.random.default_rng(35)
         plant = stable_plant(rng, 3, 1, 2)
         gp = gradient(plant, identity_cost(3, 1), np.zeros((1, 2)))
-        assert np.linalg.eigvalsh(gp.cost_matrix.value).min() > 0.0
+        assert np.linalg.eigvalsh(gp.evaluation.P.value).min() > 0.0
 
     def test_cost_accessor_matches_cost(self):
         prob = builtin_problem("example2")
         gp = gradient(prob.plant, prob.costspec, prob.gain0)
-        assert gp.cost(prob.costspec) == pytest.approx(22.2010, abs=1e-3)
+        assert gp.evaluation.cost == pytest.approx(22.2010, abs=1e-3)
 
 
 class TestProjectGradient:
@@ -86,7 +86,7 @@ class TestProjectGradient:
                                   right=rng.standard_normal((q, 1))),),
             rhs=np.zeros((2, 1)),
         )])
-        Abar, _ = cs.flattened((m, q))
+        Abar, _, _ = cs.flattened((m, q))
         assert np.linalg.matrix_rank(Abar) == Abar.shape[0]
         G = rng.standard_normal((m, q))
         Gp = project_gradient(G, cs)

@@ -15,8 +15,8 @@ from soflqr import (
     check_feasible,
     closed_loop,
     cost,
-    cost_certificate,
     effective_weight,
+    evaluate,
     flatten_constraints,
     is_stabilizing,
     vec,
@@ -135,9 +135,9 @@ class TestCost:
 
     def test_certificate_is_positive_definite(self):
         plant, costspec = scalar_problem()
-        J, P = cost_certificate(plant, costspec, [[0.0]])
-        assert J == pytest.approx(0.5, abs=1e-12)
-        assert np.linalg.eigvalsh(P).min() > 0.0
+        ev = evaluate(plant, costspec, [[0.0]])
+        assert ev.cost == pytest.approx(0.5, abs=1e-12)
+        assert np.linalg.eigvalsh(ev.P.value).min() > 0.0
 
     def test_finite_iff_stabilizing(self):
         rng = np.random.default_rng(101)
@@ -170,7 +170,7 @@ class TestIsStabilizing:
 class TestFlattenConstraints:
     def test_decentralized_flattening(self):
         prob = builtin_problem("example2")
-        Abar, cbar = flatten_constraints(prob.constraints, (2, 2))
+        Abar, cbar, _ = flatten_constraints(prob.constraints, (2, 2))
         np.testing.assert_array_equal(
             Abar, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(cbar, [0.0, 0.0])
@@ -182,7 +182,7 @@ class TestFlattenConstraints:
                                   right=[[0.0], [1.0], [0.0]]),),
             rhs=[[0.7]],
         )])
-        Abar, cbar = flatten_constraints(cs, (1, 3))
+        Abar, cbar, _ = flatten_constraints(cs, (1, 3))
         np.testing.assert_array_equal(Abar, [[0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(cbar, [0.7])
 
@@ -197,7 +197,7 @@ class TestFlattenConstraints:
             rhs=np.zeros((r, c)),
         )
         cs = ConstraintSet(constraints=[con])
-        Abar, _ = flatten_constraints(cs, (m, q))
+        Abar, _, _ = flatten_constraints(cs, (m, q))
         for _ in range(20):
             K = rng.standard_normal((m, q))
             np.testing.assert_allclose(Abar @ vec(K), vec(con.evaluate(K)),
@@ -209,7 +209,7 @@ class TestFlattenConstraints:
             rhs=[[0.0]],
         )
         cs = ConstraintSet(constraints=[con, con])
-        Abar, cbar = flatten_constraints(cs, (2, 2))
+        Abar, _, _ = flatten_constraints(cs, (2, 2))
         assert Abar.shape == (1, 4)
         assert np.linalg.matrix_rank(Abar) == 1
 
@@ -223,9 +223,10 @@ class TestFlattenConstraints:
             flatten_constraints(cs, (2, 2))
 
     def test_empty_set(self):
-        Abar, cbar = flatten_constraints(ConstraintSet.empty(), (2, 3))
+        Abar, cbar, Z = flatten_constraints(ConstraintSet.empty(), (2, 3))
         assert Abar.shape == (0, 6)
         assert cbar.shape == (0,)
+        np.testing.assert_array_equal(Z, np.eye(6))
         np.testing.assert_array_equal(
             ConstraintSet.empty().null_basis((2, 3)), np.eye(6))
 
@@ -247,7 +248,7 @@ class TestFlattenConstraints:
                               right=rng.standard_normal((q, 1)))
         con = Constraint(terms=(term,), rhs=np.zeros((2, 1)))
         cs = ConstraintSet(constraints=[con, con])
-        Abar, _ = cs.flattened((m, q))
+        Abar, _, _ = cs.flattened((m, q))
         Z = cs.null_basis((m, q))
         assert Abar.shape == (2, 6)
         assert Z.shape == (6, 4)

@@ -72,11 +72,11 @@ def _term_scale(plant, costspec, gp):
     # Size of the Hessian's terms before they are summed: the input-weight
     # term and, with |abscissa| for the Lyapunov gain, the solved terms.
     norm = np.linalg.norm
-    P, G = gp.cost_matrix.value, gp.gramian.value
+    P, G = gp.evaluation.P.value, gp.gramian.value
     B, C = plant.B, plant.C
     return norm(G, 2) * norm(C, 2) ** 2 * (
         norm(costspec.R, 2)
-        + norm(B, 2) ** 2 * norm(P, 2) / abs(gp.solver.abscissa))
+        + norm(B, 2) ** 2 * norm(P, 2) / abs(gp.evaluation.solver.abscissa))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True,
@@ -85,7 +85,7 @@ def _term_scale(plant, costspec, gp):
 def test_hessian_symmetric_and_matches_oracles(problem):
     plant, costspec, K = problem
     gp = gradient(plant, costspec, K)
-    H = hessian(plant, costspec, K, gp).matrix
+    H = hessian(plant, costspec, K, gp)
     assert np.array_equal(H, H.T)
     # Errors are relative to the largest entry.  A Hessian below 1e-5 of
     # its terms' size has cancelled to rounding level, and is judged
@@ -145,12 +145,12 @@ def _check_descent(plant, costspec, cs, result):
 @given(constrained_problems())
 def test_constrained_newton_step_and_solves(problem):
     plant, costspec, cs, K0 = problem
-    Abar, _ = cs.flattened(K0.shape)
+    Abar, _, _ = cs.flattened(K0.shape)
     Z = cs.null_basis(K0.shape)
 
     def reduced_model(K):
         gp = gradient(plant, costspec, K)
-        return gp, pt_matrix(hessian(plant, costspec, K, gp, Z).matrix, 1e-6)
+        return gp, pt_matrix(hessian(plant, costspec, K, gp, Z), 1e-6)
 
     gp, Heps = reduced_model(K0)
     ns = newton_step(Heps, gp.grad, cs)

@@ -70,7 +70,7 @@ class TestHessian:
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         H = hessian(plant, costspec, [[0.0]], gp)
-        assert H.matrix[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert H[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_finite_differences_of_gradient(self):
         # Non-identity weights exercise every Hessian term, including
@@ -83,7 +83,7 @@ class TestHessian:
             K = np.zeros((2, 2))
             gp = gradient(plant, costspec, K)
             H = hessian(plant, costspec, K, gp)
-            report = error_report(fd_hessian(plant, costspec, K), H.matrix)
+            report = error_report(fd_hessian(plant, costspec, K), H)
             assert report.max_rel_error <= 1e-4
 
     def test_exactly_symmetric(self):
@@ -92,7 +92,7 @@ class TestHessian:
         costspec = identity_cost(4, 2)
         K = 0.1 * rng.standard_normal((2, 2))
         gp = gradient(plant, costspec, K)
-        H = hessian(plant, costspec, K, gp).matrix
+        H = hessian(plant, costspec, K, gp)
         assert np.array_equal(H, H.T)
         report = error_report(kron_hessian(plant, costspec, K), H)
         assert report.max_rel_error <= 1e-10
@@ -111,7 +111,7 @@ class TestHessian:
                           0.05 * rng.standard_normal((m, q))))
         for plant, costspec, K in cases:
             gp = gradient(plant, costspec, K)
-            H = hessian(plant, costspec, K, gp).matrix
+            H = hessian(plant, costspec, K, gp)
             report = error_report(kron_hessian(plant, costspec, K), H)
             assert report.max_rel_error <= 1e-10
 
@@ -158,12 +158,12 @@ class TestHessian:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(SchurSolver, "solve_schur", counted)
-        reduced = hessian(plant, costspec, K, gp, Z).matrix
+        reduced = hessian(plant, costspec, K, gp, Z)
         assert calls == free
         assert reduced.shape == (free, free)
         assert np.array_equal(reduced, reduced.T)
         monkeypatch.setattr(SchurSolver, "solve_schur", original)
-        full = hessian(plant, costspec, K, gp).matrix
+        full = hessian(plant, costspec, K, gp)
         report = error_report(Z.T @ full @ Z, reduced)
         assert report.max_rel_error <= 1e-12
 
@@ -204,7 +204,8 @@ class TestPTMatrix:
 
 class TestNewtonStep:
     def test_scalar_unconstrained(self):
-        step = newton_step(np.array([[2.0]]), np.array([[0.5]]),
+        step = newton_step(pt_matrix(np.array([[2.0]]), 1e-9),
+                           np.array([[0.5]]),
                            ConstraintSet.empty())
         assert step.step[0, 0] == pytest.approx(-0.25, abs=1e-14)
         assert step.predicted_decrease == pytest.approx(0.0625, abs=1e-14)
@@ -242,7 +243,7 @@ class TestNewtonStep:
                                   right=rng.standard_normal((q, 1))),),
             rhs=np.zeros((p, 1)),
         )])
-        Abar, _ = cs.flattened((m, q))
+        Abar, _, _ = cs.flattened((m, q))
         Z = cs.null_basis((m, q))
         assert Z.shape == (m * q, m * q - p)
         H = pt_matrix(Z.T @ (M + M.T) @ Z, 1e-6)
@@ -263,7 +264,7 @@ class TestLineSearch:
         K = np.array([[0.0]])
         gp = gradient(plant, costspec, K)
         trial, t, evals = line_search(plant, costspec,
-                                      ConstraintSet.empty(), K,
+                                      ConstraintSet.empty(), gp.evaluation,
                                       np.array([[-0.25]]), gp.grad,
                                       alpha=0.2, beta=0.1)
         assert t == 1.0
@@ -279,7 +280,7 @@ class TestLineSearch:
         gp = gradient(plant, costspec, K)
         assert gp.grad[0, 0] == pytest.approx(-0.25, abs=1e-12)
         trial, t, evals = line_search(plant, costspec,
-                                      ConstraintSet.empty(), K,
+                                      ConstraintSet.empty(), gp.evaluation,
                                       np.array([[2.5]]), gp.grad,
                                       alpha=0.2, beta=0.1)
         assert t == pytest.approx(0.1)
@@ -292,7 +293,7 @@ class TestLineSearch:
         gp = gradient(plant, costspec, [[0.0]])
         with pytest.raises(ValueError, match="descent"):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        np.array([[0.0]]), np.array([[1.0]]), gp.grad,
+                        gp.evaluation, np.array([[1.0]]), gp.grad,
                         alpha=0.2, beta=0.1)
 
     def test_rejects_bad_parameters(self):
@@ -300,11 +301,11 @@ class TestLineSearch:
         gp = gradient(plant, costspec, [[0.0]])
         with pytest.raises(ValueError, match="alpha"):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        np.array([[0.0]]), np.array([[-0.1]]), gp.grad,
+                        gp.evaluation, np.array([[-0.1]]), gp.grad,
                         alpha=0.7, beta=0.1)
         with pytest.raises(ValueError, match="beta"):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        np.array([[0.0]]), np.array([[-0.1]]), gp.grad,
+                        gp.evaluation, np.array([[-0.1]]), gp.grad,
                         alpha=0.2, beta=1.5)
 
     def test_stalls_below_float_resolution(self):
@@ -314,7 +315,7 @@ class TestLineSearch:
         gp = gradient(plant, costspec, [[0.0]])
         with pytest.raises(LineSearchStalled):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        np.array([[0.0]]), np.array([[-1e-300]]), gp.grad,
+                        gp.evaluation, np.array([[-1e-300]]), gp.grad,
                         alpha=0.2, beta=0.1)
 
 

@@ -80,7 +80,7 @@ class TestFdHessian:
     def test_agrees_with_analytic_on_decentralized(self):
         prob = builtin_problem("example2")
         gp = gradient(prob.plant, prob.costspec, prob.gain0)
-        analytic = hessian(prob.plant, prob.costspec, prob.gain0, gp).matrix
+        analytic = hessian(prob.plant, prob.costspec, prob.gain0, gp)
         fd = fd_hessian(prob.plant, prob.costspec, prob.gain0)
         assert error_report(fd, analytic).max_rel_error <= 1e-4
 
