@@ -45,6 +45,7 @@ from .problem import (
     cost,
     effective_weight,
     evaluate,
+    evaluate_step,
     flatten_constraints,
     is_stabilizing,
     weights_from_performance_output,
@@ -99,6 +100,7 @@ __all__ = [
     "cost",
     "effective_weight",
     "evaluate",
+    "evaluate_step",
     "first_order_solve",
     "flatten_constraints",
     "gradient",

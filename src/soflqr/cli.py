@@ -34,7 +34,7 @@ from .problems import (
     save_problem,
 )
 from .second_order import hessian, newton_solve
-from .verify import error_report, fd_gradient, fd_hessian
+from .verify import NearMarginError, error_report, fd_gradient, fd_hessian
 
 __all__ = ["main"]
 
@@ -222,16 +222,19 @@ def _cmd_check(args, which):
 
     plant, costspec, K0 = problem.plant, problem.costspec, problem.gain0
     gp = gradient(plant, costspec, K0)
-    if which == "gradient":
-        analytic = gp.grad.copy()
-        reference = fd_gradient(plant, costspec, K0,
-                                **({"h": args.step} if args.step else {}))
-        threshold = GRADIENT_CHECK_TOL
-    else:
-        analytic = hessian(plant, costspec, K0, gp)
-        reference = fd_hessian(plant, costspec, K0,
-                               **({"h": args.step} if args.step else {}))
-        threshold = HESSIAN_CHECK_TOL
+    step = {"h": args.step} if args.step else {}
+    try:
+        if which == "gradient":
+            analytic = gp.grad.copy()
+            reference = fd_gradient(plant, costspec, K0, **step)
+            threshold = GRADIENT_CHECK_TOL
+        else:
+            analytic = hessian(plant, costspec, K0, gp)
+            reference = fd_hessian(plant, costspec, K0, **step)
+            threshold = HESSIAN_CHECK_TOL
+    except NearMarginError as exc:
+        print(f"error: initial gain K0: {exc}", file=sys.stderr)
+        return EXIT_BAD_START
     if args.perturb:
         # Corruption scaled to the result so the control works at any
         # gradient magnitude.

@@ -97,7 +97,10 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
     At each iterate the gradient ``gp`` and its projection ``pg`` are
     computed once, and ``direction(gp, pg)`` returns the search direction
     ``delta``.  The trace records ``||pg||``, and the run has converged
-    when ``||delta||`` falls to ``tol``.  With ``step_measure`` that
+    when ``||delta||`` falls to ``tol``, or when the predicted decrease
+    ``-<grad, delta>`` is positive but at most four ulps of the cost, so
+    that no step along ``delta`` can lower the cost by a representable
+    amount.  With ``step_measure`` that
     ``||delta||`` is reported as the result's ``step_norm``, else the
     last accepted step is.  A direction without descent, or a line
     search that cannot certify a decrease, ends the run as stalled.
@@ -132,7 +135,8 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,
         ))
-        if measure <= tol:
+        slope = float(np.trace(gp.grad.T @ delta))
+        if measure <= tol or 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
             status = "converged"
             break
         if it == max_iters:

@@ -3,12 +3,13 @@
 Shared by the gradient-projection and Newton solvers: starting from a
 unit step, the step size is shrunk geometrically until the trial gain
 keeps the closed loop Hurwitz and satisfies the Armijo
-sufficient-decrease condition.
+sufficient-decrease condition.  The decrease is the exact cost change
+of :func:`evaluate_step`, not the difference of two rounded costs.
 """
 
 import numpy as np
 
-from .problem import InfiniteCostError, check_feasible, evaluate
+from .problem import InfiniteCostError, check_feasible, evaluate_step
 
 __all__ = ["LineSearchStalled", "NotDescentError", "line_search",
            "MIN_STEP"]
@@ -16,13 +17,6 @@ __all__ = ["LineSearchStalled", "NotDescentError", "line_search",
 # Step sizes below this are treated as underflow: the search has reached
 # the floating-point floor of the cost along the given direction.
 MIN_STEP = 1e-16
-
-# Slack on the Armijo comparison, scaled by the cost magnitude.  Near a
-# minimizer the true per-step decrease falls below one ulp of J, where a
-# strict sufficient-decrease test cannot be certified in double
-# precision; acceptance still requires a strictly lower cost, so the
-# monotone-descent invariant is unaffected.
-_ARMIJO_SLACK = 16.0 * np.finfo(float).eps
 
 
 class LineSearchStalled(RuntimeError):
@@ -42,10 +36,11 @@ class NotDescentError(ValueError):
 def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
     """Backtracking search along the descent direction ``delta``.
 
-    Accepts the first ``t`` in ``1, beta, beta^2, ...`` for which
-    ``J(K + t*delta)`` is strictly below ``J(K)`` and satisfies the
-    Armijo condition with parameter ``alpha`` (evaluated with the full
-    gradient ``grad``).  Destabilizing trial points count as rejections.
+    Accepts the first ``t`` in ``1, beta, beta^2, ...`` whose exact cost
+    change ``dJ`` satisfies the Armijo condition
+    ``dJ <= alpha * t * <grad, delta>`` (with the full gradient ``grad``)
+    and leaves ``J(K) + dJ`` strictly below ``J(K)`` in floating point.
+    Destabilizing trial points count as rejections.
 
     Parameters
     ----------
@@ -75,7 +70,6 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
         raise NotDescentError(
             f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
         )
-    slack = _ARMIJO_SLACK * max(1.0, abs(current_cost))
 
     t = 1.0
     evals = 0
@@ -84,12 +78,12 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
         try:
             # The Hurwitz gate comes before the Lyapunov solve, so a
             # destabilizing trial is never solved.
-            trial = evaluate(plant, costspec, K + t * delta)
+            trial, dJ = evaluate_step(plant, costspec, current,
+                                      K + t * delta)
         except InfiniteCostError:
             t *= beta
             continue
-        sufficient = current_cost + alpha * t * slope + slack
-        if trial.cost < current_cost and trial.cost <= sufficient:
+        if trial.cost < current_cost and dJ <= alpha * t * slope:
             if len(cs) and not check_feasible(cs, trial.K):
                 raise RuntimeError(
                     "accepted line-search iterate violates the constraint "

@@ -3,7 +3,8 @@
 Holds the plant ``(A, B, C)``, the quadratic cost specification
 ``(Q, R, X0)``, linear matrix-equality constraints on the gain, and the
 basic evaluations built on them: closed loop, effective state weight,
-the evaluation of the cost at a gain, stability and feasibility checks,
+the evaluation of the cost at a gain and of its exact change to a
+nearby gain, stability and feasibility checks,
 and constraint flattening to the vectorized form ``Abar vec(K) = cbar``.
 """
 
@@ -38,6 +39,7 @@ __all__ = [
     "closed_loop",
     "effective_weight",
     "evaluate",
+    "evaluate_step",
     "cost",
     "is_stabilizing",
     "flatten_constraints",
@@ -380,22 +382,62 @@ class Evaluation:
     cost: float
 
 
+def _factor(plant, K):
+    try:
+        return SchurSolver(closed_loop(plant, K))
+    except NotHurwitzError as exc:
+        raise InfiniteCostError(
+            f"gain is not stabilizing (spectral abscissa {exc.abscissa:.6e}); "
+            f"the infinite-horizon cost is infinite"
+        ) from exc
+
+
 def evaluate(plant, costspec, K):
     """Factor the closed loop at ``K`` and solve for its cost.
 
     Raises :class:`InfiniteCostError` for non-stabilizing gains.
     """
     K = np.asarray(K, dtype=float)
-    try:
-        solver = SchurSolver(closed_loop(plant, K))
-    except NotHurwitzError as exc:
-        raise InfiniteCostError(
-            f"gain is not stabilizing (spectral abscissa {exc.abscissa:.6e}); "
-            f"the infinite-horizon cost is infinite"
-        ) from exc
+    solver = _factor(plant, K)
     P = solve_lyapunov_primal(solver, effective_weight(costspec, plant, K))
     return Evaluation(K=K, solver=solver, P=P,
                       cost=float(np.trace(P.value @ costspec.X0)))
+
+
+def evaluate_step(plant, costspec, current, K):
+    """Evaluation at the gain ``K`` from the exact change of the cost.
+
+    ``current`` is the :class:`Evaluation` at a nearby gain.  With
+    ``dK = K - current.K``, ``dA = B dK C`` and the factorization of the
+    new closed loop ``Ac' = Ac + dA``, the change ``dP`` of the cost
+    matrix solves ``Ac'^T dP + dP Ac' + D = 0`` with
+
+        D = dA^T P + P dA + (dK C)^T R (K C) + (K C)^T R (dK C)
+            + (dK C)^T R (dK C),
+
+    the difference of the two cost equations, where ``K`` in ``K C`` is
+    the current gain.  Every term of ``D`` is of the order of ``dK``, so
+    ``dJ = <dP, X0>`` carries no cancellation, whereas the difference of
+    two costs near an optimum is rounding noise.  Returns the evaluation,
+    with ``P + dP`` and the cost ``current.cost + dJ``, and ``dJ``.
+    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    """
+    K = np.asarray(K, dtype=float)
+    solver = _factor(plant, K)
+    P = current.P
+    dKC = (K - current.K) @ plant.C
+    RdKC = costspec.R @ dKC
+    # Half the change of the effective weight, so that D = half + half^T
+    # is symmetric to the last bit.
+    weight = (current.K @ plant.C).T @ RdKC + 0.5 * (dKC.T @ RdKC)
+    half = P.value @ plant.B @ dKC + weight
+    dP = solver.solve_primal(half + half.T)
+    dP = 0.5 * (dP + dP.T)
+    dJ = float(np.vdot(dP, costspec.X0))
+    P_new = LyapunovSolution(value=P.value + dP, operator=solver.matrix,
+                             rhs=P.rhs + (weight + weight.T))
+    return Evaluation(K=K, solver=solver, P=P_new,
+                      cost=current.cost + dJ), dJ
 
 
 def cost(plant, costspec, K):
@@ -439,10 +481,6 @@ class SolveTrace:
     @property
     def costs(self):
         return [r.cost for r in self.records]
-
-    @property
-    def grad_norms(self):
-        return [r.grad_norm for r in self.records]
 
     def write_csv(self, path):
         """Write the trace as comma-separated values with a header row."""

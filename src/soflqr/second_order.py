@@ -3,20 +3,22 @@
 Feasible gains are parameterized as ``vec(K) = vec(K0) + Z theta`` with
 an orthonormal basis ``Z`` of the constraint null space (the identity
 without constraints), so only the reduced Hessian ``Z^T H Z`` is built.
-Each of its columns takes one auxiliary Lyapunov solve against the
-closed loop, done in Schur coordinates; the adjoint identity between
-the primal and adjoint Lyapunov operators supplies the rest.  With
-``p`` independent constraint rows, one iteration therefore costs
-``(m*q - p) + 2`` quasi-triangular solves on a single Schur
-factorization.  Indefiniteness is handled by the PT (positive-definite
-truncation) transform of the reduced Hessian's spectrum, and the step
-``Z theta`` keeps every iterate on the constraint set.
+It reuses the gradient's Schur factorization of the closed loop: either
+in the eigenbasis of the Schur factor, where every auxiliary Lyapunov
+solve becomes an elementwise product, or, when that basis is too badly
+conditioned, from one auxiliary solve in Schur coordinates per free
+coordinate.  The adjoint identity between the primal and adjoint
+Lyapunov operators supplies the rest.  Indefiniteness is handled by the
+PT (positive-definite truncation) transform of the reduced Hessian's
+spectrum, and the step ``Z theta`` keeps every iterate on the
+constraint set.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .first_order import _descend
 from .lyapunov import unvec, vec
@@ -24,24 +26,32 @@ from .lyapunov import unvec, vec
 __all__ = [
     "PTMatrix",
     "NewtonStep",
+    "EIGEN_GUARD",
     "hessian",
+    "schur_hessian",
+    "eigen_hessian",
     "pt_matrix",
     "newton_step",
     "newton_solve",
 ]
 
 
+# Largest kappa_1(W) ||T||_1 / min |lambda_a + lambda_b| for which the
+# Hessian is formed in the eigenbasis W of the Schur factor T.
+EIGEN_GUARD = 1e6
+
+
 @dataclass(frozen=True)
 class PTMatrix:
     """Positive-definite truncation of a symmetric matrix.
 
-    Eigenvalues are replaced by ``max(|eig|, eigen_floor)`` in the
-    original eigenbasis, so the result is positive definite and shares
-    eigenvectors with the input.
+    Eigenvalues are replaced by ``max(|eig|, eps)`` in the original
+    eigenbasis, so the result is positive definite and shares
+    eigenvectors with the input.  ``modified_count`` is the number of
+    eigenvalues changed.
     """
 
     matrix: np.ndarray
-    eigen_floor: float
     modified_count: int
 
 
@@ -62,8 +72,8 @@ def hessian(plant, costspec, K, gp, basis=None):
     follow the column-major ordering of the gain entries.  With
     ``basis`` (an ``m*q x N`` matrix ``Z``, such as
     :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
-    ``Z^T H Z`` from ``N`` solves instead of ``m*q``.  With
-    ``M = B^T P + R K C``, the column of entry ``E = E_ij`` is
+    ``Z^T H Z``.  With ``M = B^T P + R K C``, the column of entry
+    ``E = E_ij`` is
 
         2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
 
@@ -71,36 +81,113 @@ def hessian(plant, costspec, K, gp, basis=None):
     ``Ac Y + Y Ac^T + B E C G = 0``.  The two Lyapunov operators are
     adjoint to each other, so the matrix of ``Y`` terms is the transpose
     of the matrix ``S`` of ``X`` terms, and
-    ``H = S + S^T + 2 kron(C G C^T, R)``: one solve per entry.  By
-    linearity, the solve with ``E = unvec(z)`` gives ``S z`` for a basis
-    column ``z``, and the reduced Hessian is
-    ``Z^T S Z + (Z^T S Z)^T + 2 Z^T kron(C G C^T, R) Z``.  Each
-    right-hand side is formed, solved and contracted in Schur
-    coordinates, with no n x n basis change.  Both kron factors are
-    symmetrized, so the result is symmetric to the last bit; a basis of
-    coordinate vectors, such as the identity, selects its entries
-    exactly.
+    ``H = S + S^T + 2 kron(C G C^T, R)``.  The reduced Hessian is
+    ``Z^T S Z + (Z^T S Z)^T + 2 Z^T kron(C G C^T, R) Z``.  Both kron
+    factors are symmetrized, so the result is symmetric to the last bit;
+    a basis of coordinate vectors, such as the identity, selects its
+    entries exactly.
+
+    ``S`` comes from :func:`eigen_hessian` when the eigenvectors of
+    ``T`` are well enough conditioned for it, and otherwise from
+    :func:`schur_hessian`.
     """
+    H = eigen_hessian(plant, costspec, K, gp, basis)
+    return schur_hessian(plant, costspec, K, gp, basis) if H is None else H
+
+
+def _schur_factors(plant, costspec, K, gp):
+    # M^T, C^T, B and G C^T in the Schur coordinates of the closed loop.
     K = np.asarray(K, dtype=float)
     B, C, R = plant.B, plant.C, costspec.R
-    m, q = plant.gain_shape()
-    Z = np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
-    solver = gp.evaluation.solver
-    U = solver.U
-    GCt = gp.gramian.value @ C.T
+    U = gp.evaluation.solver.U
     Ms = U.T @ (gp.evaluation.P.value @ B + C.T @ K.T @ R)
-    Cs = U.T @ C.T
-    Bs = U.T @ B
-    GCs = U.T @ GCt
+    return Ms, U.T @ C.T, U.T @ B, U.T @ (gp.gramian.value @ C.T)
 
+
+def _assemble(plant, costspec, gp, Z, ZSZ):
+    CGCt = plant.C @ gp.gramian.value @ plant.C.T
+    R = costspec.R
+    weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
+    return ZSZ + ZSZ.T + 2.0 * (Z.T @ weight @ Z)
+
+
+def _basis(plant, basis):
+    m, q = plant.gain_shape()
+    return np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
+
+
+def schur_hessian(plant, costspec, K, gp, basis=None):
+    """:func:`hessian` from one Schur-coordinate Lyapunov solve per basis
+    column.
+
+    By linearity, the solve with ``E = unvec(z)`` gives ``S z`` for a
+    basis column ``z``, so the reduced Hessian takes ``N`` solves.  Each
+    right-hand side is formed, solved and contracted in Schur
+    coordinates, with no n x n basis change.  This path is correct for
+    every Hurwitz closed loop, defective ones included.
+    """
+    m, q = plant.gain_shape()
+    Z = _basis(plant, basis)
+    solver = gp.evaluation.solver
+    Ms, Cs, Bs, GCs = _schur_factors(plant, costspec, K, gp)
     SZ = np.empty(Z.shape)
     for col in range(Z.shape[1]):
         Y = solver.solve_schur(Ms @ unvec(Z[:, col], m, q) @ Cs.T)
         SZ[:, col] = vec(2.0 * (Bs.T @ Y @ GCs + (GCs.T @ Y @ Bs).T))
-    S = Z.T @ SZ
-    CGCt = C @ GCt
-    weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
-    return S + S.T + 2.0 * (Z.T @ weight @ Z)
+    return _assemble(plant, costspec, gp, Z, Z.T @ SZ)
+
+
+def _khatri_rao(X, Y):
+    # Row-wise Khatri-Rao product: row a is kron(X[a], Y[a]).
+    return (X[:, :, None] * Y[:, None, :]).reshape(X.shape[0], -1)
+
+
+def eigen_hessian(plant, costspec, K, gp, basis=None):
+    """:func:`hessian` from the eigenvectors of the Schur factor ``T``.
+
+    With ``T = W Lambda W^-1``, the solve ``T^T Y + Y T + Ms E Cs^T = 0``
+    is ``Y = -W^-T (L o (Mv E Cv^T)) W^-1`` for ``Mv = W^T Ms``,
+    ``Cv = W^T Cs`` and ``L_ab = 1 / (lambda_a + lambda_b)``.  With
+    ``Bv = W^-1 Bs`` and ``Gv = W^-1 G Cs``, the entry of ``S`` that maps
+    ``E_ij`` to gain entry ``(k, l)`` is
+
+        -2 ((Bv o Mv)^T L (Cv o Gv))[(k, i), (j, l)]
+        -2 ((Cv o Bv)^T L (Mv o Gv))[(j, k), (i, l)],
+
+    where ``o`` is the row-wise Khatri-Rao product: one eigendecomposition
+    of ``T`` and two contractions, with no Lyapunov solve.
+
+    The path is used only where it is accurate:
+    ``kappa_1(W) ||T||_1 / min |lambda_a + lambda_b|`` must be at most
+    ``EIGEN_GUARD``, with ``kappa_1(W)`` estimated by LAPACK ``gecon`` on
+    the LU factors that also apply ``W^-1``.  Otherwise, as for a
+    defective closed loop, it returns None.
+    """
+    m, q = plant.gain_shape()
+    T = gp.evaluation.solver.T
+    lam, W = np.linalg.eig(T)
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (W,))
+    lu, piv, info = getrf(W)
+    if info != 0:
+        return None
+    rcond, _ = gecon(lu, np.linalg.norm(W, 1), norm="1")
+    sums = lam[:, None] + lam[None, :]
+    if not np.linalg.norm(T, 1) <= EIGEN_GUARD * rcond * np.abs(sums).min():
+        return None
+    L = 1.0 / sums
+    Ms, Cs, Bs, GCs = _schur_factors(plant, costspec, K, gp)
+    BG, _ = getrs(lu, piv, np.hstack([Bs, GCs]).astype(W.dtype))
+    Bv, Gv = BG[:, :m], BG[:, m:]
+    Mv, Cv = W.T @ Ms, W.T @ Cs
+    F1 = (_khatri_rao(Bv, Mv).T @ (L @ _khatri_rao(Cv, Gv))).real
+    F2 = (_khatri_rao(Cv, Bv).T @ (L @ _khatri_rao(Mv, Gv))).real
+    # F1[k, i, j, l] and F2[j, k, i, l] to S[(k, l), (i, j)], whose row
+    # and column indices are column-major: k + m l and i + m j.
+    S = -2.0 * (F1.reshape(m, m, q, q).transpose(3, 0, 2, 1)
+                + F2.reshape(q, m, m, q).transpose(3, 1, 0, 2))
+    S = S.reshape(m * q, m * q)
+    Z = _basis(plant, basis)
+    return _assemble(plant, costspec, gp, Z, Z.T @ S @ Z)
 
 
 def pt_matrix(H, eps):
@@ -118,8 +205,7 @@ def pt_matrix(H, eps):
     truncated = np.where(np.abs(eigvals) >= eps, np.abs(eigvals), eps)
     modified = int(np.sum(truncated != eigvals))
     Heps = (M * truncated) @ M.T
-    return PTMatrix(matrix=0.5 * (Heps + Heps.T), eigen_floor=float(eps),
-                    modified_count=modified)
+    return PTMatrix(matrix=0.5 * (Heps + Heps.T), modified_count=modified)
 
 
 def newton_step(Heps, grad, cs):
@@ -149,11 +235,11 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     """Constrained Newton descent on the structured feedback LQR cost.
 
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
-    the constraint null space from one auxiliary Lyapunov solve per free
-    coordinate, truncate its spectrum to the positive definite model,
-    solve it for the step, and accept a step size with the
-    stability-guarded backtracking search.  Terminates
-    when ``||vec(dK)|| <= tol``.
+    the constraint null space (:func:`hessian`), truncate its spectrum to
+    the positive definite model, solve it for the step, and accept a step
+    size with the stability-guarded backtracking search.  Terminates
+    when ``||vec(dK)|| <= tol``, or when the step's predicted decrease
+    falls below the resolution of the cost.
 
     Parameters
     ----------

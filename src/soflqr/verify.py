@@ -19,6 +19,8 @@ from .lyapunov import NotHurwitzError, solve_lyapunov_primal, unvec, vec
 from .problem import InfiniteCostError, closed_loop, cost, effective_weight
 
 __all__ = [
+    "FD_SHRINKS",
+    "NearMarginError",
     "OracleReport",
     "error_report",
     "fd_gradient",
@@ -28,6 +30,11 @@ __all__ = [
     "are_gain",
     "quadrature_cost",
 ]
+
+
+# Times the step of a central difference may be shrunk tenfold before
+# the base gain counts as too close to the stability margin.
+FD_SHRINKS = 3
 
 
 @dataclass(frozen=True)
@@ -62,21 +69,36 @@ def error_report(reference, candidate):
                         location=location)
 
 
+class NearMarginError(ArithmeticError):
+    """The gain lies within the finite-difference step of the stability
+    margin: a perturbed gain fails the Hurwitz test at every step down to
+    the floor ``h / 10**FD_SHRINKS``."""
+
+    def __init__(self, floor):
+        super().__init__(
+            f"the gain lies within the finite-difference step of the "
+            f"stability margin: a perturbation of {floor:.1e} still "
+            f"destabilizes the closed loop"
+        )
+
+
 def _central_difference(evaluate, h):
-    # Shrink the step once if a perturbation destabilizes the loop, then
-    # give up; the base point is too close to the stability boundary.
-    try:
-        return evaluate(h)
-    except (InfiniteCostError, NotHurwitzError):
-        return evaluate(h / 10.0)
+    # Shrink the step tenfold while a perturbation destabilizes the loop.
+    for k in range(FD_SHRINKS + 1):
+        try:
+            return evaluate(h / 10.0 ** k)
+        except (InfiniteCostError, NotHurwitzError):
+            continue
+    raise NearMarginError(h / 10.0 ** FD_SHRINKS)
 
 
 def fd_gradient(plant, costspec, K, h=1e-5):
     """Central-difference gradient of the cost at ``K``.
 
-    Perturbs one gain entry at a time by ``+-h``.  If a perturbation
-    destabilizes the closed loop the step is shrunk once by a factor of
-    ten for that entry; a second failure propagates.
+    Perturbs one gain entry at a time by ``+-h``.  While a perturbation
+    destabilizes the closed loop the step for that entry is shrunk by a
+    factor of ten, at most ``FD_SHRINKS`` times; past that floor
+    :class:`NearMarginError` is raised.
     """
     if h <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -102,7 +124,8 @@ def fd_hessian(plant, costspec, K, h=1e-4):
 
     Column ``(i, j)`` is ``vec((grad(K + h E_ij) - grad(K - h E_ij)) /
     (2 h))`` in the column-major entry ordering, matching the layout of
-    the analytic Hessian.
+    the analytic Hessian.  Steps that destabilize the closed loop are
+    shrunk as in :func:`fd_gradient`.
     """
     if h <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")

@@ -257,12 +257,21 @@ def test_start_check_uses_the_solvers_hurwitz_test(tmp_path, capsys, seed):
         rejected = True
     e1 = np.eye(A.shape[0])[:, :1]
     assert is_stabilizing(Plant(A=A, B=e1, C=e1.T), [[0.0]]) != rejected
-    for command in (["solve", str(path)], ["check-gradient", str(path)]):
-        code = main(command)
+    code = main(["solve", str(path)])
+    err = capsys.readouterr().err
+    assert (code == 4) == rejected, (code, err)
+    if rejected:
+        assert "stabiliz" in err
+    # A start gain within the finite-difference step of the margin is a
+    # bad start for the checks, not a numerical failure.
+    for command in ("check-gradient", "check-hessian"):
+        code = main([command, str(path)])
         err = capsys.readouterr().err
-        assert (code == 4) == rejected, (command, code, err)
+        assert code != 5, (command, err)
         if rejected:
-            assert "stabiliz" in err
+            assert code == 4 and "stabiliz" in err
+        elif code == 4:
+            assert "finite-difference step of the stability margin" in err
 
 
 class TestChecks:

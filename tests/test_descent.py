@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 import soflqr.second_order
 from soflqr import (
@@ -13,6 +14,8 @@ from soflqr import (
     SchurSolver,
     builtin_problem,
     check_feasible,
+    closed_loop,
+    effective_weight,
     evaluate,
     first_order_solve,
     gradient,
@@ -155,3 +158,19 @@ def test_gradient_reuses_evaluation():
     assert gp.evaluation is ev
     np.testing.assert_array_equal(
         gp.grad, gradient(prob.plant, prob.costspec, prob.gain0).grad)
+
+
+def test_accumulated_cost_matches_recomputation():
+    # Each accepted cost is the previous one plus the exact difference,
+    # so rounding accumulates over example1's long gradient run.  scipy's
+    # Lyapunov solve at each iterate bounds the drift.
+    prob = builtin_problem("example1")
+    plant, costspec = prob.plant, prob.costspec
+    result = first_order_solve(plant, costspec, prob.constraints, prob.gain0,
+                               tol=1e-5, keep_iterates=True)
+    assert result.converged
+    assert result.iterations >= 600
+    for K, J in zip(result.iterates, result.trace.costs):
+        P = solve_continuous_lyapunov(closed_loop(plant, K).T,
+                                      -effective_weight(costspec, plant, K))
+        assert J == pytest.approx(np.trace(P @ costspec.X0), rel=1e-8)

@@ -1,5 +1,5 @@
-"""Property tests of the Hessian and of constrained solves over random
-plants and weights.
+"""Property tests of the Hessian, of the exact cost difference and of
+constrained solves over random plants and weights.
 
 Plants have n in [1, 6] states and m, q in [1, 3] inputs and outputs.
 For the Hessian, R is a random positive definite matrix, Q a
@@ -26,6 +26,9 @@ from soflqr import (
     Plant,
     check_feasible,
     closed_loop,
+    effective_weight,
+    evaluate,
+    evaluate_step,
     first_order_solve,
     gradient,
     hessian,
@@ -36,7 +39,8 @@ from soflqr import (
     spectral_abscissa,
     vec,
 )
-from soflqr.verify import error_report, fd_hessian, kron_hessian
+from soflqr.second_order import schur_hessian
+from soflqr.verify import error_report, fd_hessian, kron_hessian, kron_lyapunov
 
 EIGHTHS = st.integers(-8, 8).map(lambda k: k / 8.0)
 
@@ -91,10 +95,51 @@ def test_hessian_symmetric_and_matches_oracles(problem):
     # its terms' size has cancelled to rounding level, and is judged
     # against that floor instead.
     scale = max(np.abs(H).max(), 1e-5 * _term_scale(plant, costspec, gp))
-    kron = error_report(kron_hessian(plant, costspec, K), H)
-    assert kron.max_abs_error <= 1e-9 * scale
+    reference = kron_hessian(plant, costspec, K)
+    assert error_report(reference, H).max_abs_error <= 1e-9 * scale
+    # The draws take the eigenbasis path; the Schur loop is held to the
+    # same oracle.
+    loop = error_report(reference, schur_hessian(plant, costspec, K, gp))
+    assert loop.max_abs_error <= 1e-9 * scale
     fd = error_report(fd_hessian(plant, costspec, K, h=1e-4), H)
     assert fd.max_abs_error <= 1e-4 * scale
+
+
+def _kron_cost(plant, costspec, K):
+    P = kron_lyapunov(closed_loop(plant, K),
+                      effective_weight(costspec, plant, K))
+    return float(np.trace(P @ costspec.X0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hessian_problems(), st.data())
+def test_exact_cost_difference(problem, data):
+    plant, costspec, K = problem
+    delta = _matrix(data.draw, *K.shape)
+    assume(np.any(delta != 0.0))
+    current = evaluate(plant, costspec, K)
+    J = current.cost
+    # A step large enough that the two costs differ well above rounding:
+    # dJ agrees with the difference of two independent Kronecker costs.
+    t = 0.5
+    assume(spectral_abscissa(closed_loop(plant, K + t * delta)) < -0.1)
+    trial, dJ = evaluate_step(plant, costspec, current, K + t * delta)
+    J_new = _kron_cost(plant, costspec, K + t * delta)
+    assert trial.cost == J + dJ
+    assert abs(dJ - (J_new - _kron_cost(plant, costspec, K))) <= 1e-10 * max(
+        1.0, abs(J), abs(J_new))
+    # A step so small that J(K + t delta) - J(K) would be rounding noise:
+    # dJ / t still tends to the slope <g, delta>, with the second-order
+    # term t delta^T H delta / 2 as the only error.
+    gp = gradient(plant, costspec, current)
+    slope = float(np.sum(gp.grad * delta))
+    curvature = float(vec(delta) @ kron_hessian(plant, costspec, K)
+                      @ vec(delta))
+    t = 1e-9
+    _, dJ = evaluate_step(plant, costspec, current, K + t * delta)
+    assert abs(dJ / t - slope) <= t * abs(curvature) + 1e-7 * (
+        abs(slope) + abs(curvature))
 
 
 @st.composite

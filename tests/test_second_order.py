@@ -23,6 +23,7 @@ from soflqr import (
     spectral_abscissa,
     vec,
 )
+from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
 from conftest import identity_cost, random_spd, stable_plant
@@ -115,6 +116,67 @@ class TestHessian:
             report = error_report(kron_hessian(plant, costspec, K), H)
             assert report.max_rel_error <= 1e-10
 
+    def test_paths_match_oracle_and_each_other(self):
+        # The eigenbasis contraction and the Schur loop on random plants
+        # with non-identity weights and a nonzero gain.
+        rng = np.random.default_rng(101)
+        for n, m, q in [(3, 2, 2), (8, 3, 2), (16, 2, 3), (40, 4, 6),
+                        (60, 3, 4)]:
+            plant = stable_plant(rng, n, m, q)
+            costspec = CostSpec(Q=random_spd(rng, n), R=random_spd(rng, m),
+                                X0=random_spd(rng, n))
+            K = 0.02 * rng.standard_normal((m, q))
+            gp = gradient(plant, costspec, K)
+            eigen = eigen_hessian(plant, costspec, K, gp)
+            schur = schur_hessian(plant, costspec, K, gp)
+            assert np.array_equal(eigen, eigen.T)
+            assert error_report(schur, eigen).max_rel_error <= 1e-12
+            if n <= 16:
+                reference = kron_hessian(plant, costspec, K, max_order=16)
+                for H in (eigen, schur):
+                    assert error_report(reference, H).max_rel_error <= 1e-9
+
+    def test_defective_closed_loop_takes_schur_path(self):
+        # A 3x3 Jordan block has one eigenvector: the eigenbasis formula
+        # would be far off, so the guard hands the Hessian to the loop.
+        A = -np.eye(3) + np.diag([1.0, 1.0], 1)
+        plant = Plant(A=A, B=[[0.0], [0.0], [1.0]], C=[[1.0, 0.0, 0.0]])
+        costspec = identity_cost(3, 1)
+        K = np.zeros((1, 1))
+        gp = gradient(plant, costspec, K)
+        assert eigen_hessian(plant, costspec, K, gp) is None
+        H = hessian(plant, costspec, K, gp)
+        np.testing.assert_array_equal(H,
+                                      schur_hessian(plant, costspec, K, gp))
+        report = error_report(kron_hessian(plant, costspec, K), H)
+        assert report.max_rel_error <= 1e-9
+
+    @pytest.mark.parametrize("case", ["example1", "diag40k4"])
+    def test_eigen_path_solves_no_lyapunov_equation(self, monkeypatch, case):
+        if case == "example1":
+            prob = builtin_problem("example1")
+            plant, costspec, cs, K = (prob.plant, prob.costspec,
+                                      prob.constraints, prob.gain0)
+        else:
+            plant, costspec, cs, K = pinned_diagonal_problem()
+        gp = gradient(plant, costspec, K)
+        calls = {"solve_schur": 0, "__init__": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(SchurSolver,
+                                                             name),
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(SchurSolver, name, counted)
+        # hessian picks the eigenbasis path here: the Schur loop would
+        # make one solve per free coordinate.
+        Z = cs.null_basis(K.shape)
+        H = hessian(plant, costspec, K, gp, Z)
+        assert calls == {"solve_schur": 0, "__init__": 0}
+        np.testing.assert_array_equal(
+            H, eigen_hessian(plant, costspec, K, gp, Z))
+
     @pytest.mark.parametrize("case", ["example1", "random3x2"])
     def test_one_schur_solve_per_entry(self, monkeypatch, case):
         if case == "example1":
@@ -134,7 +196,7 @@ class TestHessian:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(SchurSolver, name, counted)
-        hessian(plant, costspec, K, gp)
+        schur_hessian(plant, costspec, K, gp)
         assert calls == {"solve_schur": K.size, "__init__": 0}
 
     @pytest.mark.parametrize("case, free", [("example2", 2),
@@ -158,12 +220,12 @@ class TestHessian:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(SchurSolver, "solve_schur", counted)
-        reduced = hessian(plant, costspec, K, gp, Z)
+        reduced = schur_hessian(plant, costspec, K, gp, Z)
         assert calls == free
         assert reduced.shape == (free, free)
         assert np.array_equal(reduced, reduced.T)
         monkeypatch.setattr(SchurSolver, "solve_schur", original)
-        full = hessian(plant, costspec, K, gp)
+        full = schur_hessian(plant, costspec, K, gp)
         report = error_report(Z.T @ full @ Z, reduced)
         assert report.max_rel_error <= 1e-12
 
@@ -365,8 +427,20 @@ class TestNewtonSolve:
         assert newton.status == "converged"
         assert newton.iterations <= 10
         grad = first_order_solve(plant, costspec, cs, K0, tol=1e-5)
+        # The gradient baseline used to stall at the rounding floor of J
+        # after 313 iterations.
+        assert grad.status == "converged"
         assert newton.cost == pytest.approx(grad.cost, rel=1e-9)
         assert newton.K[0, 1] == 0.1
+
+    def test_large_pinned_diagonal_converges(self):
+        # 80 states, an 8 x 8 diagonal gain: Newton used to stall at step
+        # norm 4.2e-9 against tol 1e-9, the rounding floor of J.
+        plant, costspec, cs, K0 = pinned_diagonal_problem(n=80, k=8, seed=1)
+        result = newton_solve(plant, costspec, cs, K0, tol=1e-9,
+                              pt_eps=1e-6)
+        assert result.status == "converged"
+        assert result.iterations <= 12
 
     def test_zero_step_start(self):
         prob = builtin_problem("example2")
