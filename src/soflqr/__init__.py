@@ -18,12 +18,8 @@ from .first_order import (
 )
 from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import (
-    LyapunovSolution,
     NotHurwitzError,
     SchurSolver,
-    kron,
-    solve_lyapunov_adjoint,
-    solve_lyapunov_primal,
     spectral_abscissa,
     unvec,
     vec,
@@ -81,7 +77,6 @@ __all__ = [
     "InfeasibleConstraintsError",
     "InfiniteCostError",
     "LineSearchStalled",
-    "LyapunovSolution",
     "NewtonStep",
     "NotDescentError",
     "NotHurwitzError",
@@ -106,7 +101,6 @@ __all__ = [
     "gradient",
     "hessian",
     "is_stabilizing",
-    "kron",
     "line_search",
     "load_problem",
     "newton_solve",
@@ -114,8 +108,6 @@ __all__ = [
     "project_gradient",
     "pt_matrix",
     "save_problem",
-    "solve_lyapunov_adjoint",
-    "solve_lyapunov_primal",
     "spectral_abscissa",
     "unvec",
     "vec",

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linesearch import LineSearchStalled, NotDescentError, line_search
-from .lyapunov import (
-    LyapunovSolution,
-    solve_lyapunov_adjoint,
-    unvec,
-    vec,
-)
+from .lyapunov import unvec, vec
 from .problem import (
     Evaluation,
     InfiniteCostError,
@@ -49,15 +44,16 @@ class GradientPair:
     ----------
     grad : ndarray
         m x q gradient of the cost with respect to the gain.
-    gramian : LyapunovSolution
-        State-covariance Gramian ``G`` from the adjoint equation.
+    gramian : ndarray
+        Symmetric state-covariance Gramian ``G`` from the adjoint
+        equation.
     evaluation : Evaluation
         The evaluation at the gain: its Schur factorization of the closed
         loop, the cost matrix ``P`` and the cost.
     """
 
     grad: np.ndarray
-    gramian: LyapunovSolution
+    gramian: np.ndarray
     evaluation: Evaluation
 
 
@@ -70,9 +66,10 @@ def gradient(plant, costspec, K):
     gain does not stabilize the plant.
     """
     ev = K if isinstance(K, Evaluation) else evaluate(plant, costspec, K)
-    G = solve_lyapunov_adjoint(ev.solver, costspec.X0)
-    grad = 2.0 * (plant.B.T @ ev.P.value
-                  + costspec.R @ ev.K @ plant.C) @ G.value @ plant.C.T
+    G = ev.solver.solve_adjoint(costspec.X0)
+    G = 0.5 * (G + G.T)
+    grad = 2.0 * (plant.B.T @ ev.P
+                  + costspec.R @ ev.K @ plant.C) @ G @ plant.C.T
     return GradientPair(grad=grad, gramian=G, evaluation=ev)
 
 

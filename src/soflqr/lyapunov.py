@@ -10,29 +10,20 @@ factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
 
-Also provides the column-major vectorization pair ``vec``/``unvec`` and
-re-exports ``kron``; all Kronecker identities in the package assume
-column-major ordering.
+Also provides the column-major vectorization pair ``vec``/``unvec``; all
+Kronecker identities in the package assume column-major ordering.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
-from numpy import kron  # noqa: F401  (re-exported: standard Kronecker product)
 from scipy.linalg import get_lapack_funcs, schur
 
 __all__ = [
     "HURWITZ_MARGIN",
     "NotHurwitzError",
-    "LyapunovSolution",
     "SchurSolver",
     "spectral_abscissa",
-    "solve_lyapunov_primal",
-    "solve_lyapunov_adjoint",
     "vec",
     "unvec",
-    "kron",
 ]
 
 # Spectral abscissa must lie strictly below this value for a matrix to be
@@ -56,32 +47,6 @@ class NotHurwitzError(ValueError):
                 f"is not below {HURWITZ_MARGIN:.0e}"
             )
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class LyapunovSolution:
-    """Symmetrized solution of a Lyapunov equation.
-
-    Attributes
-    ----------
-    value : ndarray
-        The n x n symmetric solution, returned as ``(X + X.T) / 2``.
-    operator, rhs : ndarray
-        ``A`` and ``W`` of the equation written as ``A^T X + X A + W = 0``
-        (``A = Ac^T`` for the adjoint equation).
-    residual_norm : float
-        Frobenius norm of the equation residual evaluated with the
-        symmetrized solution, computed on first access.
-    """
-
-    value: np.ndarray
-    operator: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-
-    @cached_property
-    def residual_norm(self):
-        A, X = self.operator, self.value
-        return float(np.linalg.norm(A.T @ X + X @ A + self.rhs, "fro"))
 
 
 def spectral_abscissa(M):
@@ -137,7 +102,6 @@ class SchurSolver:
             raise ValueError(f"expected a square matrix, got shape {Ac.shape}")
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
-        self.matrix = Ac
         self.T, self.U = schur(Ac, output="real")
         # A 2x2 block of LAPACK's real Schur form has equal diagonal
         # entries, the real part of its complex-conjugate eigenvalues.
@@ -182,43 +146,3 @@ class SchurSolver:
     def solve_adjoint(self, W):
         """Solve ``X Ac^T + Ac X + W = 0`` for general square ``W``."""
         return self._solve(W, adjoint=True)
-
-
-def _require_symmetric(M, name):
-    M = np.asarray(M, dtype=float)
-    scale = max(1.0, np.abs(M).max()) if M.size else 1.0
-    if np.abs(M - M.T).max() > 1e-8 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    return M
-
-
-def solve_lyapunov_primal(Ac, Qc):
-    """Solve ``Ac^T P + P Ac + Qc = 0`` for symmetric ``Qc``.
-
-    ``Ac`` must be Hurwitz, which guarantees a unique solution; the result
-    is explicitly symmetrized by averaging.
-
-    Returns
-    -------
-    LyapunovSolution
-        Solution matrix and the Frobenius norm of its residual.
-    """
-    Qc = _require_symmetric(Qc, "Qc")
-    solver = Ac if isinstance(Ac, SchurSolver) else SchurSolver(Ac)
-    P = solver.solve_primal(Qc)
-    return LyapunovSolution(value=0.5 * (P + P.T), operator=solver.matrix,
-                            rhs=Qc)
-
-
-def solve_lyapunov_adjoint(Ac, X0):
-    """Solve ``G Ac^T + Ac G + X0 = 0`` for symmetric ``X0``.
-
-    This is the adjoint-operator counterpart of
-    :func:`solve_lyapunov_primal`; for positive semidefinite ``X0`` the
-    solution is the closed-loop state-covariance Gramian.
-    """
-    X0 = _require_symmetric(X0, "X0")
-    solver = Ac if isinstance(Ac, SchurSolver) else SchurSolver(Ac)
-    G = solver.solve_adjoint(X0)
-    return LyapunovSolution(value=0.5 * (G + G.T), operator=solver.matrix.T,
-                            rhs=X0)

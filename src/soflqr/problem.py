@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import qr
 
-from .lyapunov import (
-    LyapunovSolution,
-    NotHurwitzError,
-    SchurSolver,
-    solve_lyapunov_primal,
-    vec,
-)
+from .lyapunov import NotHurwitzError, SchurSolver, vec
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -228,7 +222,7 @@ class Constraint:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintSet:
     """Collection of linear matrix-equality constraints on an m x q gain.
 
@@ -237,14 +231,19 @@ class ConstraintSet:
     :func:`flatten_constraints` and cached; redundant rows are pruned
     there so ``Abar`` always has full row rank.  Feasible gains are
     exactly ``vec(K) = vec(K0) + Z theta`` for any feasible ``K0``.
+    The set is frozen and holds its constraints in a tuple, so the
+    cache cannot go stale.
     """
 
-    constraints: list = field(default_factory=list)
+    constraints: tuple = ()
     _flattened: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @classmethod
     def empty(cls):
-        return cls(constraints=[])
+        return cls()
 
     def __len__(self):
         return len(self.constraints)
@@ -253,8 +252,8 @@ class ConstraintSet:
         """Cached ``(Abar, cbar, Z)`` of :func:`flatten_constraints` for
         gains of the given shape."""
         if self._flattened is None or self._flattened[0] != gain_shape:
-            self._flattened = (gain_shape,
-                               *flatten_constraints(self, gain_shape))
+            object.__setattr__(self, "_flattened", (
+                gain_shape, *flatten_constraints(self, gain_shape)))
         return self._flattened[1:]
 
     def null_basis(self, gain_shape):
@@ -371,14 +370,14 @@ class Evaluation:
     """The closed loop at the gain ``K``, factored once, and its cost.
 
     ``solver`` is the Schur factorization of ``A + B K C``, whose
-    ``abscissa`` is the closed-loop spectral abscissa; ``P`` solves the
-    closed-loop Lyapunov equation with the effective weight; ``cost`` is
-    ``trace(P @ X0)``.
+    ``abscissa`` is the closed-loop spectral abscissa; ``P``, symmetric,
+    solves the closed-loop Lyapunov equation with the effective weight;
+    ``cost`` is ``trace(P @ X0)``.
     """
 
     K: np.ndarray
     solver: SchurSolver
-    P: LyapunovSolution
+    P: np.ndarray
     cost: float
 
 
@@ -399,9 +398,10 @@ def evaluate(plant, costspec, K):
     """
     K = np.asarray(K, dtype=float)
     solver = _factor(plant, K)
-    P = solve_lyapunov_primal(solver, effective_weight(costspec, plant, K))
+    P = solver.solve_primal(effective_weight(costspec, plant, K))
+    P = 0.5 * (P + P.T)
     return Evaluation(K=K, solver=solver, P=P,
-                      cost=float(np.trace(P.value @ costspec.X0)))
+                      cost=float(np.trace(P @ costspec.X0)))
 
 
 def evaluate_step(plant, costspec, current, K):
@@ -430,13 +430,11 @@ def evaluate_step(plant, costspec, current, K):
     # Half the change of the effective weight, so that D = half + half^T
     # is symmetric to the last bit.
     weight = (current.K @ plant.C).T @ RdKC + 0.5 * (dKC.T @ RdKC)
-    half = P.value @ plant.B @ dKC + weight
+    half = P @ plant.B @ dKC + weight
     dP = solver.solve_primal(half + half.T)
     dP = 0.5 * (dP + dP.T)
     dJ = float(np.vdot(dP, costspec.X0))
-    P_new = LyapunovSolution(value=P.value + dP, operator=solver.matrix,
-                             rhs=P.rhs + (weight + weight.T))
-    return Evaluation(K=K, solver=solver, P=P_new,
+    return Evaluation(K=K, solver=solver, P=P + dP,
                       cost=current.cost + dJ), dJ
 
 

@@ -120,23 +120,32 @@ class Problem:
         return replace(self, params=replace(self.params, **overrides))
 
 
-def _matrix_field(data, key, required=True):
+def _matrix_field(data, key, required=True, prefix=""):
+    name = prefix + key
     if key not in data:
         if required:
-            raise ProblemFormatError(f"field '{key}': missing")
+            raise ProblemFormatError(f"field '{name}': missing")
         return None
     try:
         M = np.array(data[key], dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{key}': not a numeric matrix "
+        raise ProblemFormatError(f"field '{name}': not a numeric matrix "
                                  f"({exc})") from exc
     if M.ndim != 2:
         raise ProblemFormatError(
-            f"field '{key}': expected a 2-D array, got ndim={M.ndim}"
+            f"field '{name}': expected a 2-D array, got ndim={M.ndim}"
         )
     if not np.all(np.isfinite(M)):
-        raise ProblemFormatError(f"field '{key}': non-finite entries")
+        raise ProblemFormatError(f"field '{name}': non-finite entries")
     return M
+
+
+def _list_field(data, key, prefix=""):
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ProblemFormatError(
+            f"field '{prefix}{key}': expected a list, got {value!r}")
+    return value
 
 
 def problem_from_dict(data):
@@ -182,7 +191,7 @@ def problem_from_dict(data):
         )
 
     constraints = []
-    for k, entry in enumerate(data.get("constraints", [])):
+    for k, entry in enumerate(_list_field(data, "constraints")):
         if not isinstance(entry, dict) or "terms" not in entry \
                 or "rhs" not in entry:
             raise ProblemFormatError(
@@ -190,21 +199,28 @@ def problem_from_dict(data):
                 f"'terms' and 'rhs'"
             )
         terms = []
-        for t, term in enumerate(entry["terms"]):
-            left = _matrix_field(term, "left")
-            right = _matrix_field(term, "right")
+        for t, term in enumerate(_list_field(entry, "terms",
+                                             f"constraints[{k}].")):
+            where = f"constraints[{k}].terms[{t}]"
+            if not isinstance(term, dict):
+                raise ProblemFormatError(
+                    f"field '{where}': expected an object with 'left' and "
+                    f"'right'"
+                )
+            left = _matrix_field(term, "left", prefix=f"{where}.")
+            right = _matrix_field(term, "right", prefix=f"{where}.")
             if left.shape[1] != plant.ninputs:
                 raise ProblemFormatError(
-                    f"field 'constraints[{k}].terms[{t}].left': expected "
+                    f"field '{where}.left': expected "
                     f"{plant.ninputs} columns, got {left.shape[1]}"
                 )
             if right.shape[0] != plant.noutputs:
                 raise ProblemFormatError(
-                    f"field 'constraints[{k}].terms[{t}].right': expected "
+                    f"field '{where}.right': expected "
                     f"{plant.noutputs} rows, got {right.shape[0]}"
                 )
             terms.append(ConstraintTerm(left=left, right=right))
-        rhs = _matrix_field(entry, "rhs")
+        rhs = _matrix_field(entry, "rhs", prefix=f"constraints[{k}].")
         try:
             constraints.append(Constraint(terms=tuple(terms), rhs=rhs))
         except ValueError as exc:
@@ -267,15 +283,26 @@ def problem_to_dict(problem):
 
 
 def load_problem(path):
-    """Parse a JSON problem file."""
+    """Parse a JSON problem file.
+
+    A file that cannot be read or decoded as UTF-8 JSON raises
+    :class:`ProblemFormatError`.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+    except OSError as exc:
+        raise ProblemFormatError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
     return problem_from_dict(data)
 
 

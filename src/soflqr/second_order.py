@@ -100,12 +100,12 @@ def _schur_factors(plant, costspec, K, gp):
     K = np.asarray(K, dtype=float)
     B, C, R = plant.B, plant.C, costspec.R
     U = gp.evaluation.solver.U
-    Ms = U.T @ (gp.evaluation.P.value @ B + C.T @ K.T @ R)
-    return Ms, U.T @ C.T, U.T @ B, U.T @ (gp.gramian.value @ C.T)
+    Ms = U.T @ (gp.evaluation.P @ B + C.T @ K.T @ R)
+    return Ms, U.T @ C.T, U.T @ B, U.T @ (gp.gramian @ C.T)
 
 
 def _assemble(plant, costspec, gp, Z, ZSZ):
-    CGCt = plant.C @ gp.gramian.value @ plant.C.T
+    CGCt = plant.C @ gp.gramian @ plant.C.T
     R = costspec.R
     weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
     return ZSZ + ZSZ.T + 2.0 * (Z.T @ weight @ Z)

@@ -1,11 +1,13 @@
 """Independent verification oracles.
 
-Everything here deliberately avoids the production solve paths: costs
-are differenced numerically, Lyapunov equations are solved through the
-dense Kronecker linear system, the optimal full-information gain comes
-from a Riccati fixed-point iteration, and the cost integral is evaluated
-by quadrature on matrix exponentials.  These routines back the test
-suite and the CLI ``check-gradient`` / ``check-hessian`` commands.
+Each oracle reaches its answer by a different route from the analytic
+derivatives it checks: costs and gradients from the production solves
+are differenced numerically, the dense Kronecker linear system solves
+Lyapunov equations without a Schur factorization, the optimal
+full-information gain comes from a Riccati fixed-point iteration on
+``SchurSolver`` solves, and the cost integral is evaluated by quadrature
+on matrix exponentials.  These routines back the test suite and the CLI
+``check-gradient`` / ``check-hessian`` commands.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .first_order import gradient
-from .lyapunov import NotHurwitzError, solve_lyapunov_primal, unvec, vec
+from .lyapunov import NotHurwitzError, SchurSolver, unvec, vec
 from .problem import InfiniteCostError, closed_loop, cost, effective_weight
 
 __all__ = [
@@ -252,13 +254,13 @@ def are_gain(plant, costspec, K_init=None, tol=1e-12, max_iters=500):
 
     for _ in range(max_iters):
         try:
-            P = solve_lyapunov_primal(A + B @ K, Q + K.T @ R @ K)
+            P = SchurSolver(A + B @ K).solve_primal(Q + K.T @ R @ K)
         except NotHurwitzError as exc:
             raise RuntimeError(
                 "Riccati iteration left the stabilizing set; the initial "
                 "gain must stabilize A + B K"
             ) from exc
-        K_next = -Rinv @ B.T @ P.value
+        K_next = -Rinv @ B.T @ (0.5 * (P + P.T))
         if np.abs(K_next - K).max() <= tol:
             return K_next
         K = K_next

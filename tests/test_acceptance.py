@@ -12,6 +12,7 @@ import pytest
 from soflqr import (
     ConstraintSet,
     Plant,
+    SchurSolver,
     builtin_problem,
     evaluate,
     first_order_solve,
@@ -19,7 +20,6 @@ from soflqr import (
     hessian,
     newton_solve,
     pt_matrix,
-    solve_lyapunov_primal,
 )
 from soflqr.verify import are_gain, error_report, fd_gradient, fd_hessian, \
     kron_hessian, kron_lyapunov
@@ -214,14 +214,14 @@ def test_criterion_8_lyapunov_cross_check():
         A = stable_plant(rng, n, 1, 1).A
         Qc = rng.standard_normal((n, n))
         Qc = Qc + Qc.T
-        sol = solve_lyapunov_primal(A, Qc)
+        X = SchurSolver(A).solve_primal(Qc)
         reference = kron_lyapunov(A, Qc)
-        rel = (np.linalg.norm(sol.value - reference, "fro")
+        rel = (np.linalg.norm(X - reference, "fro")
                / np.linalg.norm(reference, "fro"))
         worst_rel = max(worst_rel, rel)
         bound = 1e-8 * max(1.0, np.linalg.norm(Qc, "fro"))
-        worst_residual_ratio = max(worst_residual_ratio,
-                                   sol.residual_norm / bound)
+        residual = np.linalg.norm(A.T @ X + X @ A + Qc, "fro")
+        worst_residual_ratio = max(worst_residual_ratio, residual / bound)
     report(8, worst_rel <= 1e-8 and worst_residual_ratio <= 1.0,
            f"Schur solver vs Kronecker oracle on 50 instances: worst rel "
            f"error {worst_rel:.2e} (tol 1e-08), worst residual at "
@@ -284,7 +284,7 @@ def test_criterion_11_descent_with_stability(aircraft_newton, aircraft_grad,
         stable &= all(r.spectral_abscissa < 0.0
                       for r in result.trace.records)
         for K in result.iterates:
-            P = evaluate(plant, costspec, K).P.value
+            P = evaluate(plant, costspec, K).P
             certified &= np.linalg.eigvalsh(P).min() > 0.0
     ok = monotone and stable and certified
     report(11, ok,

@@ -163,6 +163,32 @@ class TestSolve:
     def test_unknown_problem_name(self, capsys):
         assert main(["solve", "nosuch"]) == 3
 
+    # Each case and what its error message must name.
+    UNREADABLE = {
+        "constraints=7": "'constraints'",
+        "terms=5": "'constraints[0].terms'",
+        "terms=[5]": "'constraints[0].terms[0]'",
+        "terms=null": "'constraints[0].terms'",
+        "directory": "p.json",
+        "latin-1": "p.json",
+    }
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_unreadable_or_malformed_file(self, tmp_path, capsys, case):
+        path = tmp_path / "p.json"
+        if case == "constraints=7":
+            write_problem(path, constraints=7)
+        elif case.startswith("terms="):
+            terms = json.loads(case[len("terms="):])
+            write_problem(path, constraints=[{"terms": terms,
+                                              "rhs": [[0.0]]}])
+        elif case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+        assert main(["solve", str(path)]) == 3
+        assert self.UNREADABLE[case] in capsys.readouterr().err
+
     def test_file_overrides_respected(self, tmp_path):
         # max_iters = 1 cannot converge from the benchmark start.
         path = write_problem(tmp_path / "p.json")

@@ -27,8 +27,8 @@ class TestGradient:
         # grad = 2 * 0.5 * 0.5 = 0.5 at K = 0.
         plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         gp = gradient(plant, identity_cost(1, 1), [[0.0]])
-        assert gp.evaluation.P.value[0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert gp.gramian.value[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert gp.evaluation.P[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert gp.gramian[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert gp.grad[0, 0] == pytest.approx(0.5, abs=1e-13)
 
     def test_vanishes_at_full_information_optimum(self):
@@ -57,7 +57,7 @@ class TestGradient:
         rng = np.random.default_rng(35)
         plant = stable_plant(rng, 3, 1, 2)
         gp = gradient(plant, identity_cost(3, 1), np.zeros((1, 2)))
-        assert np.linalg.eigvalsh(gp.evaluation.P.value).min() > 0.0
+        assert np.linalg.eigvalsh(gp.evaluation.P).min() > 0.0
 
     def test_cost_accessor_matches_cost(self):
         prob = builtin_problem("example2")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from soflqr import (
+    CostSpec,
     NotHurwitzError,
     SchurSolver,
     builtin_problem,
-    kron,
-    solve_lyapunov_adjoint,
-    solve_lyapunov_primal,
+    evaluate,
+    gradient,
     spectral_abscissa,
     unvec,
     vec,
@@ -33,6 +33,11 @@ def characteristic_polynomial(M):
         N = M @ N + coeffs[k - 1] * np.eye(n)
         coeffs[k] = -np.trace(M @ N) / k
     return coeffs
+
+
+def primal_residual(A, X, Q):
+    """Frobenius norm of ``A^T X + X A + Q``."""
+    return float(np.linalg.norm(A.T @ X + X @ A + Q, "fro"))
 
 
 class TestSpectralAbscissa:
@@ -63,34 +68,40 @@ class TestSpectralAbscissa:
 
 class TestPrimalSolve:
     def test_identity_case(self):
-        sol = solve_lyapunov_primal(-np.eye(2), 2.0 * np.eye(2))
-        np.testing.assert_allclose(sol.value, np.eye(2), atol=1e-14)
-        assert sol.residual_norm < 1e-12
+        A, Q = -np.eye(2), 2.0 * np.eye(2)
+        X = SchurSolver(A).solve_primal(Q)
+        np.testing.assert_allclose(X, np.eye(2), atol=1e-14)
+        assert primal_residual(A, X, Q) < 1e-12
 
     def test_scalar(self):
-        sol = solve_lyapunov_primal(np.array([[-2.0]]), np.array([[4.0]]))
-        assert sol.value[0, 0] == pytest.approx(1.0, abs=1e-14)
+        X = SchurSolver(np.array([[-2.0]])).solve_primal(np.array([[4.0]]))
+        assert X[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(42)
         A = stable_plant(rng, 3, 1, 1).A
-        sol = solve_lyapunov_primal(A, np.eye(3))
+        X = SchurSolver(A).solve_primal(np.eye(3))
         oracle = kron_lyapunov(A, np.eye(3))
-        np.testing.assert_allclose(sol.value, oracle, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(X, oracle, rtol=0, atol=1e-10)
 
     def test_result_exactly_symmetric(self):
+        # The cost matrix P and the Gramian G the solvers read are
+        # symmetrized after the solve; K = 0 leaves the closed loop A.
         rng = np.random.default_rng(7)
-        A = stable_plant(rng, 4, 1, 1).A
-        Qc = np.diag([1.0, 2.0, 3.0, 4.0])
-        sol = solve_lyapunov_primal(A, Qc)
-        assert np.array_equal(sol.value, sol.value.T)
+        plant = stable_plant(rng, 4, 1, 1)
+        costspec = CostSpec(Q=np.diag([1.0, 2.0, 3.0, 4.0]), R=np.eye(1),
+                            X0=np.eye(4))
+        gp = gradient(plant, costspec, evaluate(plant, costspec,
+                                                np.zeros((1, 1))))
+        assert np.array_equal(gp.evaluation.P, gp.evaluation.P.T)
+        assert np.array_equal(gp.gramian, gp.gramian.T)
 
     def test_positive_definite_for_definite_weight(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             A = stable_plant(rng, 4, 1, 1).A
-            sol = solve_lyapunov_primal(A, np.eye(4))
-            assert np.linalg.eigvalsh(sol.value).min() > 0.0
+            X = SchurSolver(A).solve_primal(np.eye(4))
+            assert np.linalg.eigvalsh(0.5 * (X + X.T)).min() > 0.0
 
     def test_residual_bound(self):
         rng = np.random.default_rng(13)
@@ -98,39 +109,34 @@ class TestPrimalSolve:
             A = stable_plant(rng, 5, 1, 1).A
             Qc = rng.standard_normal((5, 5))
             Qc = Qc + Qc.T
-            sol = solve_lyapunov_primal(A, Qc)
-            assert sol.residual_norm <= 1e-8 * max(1.0,
-                                                   np.linalg.norm(Qc, "fro"))
+            X = SchurSolver(A).solve_primal(Qc)
+            assert primal_residual(A, X, Qc) <= 1e-8 * max(
+                1.0, np.linalg.norm(Qc, "fro"))
 
     def test_rejects_unstable(self):
         with pytest.raises(NotHurwitzError):
-            solve_lyapunov_primal(np.array([[1.0]]), np.array([[1.0]]))
+            SchurSolver(np.array([[1.0]]))
 
     def test_rejects_marginal(self):
         # Abscissa in (-1e-10, 0) counts as non-Hurwitz.
         with pytest.raises(NotHurwitzError):
-            solve_lyapunov_primal(np.array([[-1e-12]]), np.array([[1.0]]))
-
-    def test_rejects_asymmetric_weight(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_lyapunov_primal(-np.eye(2),
-                                  np.array([[0.0, 1.0], [0.0, 0.0]]))
+            SchurSolver(np.array([[-1e-12]]))
 
 
 class TestAdjointSolve:
     def test_identity_case(self):
-        sol = solve_lyapunov_adjoint(-np.eye(3), 2.0 * np.eye(3))
-        np.testing.assert_allclose(sol.value, np.eye(3), atol=1e-14)
+        Y = SchurSolver(-np.eye(3)).solve_adjoint(2.0 * np.eye(3))
+        np.testing.assert_allclose(Y, np.eye(3), atol=1e-14)
 
     def test_scalar(self):
-        sol = solve_lyapunov_adjoint(np.array([[-1.0]]), np.array([[1.0]]))
-        assert sol.value[0, 0] == pytest.approx(0.5, abs=1e-14)
+        Y = SchurSolver(np.array([[-1.0]])).solve_adjoint(np.array([[1.0]]))
+        assert Y[0, 0] == pytest.approx(0.5, abs=1e-14)
 
     def test_psd_for_psd_input(self):
         rng = np.random.default_rng(17)
         A = stable_plant(rng, 4, 1, 1).A
-        sol = solve_lyapunov_adjoint(A, np.eye(4))
-        assert np.linalg.eigvalsh(sol.value).min() > 0.0
+        Y = SchurSolver(A).solve_adjoint(np.eye(4))
+        assert np.linalg.eigvalsh(0.5 * (Y + Y.T)).min() > 0.0
 
     def test_adjoint_pairing(self):
         # <primal(Q), X> = <Q, adjoint(X)> independently solved on each side.
@@ -142,8 +148,9 @@ class TestAdjointSolve:
             Q = Q + Q.T
             X = rng.standard_normal((n, n))
             X = X + X.T
-            left = np.trace(solve_lyapunov_primal(A, Q).value.T @ X)
-            right = np.trace(Q.T @ solve_lyapunov_adjoint(A, X).value)
+            solver = SchurSolver(A)
+            left = np.trace(solver.solve_primal(Q).T @ X)
+            right = np.trace(Q.T @ solver.solve_adjoint(X))
             assert left == pytest.approx(right, rel=1e-9)
 
 
@@ -217,10 +224,10 @@ class TestKron:
     def test_block_diagonal(self):
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         expected = np.block([[M, np.zeros((2, 2))], [np.zeros((2, 2)), M]])
-        np.testing.assert_array_equal(kron(np.eye(2), M), expected)
+        np.testing.assert_array_equal(np.kron(np.eye(2), M), expected)
 
     def test_row_vectors(self):
-        np.testing.assert_array_equal(kron([0.0, 1.0], [1.0, 0.0]),
+        np.testing.assert_array_equal(np.kron([0.0, 1.0], [1.0, 0.0]),
                                       [0.0, 0.0, 1.0, 0.0])
 
     def test_vectorization_identity(self):
@@ -228,4 +235,4 @@ class TestKron:
         rng = np.random.default_rng(37)
         A, X, B = (rng.standard_normal((2, 2)) for _ in range(3))
         np.testing.assert_allclose(vec(A @ X @ B),
-                                   kron(B.T, A) @ vec(X), atol=1e-14)
+                                   np.kron(B.T, A) @ vec(X), atol=1e-14)

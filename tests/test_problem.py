@@ -137,7 +137,7 @@ class TestCost:
         plant, costspec = scalar_problem()
         ev = evaluate(plant, costspec, [[0.0]])
         assert ev.cost == pytest.approx(0.5, abs=1e-12)
-        assert np.linalg.eigvalsh(ev.P.value).min() > 0.0
+        assert np.linalg.eigvalsh(ev.P).min() > 0.0
 
     def test_finite_iff_stabilizing(self):
         rng = np.random.default_rng(101)
@@ -270,6 +270,25 @@ class TestCheckFeasible:
 
     def test_empty_set_always_feasible(self):
         assert check_feasible(ConstraintSet.empty(), np.ones((3, 3)))
+
+    def test_set_cannot_change_after_use(self):
+        # The flattened system is cached on first use, so a set that
+        # could still change would answer for its old constraints.
+        pin = Constraint(
+            terms=(ConstraintTerm(left=[[1.0, 0.0]],
+                                  right=[[1.0], [0.0], [0.0]]),),
+            rhs=[[1.0]],
+        )
+        K0 = builtin_problem("example1").gain0
+        given = []
+        cs = ConstraintSet(constraints=given)
+        assert check_feasible(cs, K0)
+        with pytest.raises(AttributeError):
+            cs.constraints.append(pin)
+        given.append(pin)
+        assert len(cs) == 0
+        assert check_feasible(cs, K0)
+        assert not check_feasible(ConstraintSet(constraints=given), K0)
 
 
 class TestWeightsFromPerformanceOutput:

@@ -76,7 +76,7 @@ def _term_scale(plant, costspec, gp):
     # Size of the Hessian's terms before they are summed: the input-weight
     # term and, with |abscissa| for the Lyapunov gain, the solved terms.
     norm = np.linalg.norm
-    P, G = gp.evaluation.P.value, gp.gramian.value
+    P, G = gp.evaluation.P, gp.gramian
     B, C = plant.B, plant.C
     return norm(G, 2) * norm(C, 2) ** 2 * (
         norm(costspec.R, 2)

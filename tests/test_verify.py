@@ -6,11 +6,11 @@ import pytest
 from soflqr import (
     InfiniteCostError,
     Plant,
+    SchurSolver,
     builtin_problem,
     cost,
     gradient,
     hessian,
-    solve_lyapunov_primal,
 )
 from soflqr.verify import (
     are_gain,
@@ -102,7 +102,7 @@ class TestKronLyapunov:
         A = stable_plant(rng, 3, 1, 1).A
         Qc = rng.standard_normal((3, 3))
         Qc = Qc + Qc.T
-        schur_based = solve_lyapunov_primal(A, Qc).value
+        schur_based = SchurSolver(A).solve_primal(Qc)
         np.testing.assert_allclose(kron_lyapunov(A, Qc), schur_based,
                                    rtol=0, atol=1e-8)
 
@@ -141,7 +141,7 @@ class TestAreGain:
             K = are_gain(plant, costspec)
             Ac = plant.A + plant.B @ K
             assert np.max(np.linalg.eigvals(Ac).real) < 0.0
-            P = solve_lyapunov_primal(Ac, costspec.Q + K.T @ K).value
+            P = SchurSolver(Ac).solve_primal(costspec.Q + K.T @ K)
             residual = (plant.A.T @ P + P @ plant.A
                         - P @ plant.B @ plant.B.T @ P + costspec.Q)
             assert np.abs(residual).max() <= 1e-9
