@@ -9,13 +9,16 @@ for a Hurwitz matrix ``Ac``, via the Bartels-Stewart method (real Schur
 factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
+``SchurSolver`` calls the LAPACK routines ``gees`` (factorization) and
+``trsyl`` (Sylvester solve) directly; the ``gees`` workspace size is
+queried once per matrix order.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
 """
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, schur
+from scipy.linalg import get_lapack_funcs
 
 __all__ = [
     "HURWITZ_MARGIN",
@@ -30,6 +33,17 @@ __all__ = [
 # accepted as Hurwitz; near-marginal closed loops make the Lyapunov solve
 # ill-conditioned.
 HURWITZ_MARGIN = -1e-10
+
+_gees, _trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+# Optimal ``gees`` workspace length per matrix order.  It depends on the
+# order alone, so every caller can share it; ``scipy.linalg.schur``
+# repeats the query on each call.
+_GEES_LWORK = {}
+
+
+def _no_sort(wr, wi):
+    # ``gees`` takes an eigenvalue selector; unsorted, it is never called.
+    return None
 
 
 class NotHurwitzError(ValueError):
@@ -86,9 +100,11 @@ class SchurSolver:
     Factorizes ``Ac = U T U^T`` (real Schur form) on construction and
     solves each right-hand side with a single quasi-triangular Sylvester
     solve (LAPACK ``trsyl``), so repeated solves cost O(n^2) beyond the
-    one-time O(n^3) factorization.  ``T`` and ``U`` are kept;
-    :meth:`solve_schur` is the kernel in their coordinates, which
-    :meth:`solve_primal` and :meth:`solve_adjoint` wrap in the basis change.
+    one-time O(n^3) factorization (LAPACK ``gees``, with the workspace
+    and results of ``scipy.linalg.schur(Ac, output="real")``).  ``T`` and
+    ``U`` are kept; :meth:`solve_schur` is the kernel in their
+    coordinates, which :meth:`solve_primal` and :meth:`solve_adjoint` wrap
+    in the basis change.
 
     Raises
     ------
@@ -98,17 +114,27 @@ class SchurSolver:
 
     def __init__(self, Ac):
         Ac = np.asarray(Ac, dtype=float)
-        if Ac.ndim != 2 or Ac.shape[0] != Ac.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {Ac.shape}")
+        if Ac.ndim != 2 or Ac.shape[0] != Ac.shape[1] or not Ac.size:
+            raise ValueError(
+                f"expected a non-empty square matrix, got shape {Ac.shape}"
+            )
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
-        self.T, self.U = schur(Ac, output="real")
+        n = Ac.shape[0]
+        lwork = _GEES_LWORK.get(n)
+        if lwork is None:
+            work = _gees(_no_sort, Ac, lwork=-1)[-2]
+            lwork = _GEES_LWORK[n] = int(work[0])
+        self.T, _, _, _, self.U, _, info = _gees(_no_sort, Ac, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"gees: Schur form not found (info {info})"
+            )
         # A 2x2 block of LAPACK's real Schur form has equal diagonal
         # entries, the real part of its complex-conjugate eigenvalues.
         self.abscissa = float(np.diag(self.T).max())
         if self.abscissa >= HURWITZ_MARGIN:
             raise NotHurwitzError(self.abscissa)
-        self._trsyl = get_lapack_funcs("trsyl", (self.T,))
 
     def solve_schur(self, Wt, adjoint=False):
         """Solve ``T^T Z + Z T + Wt = 0`` in Schur coordinates.
@@ -118,8 +144,8 @@ class SchurSolver:
         solves the primal (adjoint) equation with constant term ``W``.
         """
         trana, tranb = ("N", "T") if adjoint else ("T", "N")
-        x, scale, info = self._trsyl(self.T, self.T, -Wt, isgn=1,
-                                     trana=trana, tranb=tranb)
+        x, scale, info = _trsyl(self.T, self.T, -Wt, isgn=1,
+                                trana=trana, tranb=tranb)
         if info < 0:
             raise np.linalg.LinAlgError(
                 f"trsyl: illegal value in argument {-info}"

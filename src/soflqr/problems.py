@@ -3,7 +3,7 @@
 A problem file is a JSON object with named matrix fields::
 
     {
-      "name": "...",                       # optional
+      "name": "...",                       # optional string
       "A": [[...]], "B": [[...]], "C": [[...]],
       "Q": [[...]], "R": [[...]],
       "X0": [[...]],                       # optional, defaults to identity
@@ -153,6 +153,10 @@ def problem_from_dict(data):
     field so errors name the offending entry."""
     if not isinstance(data, dict):
         raise ProblemFormatError("problem file must be a JSON object")
+    name = data.get("name")
+    if "name" in data and not isinstance(name, str):
+        raise ProblemFormatError(
+            f"field 'name': expected a string, got {name!r}")
     A = _matrix_field(data, "A")
     B = _matrix_field(data, "B")
     C = _matrix_field(data, "C")
@@ -242,7 +246,7 @@ def problem_from_dict(data):
     return Problem(
         plant=plant, costspec=costspec,
         constraints=ConstraintSet(constraints=constraints),
-        gain0=K0, params=params, name=data.get("name"),
+        gain0=K0, params=params, name=name,
     )
 
 

@@ -8,12 +8,15 @@ full-information gain comes from a Riccati fixed-point iteration on
 ``SchurSolver`` solves, and the cost integral is evaluated by quadrature
 on matrix exponentials.  These routines back the test suite and the CLI
 ``check-gradient`` / ``check-hessian`` commands.
+
+Importing this module loads ``scipy.linalg`` only: ``quadrature_cost``
+imports ``scipy.integrate`` (with ``scipy.optimize`` and
+``scipy.special``) on its first call, so the CLI does not pay for it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .first_order import gradient
@@ -280,6 +283,8 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
 
     Raises :class:`InfiniteCostError` for non-stabilizing gains.
     """
+    from scipy.integrate import simpson
+
     if horizon <= 0.0 or steps < 2:
         raise ValueError("horizon must be positive and steps at least 2")
     K = np.asarray(K, dtype=float)

@@ -171,6 +171,8 @@ class TestSolve:
         "terms=null": "'constraints[0].terms'",
         "directory": "p.json",
         "latin-1": "p.json",
+        "name=[1]": "'name'",
+        "name=5": "'name'",
     }
 
     @pytest.mark.parametrize("case", UNREADABLE)
@@ -182,6 +184,8 @@ class TestSolve:
             terms = json.loads(case[len("terms="):])
             write_problem(path, constraints=[{"terms": terms,
                                               "rhs": [[0.0]]}])
+        elif case.startswith("name="):
+            write_problem(path, name=json.loads(case[len("name="):]))
         elif case == "directory":
             path.mkdir()
         else:

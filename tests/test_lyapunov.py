@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from soflqr import (
     CostSpec,
@@ -197,6 +198,28 @@ class TestSchurSolver:
             rightmost.add(bool(eigs[np.argmax(eigs.real)].imag != 0.0))
         assert checked >= 100
         assert rightmost == {False, True}
+
+    def test_factor_equals_scipy_schur(self):
+        # The second order-3 matrix reuses the workspace size queried for
+        # the first.
+        rng = np.random.default_rng(37)
+        for n in (1, 3, 40, 3):
+            A = stable_plant(rng, n, 1, 1).A
+            T, U = scipy.linalg.schur(A, output="real")
+            solver = SchurSolver(A)
+            np.testing.assert_array_equal(solver.T, T)
+            np.testing.assert_array_equal(solver.U, U)
+
+    @pytest.mark.parametrize("Ac, error", [
+        (np.array([[-1.0, np.nan], [0.0, -1.0]]), ValueError),
+        (np.array([[-1.0, np.inf], [0.0, -1.0]]), ValueError),
+        (np.zeros((0, 0)), ValueError),
+        # The unstable eigenvalue is not the first on the diagonal.
+        (np.array([[-1.0, 5.0], [0.0, 0.5]]), NotHurwitzError),
+    ], ids=["nan", "inf", "empty", "unstable"])
+    def test_rejects_bad_input(self, Ac, error):
+        with pytest.raises(error):
+            SchurSolver(Ac)
 
 
 class TestVecUnvec:
