@@ -57,6 +57,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_step(text):
+    """``--step`` value: a finite, positive float."""
+    try:
+        value = float(text)
+        if np.isfinite(value) and value > 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a finite positive number, got {text!r}")
+
+
 def _build_parser():
     parser = _Parser(
         prog="soflqr",
@@ -96,7 +108,7 @@ def _build_parser():
         )
         check.add_argument("problem",
                            help="problem file path or built-in name")
-        check.add_argument("--step", type=float, default=None,
+        check.add_argument("--step", type=_positive_step, default=None,
                            help="finite-difference step size")
         # Negative-control hook for testing the check itself.
         check.add_argument("--perturb", type=float, default=0.0,
@@ -222,7 +234,7 @@ def _cmd_check(args, which):
 
     plant, costspec, K0 = problem.plant, problem.costspec, problem.gain0
     gp = gradient(plant, costspec, K0)
-    step = {"h": args.step} if args.step else {}
+    step = {} if args.step is None else {"h": args.step}
     try:
         if which == "gradient":
             analytic = gp.grad.copy()

@@ -101,6 +101,10 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
     ``||delta||`` is reported as the result's ``step_norm``, else the
     last accepted step is.  A direction without descent, or a line
     search that cannot certify a decrease, ends the run as stalled.
+
+    Each line search after the first starts one power of ``beta`` above
+    the step the previous one accepted (see :func:`line_search`); the
+    first starts at the unit step.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -140,7 +144,7 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
             break
         try:
             ev, t, evals = line_search(plant, costspec, cs, ev, delta,
-                                       gp.grad, alpha, beta)
+                                       gp.grad, alpha, beta, t_prev=last_t)
         except (LineSearchStalled, NotDescentError) as exc:
             status = "stalled"
             logger.info(

@@ -1,11 +1,25 @@
 """Backtracking line search with a closed-loop stability guard.
 
-Shared by the gradient-projection and Newton solvers: starting from a
-unit step, the step size is shrunk geometrically until the trial gain
-keeps the closed loop Hurwitz and satisfies the Armijo
-sufficient-decrease condition.  The decrease is the exact cost change
-of :func:`evaluate_step`, not the difference of two rounded costs.
+Shared by the gradient-projection and Newton solvers: the trial steps
+are the powers ``1, beta, beta^2, ...`` (built by repeated
+multiplication), tried in decreasing order until the trial gain keeps
+the closed loop Hurwitz and satisfies the Armijo sufficient-decrease
+condition.  The decrease is the exact cost change of
+:func:`evaluate_step`, not the difference of two rounded costs.
+
+A search is warm-started: it begins one power of ``beta`` above the step
+the previous search accepted, not at the unit step.  The cold search
+accepts the largest acceptable power ``beta^k``; a warm search that
+begins at a power at or above ``beta^k`` skips only powers the cold
+search rejected, so it accepts the same step.  The two differ only when
+the accepted step would grow by more than ``1/beta`` in one iteration.
+If the warm-started powers run down to ``MIN_STEP``, the skipped ones
+are tried next, largest first, before the search stalls.
 """
+
+from bisect import bisect_left
+from functools import lru_cache
+from operator import neg
 
 import numpy as np
 
@@ -33,11 +47,25 @@ class NotDescentError(ValueError):
     """The search direction has a nonnegative slope along the gradient."""
 
 
-def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
+@lru_cache(maxsize=8)
+def _powers(beta):
+    """The trial steps ``1, beta, beta^2, ...`` above ``MIN_STEP``."""
+    powers = []
+    t = 1.0
+    while t > MIN_STEP:
+        powers.append(t)
+        t *= beta
+    return tuple(powers)
+
+
+def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
+                t_prev=None):
     """Backtracking search along the descent direction ``delta``.
 
-    Accepts the first ``t`` in ``1, beta, beta^2, ...`` whose exact cost
-    change ``dJ`` satisfies the Armijo condition
+    Tries the powers ``1, beta, beta^2, ...`` above ``MIN_STEP`` from
+    the smallest power above ``t_prev`` downwards, then the skipped
+    larger powers from ``1`` down, and accepts the first ``t`` whose
+    exact cost change ``dJ`` satisfies the Armijo condition
     ``dJ <= alpha * t * <grad, delta>`` (with the full gradient ``grad``)
     and leaves ``J(K) + dJ`` strictly below ``J(K)`` in floating point.
     Destabilizing trial points count as rejections.
@@ -50,14 +78,19 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
         Evaluation at the current gain ``K``; its cost is ``J(K)``.
     grad : ndarray
         Cost gradient at ``K`` (not the projected gradient).
+    t_prev : float, optional
+        Step accepted by the previous search.  When it is a power
+        ``beta^k``, the search starts at ``beta^(k-1)``.  ``None`` or 0
+        (no previous step) starts a cold search at ``t = 1``.
 
     Returns
     -------
     (Evaluation, float, int)
         Evaluation at the accepted gain ``K + t*delta``, the accepted
-        ``t``, and the number of cost evaluations performed.  Raises
-        :class:`NotDescentError` if ``<grad, delta> >= 0`` and
-        :class:`LineSearchStalled` if ``t`` falls below ``MIN_STEP``.
+        ``t``, and the number of cost evaluations performed, that is of
+        trials actually evaluated.  Raises :class:`NotDescentError` if
+        ``<grad, delta> >= 0`` and :class:`LineSearchStalled` if every
+        power above ``MIN_STEP`` is rejected.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
@@ -71,17 +104,19 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
             f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
         )
 
-    t = 1.0
-    evals = 0
-    while t > MIN_STEP:
-        evals += 1
+    powers = _powers(beta)
+    # Index of the smallest power above t_prev in the descending table:
+    # beta^(k-1) for t_prev = beta^k.  It is looked up rather than
+    # computed as t_prev / beta, so that every trial step is bit-identical
+    # to the cold search's.
+    first = max(bisect_left(powers, -t_prev, key=neg) - 1, 0) if t_prev else 0
+    for evals, t in enumerate(powers[first:] + powers[:first], start=1):
         try:
             # The Hurwitz gate comes before the Lyapunov solve, so a
             # destabilizing trial is never solved.
             trial, dJ = evaluate_step(plant, costspec, current,
                                       K + t * delta)
         except InfiniteCostError:
-            t *= beta
             continue
         if trial.cost < current_cost and dJ <= alpha * t * slope:
             if len(cs) and not check_feasible(cs, trial.K):
@@ -91,5 +126,4 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta):
                     "null space"
                 )
             return trial, t, evals
-        t *= beta
     raise LineSearchStalled()

@@ -337,6 +337,16 @@ class TestChecks:
                              K0=[[0.0, 0.0], [0.0, 0.0]])
         assert main(["check-gradient", str(path)]) == 4
 
+    @pytest.mark.parametrize("command", ["check-gradient", "check-hessian"])
+    @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
+    def test_step_must_be_finite_and_positive(self, capsys, command, step):
+        # A usage error (exit 3), not a failed check (exit 1), and never
+        # a silent fallback to the default step.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "example2", f"--step={step}"])
+        assert excinfo.value.code == 3
+        assert "--step" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_bad_method_value(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
+import soflqr.first_order
 import soflqr.second_order
 from soflqr import (
     Constraint,
@@ -20,6 +21,7 @@ from soflqr import (
     first_order_solve,
     gradient,
     is_stabilizing,
+    line_search,
     newton_solve,
 )
 
@@ -149,6 +151,29 @@ def test_one_factorization_per_visited_gain(method, monkeypatch):
     assert result.converged
     assert result.iterations > 0
     assert count == 1 + result.line_search_evals
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_warm_start_moves_no_iterate(name, monkeypatch):
+    # The warm-started line search accepts the cold search's step at
+    # every iteration of the gradient runs, with fewer trials.
+    def cold(*args, t_prev=None, **kwargs):
+        return line_search(*args, **kwargs)
+
+    prob = builtin_problem(name)
+    args = (prob.plant, prob.costspec, prob.constraints, prob.gain0)
+    warm = first_order_solve(*args)
+    monkeypatch.setattr(soflqr.first_order, "line_search", cold)
+    reference = first_order_solve(*args)
+    assert warm.status == reference.status == "converged"
+    assert warm.iterations == reference.iterations
+    np.testing.assert_array_equal(warm.K, reference.K)
+    assert warm.cost == reference.cost
+    assert warm.step_norm == reference.step_norm
+    assert warm.trace.costs == reference.trace.costs
+    assert ([r.step_size for r in warm.trace.records]
+            == [r.step_size for r in reference.trace.records])
+    assert warm.line_search_evals < reference.line_search_evals
 
 
 def test_gradient_reuses_evaluation():

@@ -381,6 +381,108 @@ class TestLineSearch:
                         alpha=0.2, beta=0.1)
 
 
+def cold_steps(beta, count):
+    """The first ``count`` steps of a cold search, by repeated
+    multiplication."""
+    steps = [1.0]
+    while len(steps) < count:
+        steps.append(steps[-1] * beta)
+    return steps
+
+
+class TestWarmStart:
+    """``line_search`` started one power above a previous step."""
+
+    @staticmethod
+    def trial_steps(monkeypatch, delta):
+        """Record ``t`` of every trial at ``K = 0`` along ``delta``."""
+        import soflqr.linesearch
+
+        steps = []
+        evaluate_step = soflqr.linesearch.evaluate_step
+
+        def recording(plant, costspec, current, K):
+            steps.append(float(K[0, 0] / delta))
+            return evaluate_step(plant, costspec, current, K)
+
+        monkeypatch.setattr(soflqr.linesearch, "evaluate_step", recording)
+        return steps
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 7, 16])
+    def test_first_trial_is_cold_power(self, k, monkeypatch):
+        # Started above the cold sequence's (k+1)-th step, the search
+        # tries the k-th first, equal to it bit for bit.
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, -1.0)
+        cold = cold_steps(0.1, k + 2)
+        line_search(plant, costspec, ConstraintSet.empty(), gp.evaluation,
+                    np.array([[-1.0]]), gp.grad, alpha=0.2, beta=0.1,
+                    t_prev=cold[k + 1])
+        assert steps[0] == cold[k]
+
+    @pytest.mark.parametrize("t_prev", [None, 0.0, 1.0, 0.5, 4.0])
+    def test_cold_start(self, t_prev, monkeypatch):
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, -0.25)
+        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
+                                  gp.evaluation, np.array([[-0.25]]),
+                                  gp.grad, alpha=0.2, beta=0.1,
+                                  t_prev=t_prev)
+        assert steps == [1.0]
+        assert (t, evals) == (1.0, 1)
+
+    def test_skips_only_rejected_powers(self):
+        # The cold search rejects t = 1 (unstable) and accepts t = 0.1.
+        # Warm from t_prev = 0.01 it starts at 0.1 and accepts it at once.
+        plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        costspec = identity_cost(1, 1)
+        gp = gradient(plant, costspec, [[-3.0]])
+        args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
+                np.array([[2.5]]), gp.grad, 0.2, 0.1)
+        cold_trial, cold_t, cold_evals = line_search(*args)
+        trial, t, evals = line_search(*args, t_prev=cold_steps(0.1, 3)[2])
+        assert (cold_t, cold_evals) == (cold_steps(0.1, 2)[1], 2)
+        assert (t, evals) == (cold_t, 1)
+        np.testing.assert_array_equal(trial.K, cold_trial.K)
+        assert trial.cost == cold_trial.cost
+
+    @pytest.mark.parametrize("t_prev, delta, trials", [
+        # Started past the MIN_STEP floor: the last power, then 1.
+        (1e-300, -0.25, [1e-16, 1.0]),
+        # Started at 1e-11 along a tiny direction: the cost change of
+        # every power from 1e-11 down rounds away, so the search wraps.
+        (cold_steps(0.1, 13)[12], -1e-8,
+         [1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1.0]),
+    ], ids=["past-floor", "tiny-direction"])
+    def test_wraps_to_skipped_powers(self, t_prev, delta, trials,
+                                     monkeypatch):
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, delta)
+        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
+                                  gp.evaluation, np.array([[delta]]),
+                                  gp.grad, alpha=0.2, beta=0.1,
+                                  t_prev=t_prev)
+        assert t == 1.0
+        assert evals == len(trials)
+        np.testing.assert_allclose(steps, trials, rtol=1e-14)
+
+    @pytest.mark.parametrize("t_prev", [0.1, 1e-8, 1e-300])
+    def test_stalls_below_float_resolution(self, t_prev, monkeypatch):
+        # Started warm, the search still tries all 17 powers above
+        # MIN_STEP before it stalls.
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, -1e-300)
+        with pytest.raises(LineSearchStalled):
+            line_search(plant, costspec, ConstraintSet.empty(),
+                        gp.evaluation, np.array([[-1e-300]]), gp.grad,
+                        alpha=0.2, beta=0.1, t_prev=t_prev)
+        assert len(steps) == 17
+
+
 class TestNewtonSolve:
     def test_aircraft_benchmark(self):
         prob = builtin_problem("example1")
