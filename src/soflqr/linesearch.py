@@ -14,12 +14,9 @@ begins at a power at or above ``beta^k`` skips only powers the cold
 search rejected, so it accepts the same step.  The two differ only when
 the accepted step would grow by more than ``1/beta`` in one iteration.
 If the warm-started powers run down to ``MIN_STEP``, the skipped ones
-are tried next, largest first, before the search stalls.
+are tried next, largest first, before the search stalls.  Finding the
+start costs one multiplication per skipped power and stores nothing.
 """
-
-from bisect import bisect_left
-from functools import lru_cache
-from operator import neg
 
 import numpy as np
 
@@ -47,15 +44,25 @@ class NotDescentError(ValueError):
     """The search direction has a nonnegative slope along the gradient."""
 
 
-@lru_cache(maxsize=8)
-def _powers(beta):
-    """The trial steps ``1, beta, beta^2, ...`` above ``MIN_STEP``."""
-    powers = []
-    t = 1.0
+def _trial_steps(beta, t_prev):
+    """The powers ``1, beta, beta^2, ...`` above ``MIN_STEP``, starting at
+    the smallest one above ``t_prev`` and then wrapping to the skipped ones.
+
+    Every step is built by repeated multiplication from 1, never as
+    ``t_prev / beta``, so it is bit-identical to the cold search's.
+    """
+    start, skipped = 1.0, 0
+    while t_prev and start * beta > max(t_prev, MIN_STEP):
+        start *= beta
+        skipped += 1
+    t = start
     while t > MIN_STEP:
-        powers.append(t)
+        yield t
         t *= beta
-    return tuple(powers)
+    t = 1.0
+    for _ in range(skipped):
+        yield t
+        t *= beta
 
 
 def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
@@ -104,13 +111,7 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
             f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
         )
 
-    powers = _powers(beta)
-    # Index of the smallest power above t_prev in the descending table:
-    # beta^(k-1) for t_prev = beta^k.  It is looked up rather than
-    # computed as t_prev / beta, so that every trial step is bit-identical
-    # to the cold search's.
-    first = max(bisect_left(powers, -t_prev, key=neg) - 1, 0) if t_prev else 0
-    for evals, t in enumerate(powers[first:] + powers[:first], start=1):
+    for evals, t in enumerate(_trial_steps(beta, t_prev), start=1):
         try:
             # The Hurwitz gate comes before the Lyapunov solve, so a
             # destabilizing trial is never solved.

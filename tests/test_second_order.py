@@ -469,6 +469,21 @@ class TestWarmStart:
         assert evals == len(trials)
         np.testing.assert_allclose(steps, trials, rtol=1e-14)
 
+    @pytest.mark.parametrize("t_prev", [None, 1.0, 1.0 - 1e-12])
+    def test_beta_near_one_unit_step(self, t_prev, monkeypatch):
+        # With beta this close to 1 there are about 3.7e13 powers above
+        # MIN_STEP; an acceptable unit step is still found after one
+        # trial, without enumerating them.
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, -0.25)
+        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
+                                  gp.evaluation, np.array([[-0.25]]),
+                                  gp.grad, alpha=0.2, beta=1.0 - 1e-12,
+                                  t_prev=t_prev)
+        assert steps == [1.0]
+        assert (t, evals) == (1.0, 1)
+
     @pytest.mark.parametrize("t_prev", [0.1, 1e-8, 1e-300])
     def test_stalls_below_float_resolution(self, t_prev, monkeypatch):
         # Started warm, the search still tries all 17 powers above
