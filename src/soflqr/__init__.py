@@ -25,6 +25,7 @@ from .lyapunov import (
     vec,
 )
 from .problem import (
+    BadStartError,
     Constraint,
     ConstraintSet,
     ConstraintTerm,
@@ -41,6 +42,7 @@ from .problem import (
     cost,
     effective_weight,
     evaluate,
+    evaluate_start,
     evaluate_step,
     flatten_constraints,
     is_stabilizing,
@@ -56,7 +58,6 @@ from .problems import (
     save_problem,
 )
 from .second_order import (
-    NewtonStep,
     PTMatrix,
     hessian,
     newton_solve,
@@ -68,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_NAMES",
+    "BadStartError",
     "Constraint",
     "ConstraintSet",
     "ConstraintTerm",
@@ -77,7 +79,6 @@ __all__ = [
     "InfeasibleConstraintsError",
     "InfiniteCostError",
     "LineSearchStalled",
-    "NewtonStep",
     "NotDescentError",
     "NotHurwitzError",
     "PTMatrix",
@@ -95,6 +96,7 @@ __all__ = [
     "cost",
     "effective_weight",
     "evaluate",
+    "evaluate_start",
     "evaluate_step",
     "first_order_solve",
     "flatten_constraints",

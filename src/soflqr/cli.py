@@ -10,22 +10,26 @@ Subcommands::
     soflqr examples NAME [--out PATH]
 
 PROBLEM is a JSON problem file or the name of a bundled benchmark
-(``example1``, ``example2``).  Exit codes for ``solve``: 0 converged,
-2 not converged, 3 parse error, 4 infeasible or non-stabilizing initial
-gain, 5 internal numerical failure.
+(``example1``, ``example2``).  Exit codes: 0 converged or check passed,
+1 check failed, 2 not converged, 3 parse or usage error (an unwritable
+``--out`` or ``--trace`` path too), 4 bad initial gain K0 (the solvers'
+own start check, :func:`evaluate_start`, or, for the checks, K0 within
+the finite-difference step of the stability margin), 5 internal
+numerical failure.
 """
 
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .first_order import first_order_solve, gradient
-from .lyapunov import NotHurwitzError, SchurSolver
-from .problem import InfeasibleConstraintsError, check_feasible, closed_loop
+from .lyapunov import NotHurwitzError
+from .problem import BadStartError, InfeasibleConstraintsError, evaluate_start
 from .problems import (
     BUILTIN_NAMES,
     ProblemFormatError,
@@ -69,6 +73,21 @@ def _positive_step(text):
         f"must be a finite positive number, got {text!r}")
 
 
+def _output_file(text):
+    """``--out``/``--trace`` value: a path that can be written, checked
+    before any work is done."""
+    path = Path(text)
+    if path.is_dir():
+        reason = "is a directory"
+    elif not path.parent.is_dir():
+        reason = f"no directory {str(path.parent)!r}"
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return path
+    raise argparse.ArgumentTypeError(f"cannot write {text!r}: {reason}")
+
+
 def _build_parser():
     parser = _Parser(
         prog="soflqr",
@@ -96,9 +115,9 @@ def _build_parser():
                        help="line search backtracking factor")
     solve.add_argument("--max-iters", type=int, dest="max_iters",
                        help="iteration cap")
-    solve.add_argument("--out", help="result file path "
+    solve.add_argument("--out", type=_output_file, help="result file path "
                        "(default: <problem>.result.json)")
-    solve.add_argument("--trace", help="trace file path "
+    solve.add_argument("--trace", type=_output_file, help="trace file path "
                        "(default: <problem>.trace.csv)")
 
     for which in ("gradient", "hessian"):
@@ -110,14 +129,12 @@ def _build_parser():
                            help="problem file path or built-in name")
         check.add_argument("--step", type=_positive_step, default=None,
                            help="finite-difference step size")
-        # Negative-control hook for testing the check itself.
-        check.add_argument("--perturb", type=float, default=0.0,
-                           help=argparse.SUPPRESS)
 
     examples = sub.add_parser("examples",
                               help="write a bundled benchmark problem file")
     examples.add_argument("name", help=f"one of: {', '.join(BUILTIN_NAMES)}")
-    examples.add_argument("--out", help="output path (default: <name>.json)")
+    examples.add_argument("--out", type=_output_file,
+                          help="output path (default: <name>.json)")
     return parser
 
 
@@ -134,27 +151,6 @@ def _resolve_problem(spec):
     )
 
 
-def _check_start(problem):
-    """Exit-code-4 conditions: K0 must stabilize and satisfy consistent
-    constraints."""
-    try:
-        SchurSolver(closed_loop(problem.plant, problem.gain0))
-    except NotHurwitzError as exc:
-        return (
-            f"initial gain K0 does not stabilize the plant "
-            f"(closed-loop spectral abscissa {exc.abscissa:.6e}); the solvers "
-            f"assume a stabilizing initial gain is supplied, e.g. from an "
-            f"external stabilization procedure"
-        )
-    try:
-        feasible = check_feasible(problem.constraints, problem.gain0)
-    except InfeasibleConstraintsError as exc:
-        return str(exc)
-    if not feasible:
-        return "initial gain K0 does not satisfy the constraints"
-    return None
-
-
 def _format_gain(K):
     return np.array2string(np.asarray(K), precision=6, suppress_small=False,
                            separator=", ")
@@ -166,17 +162,13 @@ def _cmd_solve(args):
         method=args.method, tol=args.tol, pt_eps=args.pt_eps,
         alpha=args.alpha, beta=args.beta, max_iters=args.max_iters,
     )
-    start_error = _check_start(problem)
-    if start_error is not None:
-        print(f"error: {start_error}", file=sys.stderr)
-        return EXIT_BAD_START
-
     params = problem.params
     common = dict(
         tol=params.resolved_tol(), alpha=params.alpha, beta=params.beta,
         max_iters=params.resolved_max_iters(),
     )
-    # Numerical failures propagate to main, which maps them to exit 5.
+    # A bad start and numerical failures propagate to main, which maps
+    # them to exits 4 and 5.
     if params.method == "newton":
         result = newton_solve(problem.plant, problem.costspec,
                               problem.constraints, problem.gain0,
@@ -186,8 +178,8 @@ def _cmd_solve(args):
                                    problem.constraints, problem.gain0,
                                    **common)
 
-    out_path = Path(args.out) if args.out else Path(f"{stem}.result.json")
-    trace_path = Path(args.trace) if args.trace else Path(f"{stem}.trace.csv")
+    out_path = args.out or Path(f"{stem}.result.json")
+    trace_path = args.trace or Path(f"{stem}.trace.csv")
     payload = {
         "problem": problem.name or args.problem,
         "method": params.method,
@@ -227,30 +219,21 @@ def _cmd_solve(args):
 
 def _cmd_check(args, which):
     problem, _ = _resolve_problem(args.problem)
-    start_error = _check_start(problem)
-    if start_error is not None:
-        print(f"error: {start_error}", file=sys.stderr)
-        return EXIT_BAD_START
-
-    plant, costspec, K0 = problem.plant, problem.costspec, problem.gain0
-    gp = gradient(plant, costspec, K0)
+    plant, costspec = problem.plant, problem.costspec
+    ev = evaluate_start(plant, costspec, problem.constraints, problem.gain0)
+    K0 = ev.K
+    gp = gradient(plant, costspec, ev)
     step = {} if args.step is None else {"h": args.step}
-    try:
-        if which == "gradient":
-            analytic = gp.grad.copy()
-            reference = fd_gradient(plant, costspec, K0, **step)
-            threshold = GRADIENT_CHECK_TOL
-        else:
-            analytic = hessian(plant, costspec, K0, gp)
-            reference = fd_hessian(plant, costspec, K0, **step)
-            threshold = HESSIAN_CHECK_TOL
-    except NearMarginError as exc:
-        print(f"error: initial gain K0: {exc}", file=sys.stderr)
-        return EXIT_BAD_START
-    if args.perturb:
-        # Corruption scaled to the result so the control works at any
-        # gradient magnitude.
-        analytic[0, 0] += args.perturb * max(1.0, np.abs(analytic).max())
+    # A K0 within the finite-difference step of the stability margin
+    # raises NearMarginError, which main maps to exit 4.
+    if which == "gradient":
+        analytic = gp.grad
+        reference = fd_gradient(plant, costspec, K0, **step)
+        threshold = GRADIENT_CHECK_TOL
+    else:
+        analytic = hessian(plant, costspec, K0, gp)
+        reference = fd_hessian(plant, costspec, K0, **step)
+        threshold = HESSIAN_CHECK_TOL
 
     report = error_report(reference, analytic)
     print(f"{which} check vs central finite differences")
@@ -258,7 +241,8 @@ def _cmd_check(args, which):
           f"at entry {report.location}")
     print(f"  max rel error: {report.max_rel_error:.6e} "
           f"(threshold {threshold:g})")
-    if report.max_rel_error > threshold:
+    # Written so that a NaN error fails.
+    if not report.max_rel_error <= threshold:
         print("FAIL", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print("OK")
@@ -271,7 +255,7 @@ def _cmd_examples(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out_path = Path(args.out) if args.out else Path(f"{args.name}.json")
+    out_path = args.out or Path(f"{args.name}.json")
     save_problem(problem, out_path)
     print(f"wrote {out_path}")
     return EXIT_OK
@@ -295,6 +279,9 @@ def main(argv=None):
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (BadStartError, InfeasibleConstraintsError, NearMarginError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_START
     except (np.linalg.LinAlgError, NotHurwitzError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

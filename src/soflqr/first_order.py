@@ -23,12 +23,11 @@ from .linesearch import LineSearchStalled, NotDescentError, line_search
 from .lyapunov import unvec, vec
 from .problem import (
     Evaluation,
-    InfiniteCostError,
     SolveResult,
     SolveTrace,
     TraceRecord,
-    check_feasible,
     evaluate,
+    evaluate_start,
 )
 
 __all__ = ["GradientPair", "gradient", "project_gradient", "first_order_solve"]
@@ -88,7 +87,7 @@ def project_gradient(grad, cs):
 
 
 def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-             max_iters, keep_iterates, name, step_measure=False):
+             max_iters, name, step_measure=False):
     """Line-search descent shared by both solvers.
 
     At each iterate the gradient ``gp`` and its projection ``pg`` are
@@ -104,20 +103,15 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
 
     Each line search after the first starts one power of ``beta`` above
     the step the previous one accepted (see :func:`line_search`); the
-    first starts at the unit step.
+    first starts at the unit step.  ``K0`` is checked by
+    :func:`evaluate_start`, and :func:`gradient` is called once per
+    visited gain.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    try:
-        ev = evaluate(plant, costspec, np.array(K0, dtype=float))
-    except InfiniteCostError as exc:
-        raise ValueError("initial gain K0 does not stabilize the plant") \
-            from exc
-    if not check_feasible(cs, ev.K):
-        raise ValueError("initial gain K0 does not satisfy the constraints")
+    ev = evaluate_start(plant, costspec, cs, K0)
 
     trace = SolveTrace()
-    iterates = [ev.K.copy()] if keep_iterates else None
     start = time.perf_counter()
     status = "max_iters"
     evals_total = 0
@@ -155,8 +149,6 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
         evals_total += evals
         last_step_norm = t * measure
         last_t = t
-        if keep_iterates:
-            iterates.append(ev.K.copy())
 
     final = trace.records[-1]
     return SolveResult(
@@ -164,12 +156,12 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
         status=status, iterations=final.iteration,
         grad_norm=final.grad_norm,
         step_norm=measure if step_measure else final.step_norm,
-        line_search_evals=evals_total, trace=trace, iterates=iterates,
+        line_search_evals=evals_total, trace=trace,
     )
 
 
 def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
-                      beta=0.1, max_iters=10000, keep_iterates=False):
+                      beta=0.1, max_iters=10000):
     """Projected-gradient descent on the constrained cost.
 
     Iterates ``K <- K - t * Gp`` where ``Gp`` is the projected gradient
@@ -180,7 +172,8 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
     Parameters
     ----------
     K0 : ndarray
-        Initial gain; must be stabilizing and feasible.
+        Initial gain; must be stabilizing and feasible, else
+        :class:`BadStartError` is raised.
     tol : float
         Stopping threshold on the projected-gradient norm.
 
@@ -192,4 +185,4 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
         precision floor of the cost before the tolerance was met.
     """
     return _descend(plant, costspec, cs, K0, lambda gp, pg: -pg, tol, alpha,
-                    beta, max_iters, keep_iterates, "first-order")
+                    beta, max_iters, "first-order")

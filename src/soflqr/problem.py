@@ -4,8 +4,9 @@ Holds the plant ``(A, B, C)``, the quadratic cost specification
 ``(Q, R, X0)``, linear matrix-equality constraints on the gain, and the
 basic evaluations built on them: closed loop, effective state weight,
 the evaluation of the cost at a gain and of its exact change to a
-nearby gain, stability and feasibility checks,
-and constraint flattening to the vectorized form ``Abar vec(K) = cbar``.
+nearby gain, stability and feasibility checks, the check of a solve's
+initial gain, and constraint flattening to the vectorized form
+``Abar vec(K) = cbar``.
 """
 
 import csv
@@ -19,6 +20,7 @@ from .lyapunov import NotHurwitzError, SchurSolver, vec
 
 __all__ = [
     "FEASIBILITY_TOL",
+    "BadStartError",
     "InfiniteCostError",
     "InfeasibleConstraintsError",
     "Plant",
@@ -33,6 +35,7 @@ __all__ = [
     "closed_loop",
     "effective_weight",
     "evaluate",
+    "evaluate_start",
     "evaluate_step",
     "cost",
     "is_stabilizing",
@@ -57,6 +60,11 @@ class InfiniteCostError(ArithmeticError):
 
 class InfeasibleConstraintsError(ValueError):
     """The constraint right-hand side is outside the range of the system."""
+
+
+class BadStartError(ValueError):
+    """The initial gain of a solve does not stabilize the plant or does
+    not satisfy the constraints."""
 
 
 def _as_matrix(value, name):
@@ -404,6 +412,26 @@ def evaluate(plant, costspec, K):
                       cost=float(np.trace(P @ costspec.X0)))
 
 
+def evaluate_start(plant, costspec, cs, K0):
+    """Evaluation at a solve's initial gain ``K0``.
+
+    Raises :class:`BadStartError` unless ``K0`` stabilizes the plant, by
+    the Hurwitz test of :class:`SchurSolver`, and satisfies ``cs``; an
+    inconsistent ``cs`` raises :class:`InfeasibleConstraintsError`.
+    """
+    try:
+        ev = evaluate(plant, costspec, np.array(K0, dtype=float))
+    except InfiniteCostError as exc:
+        raise BadStartError(
+            f"initial gain K0 does not stabilize the plant (closed-loop "
+            f"spectral abscissa {exc.__cause__.abscissa:.6e}); the solvers "
+            f"need a stabilizing K0, e.g. from an external stabilization "
+            f"procedure") from exc
+    if not check_feasible(cs, ev.K):
+        raise BadStartError("initial gain K0 does not satisfy the constraints")
+    return ev
+
+
 def evaluate_step(plant, costspec, current, K):
     """Evaluation at the gain ``K`` from the exact change of the cost.
 
@@ -512,4 +540,3 @@ class SolveResult:
     step_norm: float
     line_search_evals: int
     trace: SolveTrace
-    iterates: list = None

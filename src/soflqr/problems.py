@@ -15,6 +15,9 @@ A problem file is a JSON object with named matrix fields::
                  "alpha": 0.2, "beta": 0.1, "max_iters": 200}
     }
 
+Every ``solver`` key is optional; a key that is not a
+:class:`SolverParams` field is an error.
+
 JSON floats round-trip exactly, so a written file parses back to
 bit-identical matrices.  Two benchmarks ship as built-ins: ``example1``,
 an unconstrained fourth-order aircraft model with a 2x3 gain, and
@@ -24,7 +27,7 @@ constraints.
 
 import json
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -234,19 +237,18 @@ def problem_from_dict(data):
     solver = data.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemFormatError("field 'solver': expected an object")
-    params = SolverParams(
-        method=solver.get("method", "newton"),
-        tol=solver.get("tol"),
-        pt_eps=solver.get("pt_eps", 1e-6),
-        alpha=solver.get("alpha", 0.2),
-        beta=solver.get("beta", 0.1),
-        max_iters=solver.get("max_iters"),
-    )
+    known = [f.name for f in fields(SolverParams)]
+    for key in solver:
+        if key not in known:
+            raise ProblemFormatError(
+                f"field 'solver.{key}': unknown solver parameter; expected "
+                f"one of {', '.join(known)}"
+            )
 
     return Problem(
         plant=plant, costspec=costspec,
         constraints=ConstraintSet(constraints=constraints),
-        gain0=K0, params=params, name=name,
+        gain0=K0, params=SolverParams(**solver), name=name,
     )
 
 
@@ -273,16 +275,10 @@ def problem_to_dict(problem):
             }
             for con in problem.constraints.constraints
         ]
-    params = problem.params
-    solver = {"method": params.method}
-    if params.tol is not None:
-        solver["tol"] = params.tol
-    solver["pt_eps"] = params.pt_eps
-    solver["alpha"] = params.alpha
-    solver["beta"] = params.beta
-    if params.max_iters is not None:
-        solver["max_iters"] = params.max_iters
-    data["solver"] = solver
+    # Unset (None) fields are left out, so they keep the method default.
+    data["solver"] = {key: value
+                      for key, value in asdict(problem.params).items()
+                      if value is not None}
     return data
 
 

@@ -25,7 +25,6 @@ from .lyapunov import unvec, vec
 
 __all__ = [
     "PTMatrix",
-    "NewtonStep",
     "EIGEN_GUARD",
     "hessian",
     "schur_hessian",
@@ -53,14 +52,6 @@ class PTMatrix:
 
     matrix: np.ndarray
     modified_count: int
-
-
-@dataclass(frozen=True)
-class NewtonStep:
-    """Constrained Newton step and the decrease its model predicts."""
-
-    step: np.ndarray
-    predicted_decrease: float
 
 
 def hessian(plant, costspec, K, gp, basis=None):
@@ -214,24 +205,21 @@ def newton_step(Heps, grad, cs):
     ``Heps`` is the :class:`PTMatrix` of ``Z^T H Z``, a positive
     definite model, for the null-space basis ``Z`` of the
     constraints, and ``grad`` is the m x q gradient.  Solves
-    ``Heps theta = -Z^T vec(grad)`` by Cholesky and returns the step
-    ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so iterates
-    stay on the constraint set.  Without constraints ``Z`` is the
-    identity and this is the plain Newton system.
+    ``Heps theta = -Z^T vec(grad)`` by Cholesky and returns the m x q
+    step ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so
+    iterates stay on the constraint set.  Without constraints ``Z`` is
+    the identity and this is the plain Newton system.
     """
     grad = np.asarray(grad, dtype=float)
     m, q = grad.shape
     Z = cs.null_basis((m, q))
-    Hm = Heps.matrix
-    g = Z.T @ vec(grad)
-    theta = scipy.linalg.solve(Hm, -g, assume_a="pos")
-    predicted = -(g @ theta + 0.5 * theta @ Hm @ theta)
-    return NewtonStep(step=unvec(Z @ theta, m, q),
-                      predicted_decrease=float(predicted))
+    theta = scipy.linalg.solve(Heps.matrix, -(Z.T @ vec(grad)),
+                               assume_a="pos")
+    return unvec(Z @ theta, m, q)
 
 
 def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
-                 beta=0.1, max_iters=200, keep_iterates=False):
+                 beta=0.1, max_iters=200):
     """Constrained Newton descent on the structured feedback LQR cost.
 
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
@@ -244,7 +232,8 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     Parameters
     ----------
     K0 : ndarray
-        Initial gain; must be stabilizing and feasible.
+        Initial gain; must be stabilizing and feasible, else
+        :class:`BadStartError` is raised.
     tol : float
         Stopping threshold on the Newton step norm.
     pt_eps : float
@@ -258,7 +247,7 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     def direction(gp, pg):
         K = gp.evaluation.K
         H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
-        return newton_step(pt_matrix(H, pt_eps), gp.grad, cs).step
+        return newton_step(pt_matrix(H, pt_eps), gp.grad, cs)
 
     return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-                    max_iters, keep_iterates, "Newton", step_measure=True)
+                    max_iters, "Newton", step_measure=True)

@@ -76,19 +76,19 @@ def error_report(reference, candidate):
 
 class NearMarginError(ArithmeticError):
     """The gain lies within the finite-difference step of the stability
-    margin: a perturbed gain fails the Hurwitz test at every step down to
+    margin: a shifted gain fails the Hurwitz test at every step down to
     the floor ``h / 10**FD_SHRINKS``."""
 
     def __init__(self, floor):
         super().__init__(
             f"the gain lies within the finite-difference step of the "
-            f"stability margin: a perturbation of {floor:.1e} still "
+            f"stability margin: a shift of {floor:.1e} still "
             f"destabilizes the closed loop"
         )
 
 
 def _central_difference(evaluate, h):
-    # Shrink the step tenfold while a perturbation destabilizes the loop.
+    # Shrink the step tenfold while a shifted gain destabilizes the loop.
     for k in range(FD_SHRINKS + 1):
         try:
             return evaluate(h / 10.0 ** k)
@@ -100,7 +100,7 @@ def _central_difference(evaluate, h):
 def fd_gradient(plant, costspec, K, h=1e-5):
     """Central-difference gradient of the cost at ``K``.
 
-    Perturbs one gain entry at a time by ``+-h``.  While a perturbation
+    Shifts one gain entry at a time by ``+-h``.  While a shifted gain
     destabilizes the closed loop the step for that entry is shrunk by a
     factor of ten, at most ``FD_SHRINKS`` times; past that floor
     :class:`NearMarginError` is raised.

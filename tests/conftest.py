@@ -1,7 +1,11 @@
-"""Shared helpers for building random test instances."""
+"""Shared helpers for building random test instances and recording
+solver iterates."""
+
+from contextlib import contextmanager
 
 import numpy as np
 
+import soflqr.first_order
 from soflqr import CostSpec, Plant, spectral_abscissa
 
 
@@ -28,3 +32,31 @@ def random_spd(rng, n, floor=0.1):
     """Random symmetric positive definite matrix."""
     M = rng.standard_normal((n, n))
     return M @ M.T + floor * np.eye(n)
+
+
+@contextmanager
+def recorded_iterates():
+    """Record the gain of every iterate a solver visits.
+
+    The descent loop shared by both solvers calls
+    ``soflqr.first_order.gradient`` exactly once per visited gain, the
+    start included, so wrapping it yields those gains in order.  A
+    context manager rather than a fixture, so that Hypothesis tests can
+    use it once per example::
+
+        with recorded_iterates() as iterates:
+            result = newton_solve(...)
+    """
+    original = soflqr.first_order.gradient
+    iterates = []
+
+    def recording(plant, costspec, K):
+        gp = original(plant, costspec, K)
+        iterates.append(gp.evaluation.K.copy())
+        return gp
+
+    soflqr.first_order.gradient = recording
+    try:
+        yield iterates
+    finally:
+        soflqr.first_order.gradient = original

@@ -24,7 +24,7 @@ from soflqr import (
 from soflqr.verify import are_gain, error_report, fd_gradient, fd_hessian, \
     kron_hessian, kron_lyapunov
 
-from conftest import identity_cost, stable_plant
+from conftest import identity_cost, recorded_iterates, stable_plant
 
 K_STAR_AIRCRAFT = np.array([[0.3975, 1.5925, 7.8522],
                             [-1.2575, -3.4823, -5.0041]])
@@ -50,37 +50,42 @@ def decentralized():
     return builtin_problem("example2")
 
 
+def solve_recorded(solver, *args, **kwargs):
+    """Run a solver; returns its result and the gain of every iterate."""
+    with recorded_iterates() as iterates:
+        return solver(*args, **kwargs), iterates
+
+
 @pytest.fixture(scope="module")
 def aircraft_newton(aircraft):
-    return newton_solve(aircraft.plant, aircraft.costspec,
-                        aircraft.constraints, aircraft.gain0,
-                        tol=1e-9, pt_eps=1e-9, alpha=0.2, beta=0.1,
-                        keep_iterates=True)
+    return solve_recorded(newton_solve, aircraft.plant, aircraft.costspec,
+                          aircraft.constraints, aircraft.gain0,
+                          tol=1e-9, pt_eps=1e-9, alpha=0.2, beta=0.1)
 
 
 @pytest.fixture(scope="module")
 def aircraft_grad(aircraft):
     # The first-order baseline runs at the relaxed 1e-5 tolerance.
-    return first_order_solve(aircraft.plant, aircraft.costspec,
-                             aircraft.constraints, aircraft.gain0,
-                             tol=1e-5, alpha=0.2, beta=0.1,
-                             max_iters=5000, keep_iterates=True)
+    return solve_recorded(first_order_solve, aircraft.plant,
+                          aircraft.costspec, aircraft.constraints,
+                          aircraft.gain0, tol=1e-5, alpha=0.2, beta=0.1,
+                          max_iters=5000)
 
 
 @pytest.fixture(scope="module")
 def decentralized_newton(decentralized):
-    return newton_solve(decentralized.plant, decentralized.costspec,
-                        decentralized.constraints, decentralized.gain0,
-                        tol=1e-9, pt_eps=1e-6, alpha=0.2, beta=0.1,
-                        keep_iterates=True)
+    return solve_recorded(newton_solve, decentralized.plant,
+                          decentralized.costspec, decentralized.constraints,
+                          decentralized.gain0, tol=1e-9, pt_eps=1e-6,
+                          alpha=0.2, beta=0.1)
 
 
 @pytest.fixture(scope="module")
 def decentralized_grad(decentralized):
-    return first_order_solve(decentralized.plant, decentralized.costspec,
-                             decentralized.constraints, decentralized.gain0,
-                             tol=1e-9, alpha=0.2, beta=0.1,
-                             max_iters=5000, keep_iterates=True)
+    return solve_recorded(first_order_solve, decentralized.plant,
+                          decentralized.costspec, decentralized.constraints,
+                          decentralized.gain0, tol=1e-9, alpha=0.2,
+                          beta=0.1, max_iters=5000)
 
 
 @pytest.fixture(scope="module")
@@ -93,15 +98,14 @@ def full_information_runs():
         plant = stable_plant(rng, n, m, n)
         plant = Plant(A=plant.A, B=plant.B, C=np.eye(n))
         costspec = identity_cost(n, m)
-        result = newton_solve(plant, costspec, ConstraintSet.empty(),
-                              np.zeros((m, n)), tol=1e-9, pt_eps=1e-9,
-                              keep_iterates=True)
-        runs.append((plant, costspec, result))
+        runs.append((plant, costspec, solve_recorded(
+            newton_solve, plant, costspec, ConstraintSet.empty(),
+            np.zeros((m, n)), tol=1e-9, pt_eps=1e-9)))
     return runs
 
 
 def test_criterion_1_aircraft_newton(aircraft_newton):
-    r = aircraft_newton
+    r, _ = aircraft_newton
     gain_err = np.abs(r.K - K_STAR_AIRCRAFT).max()
     cost_err = abs(r.cost - J_STAR_AIRCRAFT)
     ok = (r.converged and gain_err <= 2e-3 and cost_err <= 1e-2
@@ -113,7 +117,7 @@ def test_criterion_1_aircraft_newton(aircraft_newton):
 
 
 def test_criterion_2_aircraft_first_order(aircraft_grad):
-    r = aircraft_grad
+    r, _ = aircraft_grad
     gain_err = np.abs(r.K - K_STAR_AIRCRAFT).max()
     cost_err = abs(r.cost - J_STAR_AIRCRAFT)
     ok = (r.converged and gain_err <= 2e-3 and cost_err <= 1e-2
@@ -125,12 +129,12 @@ def test_criterion_2_aircraft_first_order(aircraft_grad):
 
 
 def test_criterion_3_decentralized_newton(decentralized_newton):
-    r = decentralized_newton
+    r, iterates = decentralized_newton
     diag_err = max(abs(r.K[0, 0] - K_STAR_DIAG[0]),
                    abs(r.K[1, 1] - K_STAR_DIAG[1]))
     cost_err = abs(r.cost - J_STAR_DECENTRALIZED)
     initial_err = abs(r.trace.costs[0] - J_INITIAL_DECENTRALIZED)
-    off_diag = max(max(abs(K[0, 1]), abs(K[1, 0])) for K in r.iterates)
+    off_diag = max(max(abs(K[0, 1]), abs(K[1, 0])) for K in iterates)
     ok = (r.converged and diag_err <= 1e-3 and cost_err <= 1e-3
           and initial_err <= 1e-3 and r.iterations <= 15
           and off_diag <= 1e-9)
@@ -141,7 +145,7 @@ def test_criterion_3_decentralized_newton(decentralized_newton):
 
 
 def test_criterion_4_decentralized_first_order(decentralized_grad):
-    r = decentralized_grad
+    r, _ = decentralized_grad
     diag_err = max(abs(r.K[0, 0] - K_STAR_DIAG[0]),
                    abs(r.K[1, 1] - K_STAR_DIAG[1]))
     cost_err = abs(r.cost - J_STAR_DECENTRALIZED)
@@ -155,15 +159,17 @@ def test_criterion_4_decentralized_first_order(decentralized_grad):
 def test_criterion_5_iteration_ratio(aircraft_newton, aircraft_grad,
                                      decentralized_newton,
                                      decentralized_grad):
-    ratio_1 = aircraft_grad.iterations / max(aircraft_newton.iterations, 1)
-    ratio_2 = (decentralized_grad.iterations
-               / max(decentralized_newton.iterations, 1))
+    newton_1, grad_1, newton_2, grad_2 = (
+        run[0].iterations for run in (aircraft_newton, aircraft_grad,
+                                      decentralized_newton,
+                                      decentralized_grad))
+    ratio_1 = grad_1 / max(newton_1, 1)
+    ratio_2 = grad_2 / max(newton_2, 1)
     ok = ratio_1 >= 4.0 and ratio_2 >= 4.0
     report(5, ok,
            f"Newton vs first-order iterations: "
-           f"{aircraft_newton.iterations} vs {aircraft_grad.iterations} "
-           f"(x{ratio_1:.1f}), {decentralized_newton.iterations} vs "
-           f"{decentralized_grad.iterations} (x{ratio_2:.1f})")
+           f"{newton_1} vs {grad_1} (x{ratio_1:.1f}), "
+           f"{newton_2} vs {grad_2} (x{ratio_2:.1f})")
 
 
 def test_criterion_6_gradient_oracle_suite():
@@ -230,7 +236,7 @@ def test_criterion_8_lyapunov_cross_check():
 
 def test_criterion_9_riccati_consistency(full_information_runs):
     worst = 0.0
-    for plant, costspec, result in full_information_runs:
+    for plant, costspec, (result, _) in full_information_runs:
         reference = are_gain(plant, costspec)
         worst = max(worst, np.abs(result.K - reference).max())
     report(9, worst <= 1e-6,
@@ -278,12 +284,12 @@ def test_criterion_11_descent_with_stability(aircraft_newton, aircraft_grad,
     monotone = True
     stable = True
     certified = True
-    for plant, costspec, result in runs:
+    for plant, costspec, (result, iterates) in runs:
         costs = result.trace.costs
         monotone &= all(a > b for a, b in zip(costs, costs[1:]))
         stable &= all(r.spectral_abscissa < 0.0
                       for r in result.trace.records)
-        for K in result.iterates:
+        for K in iterates:
             P = evaluate(plant, costspec, K).P
             certified &= np.linalg.eigvalsh(P).min() > 0.0
     ok = monotone and stable and certified

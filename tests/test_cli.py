@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from soflqr import (
     load_problem,
     spectral_abscissa,
 )
+import soflqr.cli
 from soflqr.cli import main
 from soflqr.lyapunov import HURWITZ_MARGIN
 
@@ -203,14 +205,55 @@ class TestSolve:
         assert json.loads(out.read_text())["status"] == "max_iters"
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
-        import soflqr.cli
-
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("factorization failed")
 
         monkeypatch.setattr(soflqr.cli, "newton_solve", explode)
         assert main(["solve", "example2"]) == 5
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_start_is_factored_once(self, tmp_path, monkeypatch):
+        # The start check and the solve share one evaluation of K0.
+        count = 0
+        init = SchurSolver.__init__
+
+        def counting_init(self, Ac):
+            nonlocal count
+            count += 1
+            init(self, Ac)
+
+        monkeypatch.setattr(SchurSolver, "__init__", counting_init)
+        path = write_problem(tmp_path / "p.json")
+        assert main(["solve", str(path), "--max-iters", "0",
+                     "--out", str(tmp_path / "r.json"),
+                     "--trace", str(tmp_path / "t.csv")]) == 2
+        assert count == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "example2", "--out"],
+        ["solve", "example2", "--trace"],
+        ["examples", "example2", "--out"],
+    ], ids=["solve-out", "solve-trace", "examples-out"])
+    @pytest.mark.parametrize("target", ["missing-parent", "directory",
+                                        "read-only"])
+    def test_unwritable_output_path(self, tmp_path, monkeypatch, capsys,
+                                    argv, target):
+        def never(*args, **kwargs):
+            raise AssertionError("solved despite an unwritable path")
+
+        monkeypatch.setattr(soflqr.cli, "newton_solve", never)
+        path = tmp_path / "out.json"
+        if target == "missing-parent":
+            path = tmp_path / "nodir" / "out.json"
+        elif target == "directory":
+            path = tmp_path
+        else:
+            # Permission bits do not bind a superuser; deny by fiat.
+            monkeypatch.setattr(soflqr.cli.os, "access", lambda *args: False)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(path)])
+        assert excinfo.value.code == 3
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSolverFields:
@@ -236,6 +279,8 @@ class TestSolverFields:
         ({"tol": [1e-9]}, "tol"),
         ({"max_iters": 2.5}, "max_iters"),
         ({"max_iters": True}, "max_iters"),
+        # A misspelt key is an error, not a silently ignored setting.
+        ({"method": "grad", "max_iter": 3}, "max_iter"),
     ])
     def test_bad_solver_field_in_file(self, tmp_path, capsys, solver, field):
         path = write_problem(tmp_path / "p.json", solver=solver)
@@ -304,6 +349,26 @@ def test_start_check_uses_the_solvers_hurwitz_test(tmp_path, capsys, seed):
             assert "finite-difference step of the stability margin" in err
 
 
+def corrupt(monkeypatch, which, scale):
+    """Negative control: the CLI's analytic gradient or Hessian, with
+    entry (0, 0) moved by ``scale`` times its largest magnitude (at
+    least 1), so that the corruption shows at any scale."""
+    def moved(value):
+        value = np.array(value, dtype=float)
+        value[0, 0] += scale * max(1.0, np.abs(value).max())
+        return value
+
+    original = getattr(soflqr.cli, which)
+    if which == "gradient":
+        def patched(*args):
+            gp = original(*args)
+            return dataclasses.replace(gp, grad=moved(gp.grad))
+    else:
+        def patched(*args):
+            return moved(original(*args))
+    monkeypatch.setattr(soflqr.cli, which, patched)
+
+
 class TestChecks:
     def test_gradient_check_passes(self, capsys):
         assert main(["check-gradient", "example1"]) == 0
@@ -313,14 +378,24 @@ class TestChecks:
         assert main(["check-hessian", "example2"]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_perturbed_gradient_detected(self, capsys):
+    def test_perturbed_gradient_detected(self, monkeypatch, capsys):
         # Negative control: a corrupted analytic gradient must fail.
-        assert main(["check-gradient", "example1",
-                     "--perturb", "1.0"]) == 1
+        corrupt(monkeypatch, "gradient", 1.0)
+        assert main(["check-gradient", "example1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
-    def test_perturbed_hessian_detected(self, capsys):
-        assert main(["check-hessian", "example2", "--perturb", "5.0"]) == 1
+    def test_perturbed_hessian_detected(self, monkeypatch):
+        corrupt(monkeypatch, "hessian", 5.0)
+        assert main(["check-hessian", "example2"]) == 1
+
+    @pytest.mark.parametrize("which", ["gradient", "hessian"])
+    def test_nan_derivative_fails(self, monkeypatch, capsys, which):
+        # A NaN error compares false against the threshold; it must
+        # still fail the check.
+        corrupt(monkeypatch, which, np.nan)
+        assert main([f"check-{which}", "example2"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and "OK" not in captured.out
 
     @pytest.mark.parametrize("command", ["solve", "check-gradient",
                                          "check-hessian"])

@@ -10,7 +10,6 @@ from soflqr import (
     Constraint,
     ConstraintSet,
     CostSpec,
-    NewtonStep,
     Plant,
     SchurSolver,
     builtin_problem,
@@ -24,6 +23,8 @@ from soflqr import (
     line_search,
     newton_solve,
 )
+
+from conftest import recorded_iterates
 
 SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
 
@@ -94,10 +95,11 @@ def singular_moment_problem():
 def test_singular_initial_state_moment(method):
     plant, costspec, K0 = singular_moment_problem()
     cs = ConstraintSet.empty()
-    result = SOLVERS[method](plant, costspec, cs, K0, keep_iterates=True)
+    with recorded_iterates() as iterates:
+        result = SOLVERS[method](plant, costspec, cs, K0)
     assert result.status == "converged"
     assert all(check_feasible(cs, K) and is_stabilizing(plant, K)
-               for K in result.iterates)
+               for K in iterates)
     costs = result.trace.costs
     assert all(a > b for a, b in zip(costs, costs[1:]))
     newton = newton_solve(plant, costspec, cs, K0)
@@ -120,8 +122,7 @@ def test_rounding_level_ascent_direction_stalls(monkeypatch):
     # A Newton step with a positive slope along the gradient, as rounding
     # can produce near the optimum, ends the run instead of raising.
     def ascent_step(Heps, grad, cs):
-        return NewtonStep(step=1e-12 * np.asarray(grad),
-                          predicted_decrease=0.0)
+        return 1e-12 * np.asarray(grad)
 
     monkeypatch.setattr(soflqr.second_order, "newton_step", ascent_step)
     prob = builtin_problem("example1")
@@ -191,11 +192,12 @@ def test_accumulated_cost_matches_recomputation():
     # Lyapunov solve at each iterate bounds the drift.
     prob = builtin_problem("example1")
     plant, costspec = prob.plant, prob.costspec
-    result = first_order_solve(plant, costspec, prob.constraints, prob.gain0,
-                               tol=1e-5, keep_iterates=True)
+    with recorded_iterates() as iterates:
+        result = first_order_solve(plant, costspec, prob.constraints,
+                                   prob.gain0, tol=1e-5)
     assert result.converged
     assert result.iterations >= 600
-    for K, J in zip(result.iterates, result.trace.costs):
+    for K, J in zip(iterates, result.trace.costs):
         P = solve_continuous_lyapunov(closed_loop(plant, K).T,
                                       -effective_weight(costspec, plant, K))
         assert J == pytest.approx(np.trace(P @ costspec.X0), rel=1e-8)

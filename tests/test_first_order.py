@@ -18,7 +18,12 @@ from soflqr import (
 )
 from soflqr.verify import are_gain, error_report, fd_gradient
 
-from conftest import identity_cost, random_spd, stable_plant
+from conftest import (
+    identity_cost,
+    random_spd,
+    recorded_iterates,
+    stable_plant,
+)
 
 
 class TestGradient:
@@ -146,14 +151,15 @@ class TestFirstOrderSolve:
 
     def test_decentralized_benchmark(self):
         prob = builtin_problem("example2")
-        result = first_order_solve(prob.plant, prob.costspec,
-                                   prob.constraints, prob.gain0,
-                                   tol=1e-9, keep_iterates=True)
+        with recorded_iterates() as iterates:
+            result = first_order_solve(prob.plant, prob.costspec,
+                                       prob.constraints, prob.gain0,
+                                       tol=1e-9)
         assert result.K[0, 0] == pytest.approx(-1.3211, abs=1e-3)
         assert result.K[1, 1] == pytest.approx(-6.0723, abs=1e-3)
         assert result.cost == pytest.approx(12.8281, abs=1e-3)
         # Every iterate stays feasible and the cost strictly decreases.
-        for K in result.iterates:
+        for K in iterates:
             assert check_feasible(prob.constraints, K)
         costs = result.trace.costs
         assert all(a > b for a, b in zip(costs, costs[1:]))
@@ -173,8 +179,9 @@ class TestFirstOrderSolve:
             terms=(ConstraintTerm(left=[[1.0, 0.0]], right=[[1.0], [0.0]]),),
             rhs=[[-2.0]],
         )])
-        result = first_order_solve(prob.plant, prob.costspec, cs,
-                                   prob.gain0, tol=1e-6, keep_iterates=True)
-        for K in result.iterates:
+        with recorded_iterates() as iterates:
+            result = first_order_solve(prob.plant, prob.costspec, cs,
+                                       prob.gain0, tol=1e-6)
+        for K in iterates:
             assert K[0, 0] == pytest.approx(-2.0, abs=1e-9)
         assert result.cost < 22.2010

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soflqr import (
+    BadStartError,
     Constraint,
     ConstraintSet,
     ConstraintTerm,
@@ -17,6 +18,7 @@ from soflqr import (
     cost,
     effective_weight,
     evaluate,
+    evaluate_start,
     flatten_constraints,
     is_stabilizing,
     vec,
@@ -289,6 +291,34 @@ class TestCheckFeasible:
         assert len(cs) == 0
         assert check_feasible(cs, K0)
         assert not check_feasible(ConstraintSet(constraints=given), K0)
+
+
+class TestEvaluateStart:
+    def test_returns_the_evaluation_at_K0(self):
+        prob = builtin_problem("example2")
+        ev = evaluate_start(prob.plant, prob.costspec, prob.constraints,
+                            prob.gain0.tolist())
+        reference = evaluate(prob.plant, prob.costspec, prob.gain0)
+        np.testing.assert_array_equal(ev.K, prob.gain0)
+        np.testing.assert_array_equal(ev.P, reference.P)
+        assert ev.cost == reference.cost
+
+    def test_bad_starts(self):
+        prob = builtin_problem("example2")
+        args = (prob.plant, prob.costspec, prob.constraints)
+        with pytest.raises(BadStartError,
+                           match=r"stabiliz.*abscissa 1\.675471e\+00"):
+            evaluate_start(*args, np.zeros((2, 2)))
+        K0 = prob.gain0.copy()
+        K0[0, 1] = 0.1
+        with pytest.raises(BadStartError, match="constraints"):
+            evaluate_start(*args, K0)
+        pin = prob.constraints.constraints[0]
+        inconsistent = ConstraintSet(constraints=[
+            pin, Constraint(terms=pin.terms, rhs=[[1.0]])])
+        with pytest.raises(InfeasibleConstraintsError):
+            evaluate_start(prob.plant, prob.costspec, inconsistent,
+                           prob.gain0)
 
 
 class TestWeightsFromPerformanceOutput:

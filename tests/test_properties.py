@@ -42,6 +42,8 @@ from soflqr import (
 from soflqr.second_order import schur_hessian
 from soflqr.verify import error_report, fd_hessian, kron_hessian, kron_lyapunov
 
+from conftest import recorded_iterates
+
 EIGHTHS = st.integers(-8, 8).map(lambda k: k / 8.0)
 
 
@@ -177,9 +179,9 @@ def constrained_problems(draw):
     return plant, costspec, cs, K0
 
 
-def _check_descent(plant, costspec, cs, result):
+def _check_descent(plant, costspec, cs, result, iterates):
     assert all(check_feasible(cs, K) and is_stabilizing(plant, K)
-               for K in result.iterates)
+               for K in iterates)
     costs = result.trace.costs
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
@@ -198,8 +200,7 @@ def test_constrained_newton_step_and_solves(problem):
         return gp, pt_matrix(hessian(plant, costspec, K, gp, Z), 1e-6)
 
     gp, Heps = reduced_model(K0)
-    ns = newton_step(Heps, gp.grad, cs)
-    d, g = vec(ns.step), vec(gp.grad)
+    d, g = vec(newton_step(Heps, gp.grad, cs)), vec(gp.grad)
     # The step lies in null(Abar) and is stationary for the reduced model.
     assert np.abs(Abar @ d).max(initial=0.0) <= 1e-12 * max(
         1.0, np.linalg.norm(Abar, 2) * np.linalg.norm(d))
@@ -207,15 +208,15 @@ def test_constrained_newton_step_and_solves(problem):
         Heps.matrix @ (Z.T @ d) + Z.T @ g, 0.0,
         atol=1e-12 * max(1.0, np.linalg.norm(Z.T @ g)))
 
-    newton = newton_solve(plant, costspec, cs, K0, tol=1e-9,
-                          keep_iterates=True)
-    _check_descent(plant, costspec, cs, newton)
+    with recorded_iterates() as iterates:
+        newton = newton_solve(plant, costspec, cs, K0, tol=1e-9)
+    _check_descent(plant, costspec, cs, newton, iterates)
     # Gradient descent needs about cond(Z^T H Z) iterations per digit at
     # the optimum; badly conditioned draws stop at the Newton checks.
     curvature = np.linalg.eigvalsh(reduced_model(newton.K)[1].matrix)
     if curvature.size and curvature[-1] > 100.0 * curvature[0]:
         return
-    grad = first_order_solve(plant, costspec, cs, K0, tol=1e-6,
-                             keep_iterates=True)
-    _check_descent(plant, costspec, cs, grad)
+    with recorded_iterates() as iterates:
+        grad = first_order_solve(plant, costspec, cs, K0, tol=1e-6)
+    _check_descent(plant, costspec, cs, grad, iterates)
     assert newton.cost == pytest.approx(grad.cost, rel=1e-9)

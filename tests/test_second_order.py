@@ -26,7 +26,12 @@ from soflqr import (
 from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
-from conftest import identity_cost, random_spd, stable_plant
+from conftest import (
+    identity_cost,
+    random_spd,
+    recorded_iterates,
+    stable_plant,
+)
 
 
 def scalar_problem():
@@ -269,8 +274,9 @@ class TestNewtonStep:
         step = newton_step(pt_matrix(np.array([[2.0]]), 1e-9),
                            np.array([[0.5]]),
                            ConstraintSet.empty())
-        assert step.step[0, 0] == pytest.approx(-0.25, abs=1e-14)
-        assert step.predicted_decrease == pytest.approx(0.0625, abs=1e-14)
+        assert step[0, 0] == pytest.approx(-0.25, abs=1e-14)
+        # The slope -<g, step> along the step.
+        assert -np.vdot([[0.5]], step) == pytest.approx(0.125, abs=1e-14)
 
     def test_fully_pinned_gain_cannot_move(self):
         # Pinning every entry leaves an empty null space, a 0 x 0 reduced
@@ -290,8 +296,8 @@ class TestNewtonStep:
         assert Z.shape == (4, 0)
         H = pt_matrix(Z.T @ np.diag([3.0, 1.0, 2.0, 5.0]) @ Z, 1e-9)
         step = newton_step(H, np.ones((2, 2)), cs)
-        np.testing.assert_array_equal(step.step, np.zeros((2, 2)))
-        assert step.predicted_decrease == 0.0
+        np.testing.assert_array_equal(step, np.zeros((2, 2)))
+        assert -np.vdot(np.ones((2, 2)), step) == 0.0
 
     def test_random_kkt_residual(self):
         # The reduced model Z^T H Z of an indefinite H: the step lies in
@@ -311,13 +317,13 @@ class TestNewtonStep:
         H = pt_matrix(Z.T @ (M + M.T) @ Z, 1e-6)
         G = rng.standard_normal((m, q))
         step = newton_step(H, G, cs)
-        d = vec(step.step)
+        d = vec(step)
         np.testing.assert_allclose(Abar @ d, 0.0, atol=1e-10)
         residual = H.matrix @ (Z.T @ d) + Z.T @ vec(G)
         np.testing.assert_allclose(residual, 0.0, atol=1e-10)
         # Descent against the raw gradient.
         assert float(vec(G) @ d) < 0.0
-        assert step.predicted_decrease > 0.0
+        assert -np.vdot(G, step) > 0.0
 
 
 class TestLineSearch:
@@ -512,15 +518,16 @@ class TestNewtonSolve:
 
     def test_decentralized_benchmark(self):
         prob = builtin_problem("example2")
-        result = newton_solve(prob.plant, prob.costspec, prob.constraints,
-                              prob.gain0, tol=1e-9, pt_eps=1e-6,
-                              keep_iterates=True)
+        with recorded_iterates() as iterates:
+            result = newton_solve(prob.plant, prob.costspec,
+                                  prob.constraints, prob.gain0, tol=1e-9,
+                                  pt_eps=1e-6)
         assert result.converged
         assert result.iterations <= 15
         assert result.cost == pytest.approx(12.8281, abs=1e-3)
         assert result.K[0, 0] == pytest.approx(-1.3211, abs=1e-3)
         assert result.K[1, 1] == pytest.approx(-6.0723, abs=1e-3)
-        for K in result.iterates:
+        for K in iterates:
             assert abs(K[0, 1]) <= 1e-9
             assert abs(K[1, 0]) <= 1e-9
 
