@@ -12,6 +12,7 @@ quadrature) live in :mod:`soflqr.verify`.
 
 from .first_order import (
     GradientPair,
+    curvature,
     first_order_solve,
     gradient,
     project_gradient,
@@ -94,6 +95,7 @@ __all__ = [
     "check_feasible",
     "closed_loop",
     "cost",
+    "curvature",
     "effective_weight",
     "evaluate",
     "evaluate_start",

@@ -30,7 +30,8 @@ from .problem import (
     evaluate_start,
 )
 
-__all__ = ["GradientPair", "gradient", "project_gradient", "first_order_solve"]
+__all__ = ["GradientPair", "gradient", "curvature", "project_gradient",
+           "first_order_solve"]
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +73,28 @@ def gradient(plant, costspec, K):
     return GradientPair(grad=grad, gramian=G, evaluation=ev)
 
 
+def curvature(plant, costspec, gp, delta):
+    """Second derivative ``<delta, H delta>`` of the cost along ``delta``.
+
+    ``gp`` is the :class:`GradientPair` at the gain; its Gramian ``G`` and
+    its evaluation's ``P`` and Schur factorization are reused, so this is
+    one Lyapunov solve.  With ``M = B^T P + R K C`` and
+    ``W = (delta C)^T M``, the change of ``P`` along ``delta`` solves
+    ``Ac^T P' + P' Ac + W + W^T = 0``, and
+
+        <delta, H delta> = 4 <P' B delta C, G> + 2 <(delta C)^T R delta C, G>,
+
+    the quadratic form of :func:`~soflqr.second_order.hessian`, whose two
+    solved terms are equal by the adjoint identity.
+    """
+    ev = gp.evaluation
+    dC = np.asarray(delta, dtype=float) @ plant.C
+    W = dC.T @ (plant.B.T @ ev.P + costspec.R @ ev.K @ plant.C)
+    dP = ev.solver.solve_primal(W + W.T)
+    return float(np.vdot(4.0 * dP @ plant.B @ dC
+                         + 2.0 * dC.T @ costspec.R @ dC, gp.gramian))
+
+
 def project_gradient(grad, cs):
     """Orthogonal projection of ``grad`` onto the constraint null space.
 
@@ -92,7 +115,8 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
 
     At each iterate the gradient ``gp`` and its projection ``pg`` are
     computed once, and ``direction(gp, pg)`` returns the search direction
-    ``delta``.  The trace records ``||pg||``, and the run has converged
+    ``delta`` and the curvature ``<delta, H delta>`` of the cost along it.
+    The trace records ``||pg||``, and the run has converged
     when ``||delta||`` falls to ``tol``, or when the predicted decrease
     ``-<grad, delta>`` is positive but at most four ulps of the cost, so
     that no step along ``delta`` can lower the cost by a representable
@@ -101,9 +125,9 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
     last accepted step is.  A direction without descent, or a line
     search that cannot certify a decrease, ends the run as stalled.
 
-    Each line search after the first starts one power of ``beta`` above
-    the step the previous one accepted (see :func:`line_search`); the
-    first starts at the unit step.  ``K0`` is checked by
+    Each line search starts at the step that the curvature predicts (see
+    :func:`line_search`), so it depends on the current iterate only.
+    ``K0`` is checked by
     :func:`evaluate_start`, and :func:`gradient` is called once per
     visited gain.
     """
@@ -121,7 +145,7 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
     for it in range(max_iters + 1):
         gp = gradient(plant, costspec, ev)
         pg = project_gradient(gp.grad, cs)
-        delta = direction(gp, pg)
+        delta, kappa = direction(gp, pg)
         measure = float(np.linalg.norm(vec(delta)))
         trace.append(TraceRecord(
             iteration=it, cost=ev.cost,
@@ -138,7 +162,7 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
             break
         try:
             ev, t, evals = line_search(plant, costspec, cs, ev, delta,
-                                       gp.grad, alpha, beta, t_prev=last_t)
+                                       gp.grad, alpha, beta, curvature=kappa)
         except (LineSearchStalled, NotDescentError) as exc:
             status = "stalled"
             logger.info(
@@ -184,5 +208,8 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
         ``status == "stalled"`` means the line search hit the numerical
         precision floor of the cost before the tolerance was met.
     """
-    return _descend(plant, costspec, cs, K0, lambda gp, pg: -pg, tol, alpha,
-                    beta, max_iters, "first-order")
+    def direction(gp, pg):
+        return -pg, curvature(plant, costspec, gp, -pg)
+
+    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
+                    max_iters, "first-order")

@@ -246,8 +246,13 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     """
     def direction(gp, pg):
         K = gp.evaluation.K
-        H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
-        return newton_step(pt_matrix(H, pt_eps), gp.grad, cs)
+        Z = cs.null_basis(K.shape)
+        H = hessian(plant, costspec, K, gp, Z)
+        step = newton_step(pt_matrix(H, pt_eps), gp.grad, cs)
+        # The curvature of H itself, not of the PT model, which bounds it
+        # by the slope |<grad, step>|: every search starts at t = 1.
+        theta = Z.T @ vec(step)
+        return step, float(theta @ H @ theta)
 
     return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
                     max_iters, "Newton", step_measure=True)

@@ -154,18 +154,20 @@ def test_one_factorization_per_visited_gain(method, monkeypatch):
     assert count == 1 + result.line_search_evals
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("name", ["example1", "example2"])
-def test_warm_start_moves_no_iterate(name, monkeypatch):
-    # The warm-started line search accepts the cold search's step at
-    # every iteration of the gradient runs, with fewer trials.
-    def cold(*args, t_prev=None, **kwargs):
+def test_warm_start_moves_no_iterate(name, beta, monkeypatch):
+    # The line search started at the power the curvature predicts
+    # accepts the cold search's step at every iteration of the gradient
+    # runs, with fewer trials, at every beta.
+    def cold(*args, curvature=None, **kwargs):
         return line_search(*args, **kwargs)
 
     prob = builtin_problem(name)
     args = (prob.plant, prob.costspec, prob.constraints, prob.gain0)
-    warm = first_order_solve(*args)
+    warm = first_order_solve(*args, beta=beta)
     monkeypatch.setattr(soflqr.first_order, "line_search", cold)
-    reference = first_order_solve(*args)
+    reference = first_order_solve(*args, beta=beta)
     assert warm.status == reference.status == "converged"
     assert warm.iterations == reference.iterations
     np.testing.assert_array_equal(warm.K, reference.K)
@@ -175,6 +177,35 @@ def test_warm_start_moves_no_iterate(name, monkeypatch):
     assert ([r.step_size for r in warm.trace.records]
             == [r.step_size for r in reference.trace.records])
     assert warm.line_search_evals < reference.line_search_evals
+
+
+@pytest.mark.parametrize("search", ["predicted", "cold"])
+@pytest.mark.parametrize("span", [1e6, 1e8])
+def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
+    # example1 in the state coordinates x = D x~, D = diag(1 .. span):
+    # K and J are unchanged in exact arithmetic.  Searched from t = 1,
+    # some trials of the gradient run meet a closed loop whose Schur
+    # factor makes trsyl perturb the Lyapunov solve (NotHurwitzError);
+    # the predicted start happens to avoid them.  Such trials are
+    # rejected, and either run reaches the unscaled optimum.
+    prob = builtin_problem("example1")
+    plant, costspec = prob.plant, prob.costspec
+    d = np.geomspace(1.0, span, plant.nstates)
+    D, Dinv = np.diag(d), np.diag(1.0 / d)
+    scaled = Plant(A=Dinv @ plant.A @ D, B=Dinv @ plant.B, C=plant.C @ D)
+    scaled_cost = CostSpec(Q=D @ costspec.Q @ D, R=costspec.R,
+                           X0=Dinv @ costspec.X0 @ Dinv)
+    args = (prob.constraints, prob.gain0)
+    reference = first_order_solve(plant, costspec, *args)
+    if search == "cold":
+        def cold(*args, curvature=None, **kwargs):
+            return line_search(*args, **kwargs)
+
+        monkeypatch.setattr(soflqr.first_order, "line_search", cold)
+    result = first_order_solve(scaled, scaled_cost, *args)
+    assert result.status == reference.status == "converged"
+    assert result.cost == pytest.approx(reference.cost, rel=1e-9)
+    np.testing.assert_allclose(result.K, reference.K, atol=1e-6)
 
 
 def test_gradient_reuses_evaluation():

@@ -1,5 +1,6 @@
-"""Property tests of the Hessian, of the exact cost difference and of
-constrained solves over random plants and weights.
+"""Property tests of the Hessian and the curvature along a direction, of
+the exact cost difference and of constrained solves over random plants
+and weights.
 
 Plants have n in [1, 6] states and m, q in [1, 3] inputs and outputs.
 For the Hessian, R is a random positive definite matrix, Q a
@@ -26,6 +27,7 @@ from soflqr import (
     Plant,
     check_feasible,
     closed_loop,
+    curvature,
     effective_weight,
     evaluate,
     evaluate_step,
@@ -105,6 +107,27 @@ def test_hessian_symmetric_and_matches_oracles(problem):
     assert loop.max_abs_error <= 1e-9 * scale
     fd = error_report(fd_hessian(plant, costspec, K, h=1e-4), H)
     assert fd.max_abs_error <= 1e-4 * scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hessian_problems(), st.data())
+def test_curvature_is_hessian_quadratic_form(problem, data):
+    # The line search's one-solve curvature along delta equals the
+    # quadratic form of the assembled Hessian and of the Kronecker oracle.
+    plant, costspec, K = problem
+    delta = _matrix(data.draw, *K.shape)
+    gp = gradient(plant, costspec, K)
+    kappa = curvature(plant, costspec, gp, delta)
+    d = vec(delta)
+    H = hessian(plant, costspec, K, gp)
+    # As in the Hessian test, relative to the largest entry or the
+    # rounding floor of the terms, times the size of delta.
+    scale = max(np.abs(H).max(),
+                1e-5 * _term_scale(plant, costspec, gp)) * (d @ d)
+    assert abs(kappa - d @ H @ d) <= 1e-9 * scale
+    reference = kron_hessian(plant, costspec, K)
+    assert abs(kappa - d @ reference @ d) <= 1e-9 * scale
 
 
 def _kron_cost(plant, costspec, K):

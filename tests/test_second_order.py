@@ -1,18 +1,25 @@
 """Tests for the Hessian, PT truncation, Newton step, and Newton solver."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import soflqr
 from soflqr import (
     Constraint,
     ConstraintSet,
     ConstraintTerm,
     CostSpec,
     LineSearchStalled,
+    NotHurwitzError,
     Plant,
     SchurSolver,
     builtin_problem,
     cost,
+    curvature,
     first_order_solve,
     gradient,
     hessian,
@@ -376,6 +383,30 @@ class TestLineSearch:
                         gp.evaluation, np.array([[-0.1]]), gp.grad,
                         alpha=0.2, beta=1.5)
 
+    def test_ill_conditioned_trial_is_rejected(self, monkeypatch):
+        # A trial whose Lyapunov solve LAPACK had to perturb (trsyl
+        # info = 1, raised as NotHurwitzError) is rejected like an
+        # unstable one; the search goes on to t = 0.1.
+        import soflqr.linesearch
+
+        evaluate_step = soflqr.linesearch.evaluate_step
+
+        def ill_conditioned_unit_step(plant, costspec, current, K):
+            if K[0, 0] == -0.25:
+                raise NotHurwitzError(-1.0, "perturbed solve")
+            return evaluate_step(plant, costspec, current, K)
+
+        monkeypatch.setattr(soflqr.linesearch, "evaluate_step",
+                            ill_conditioned_unit_step)
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        trial, t, evals = line_search(plant, costspec,
+                                      ConstraintSet.empty(), gp.evaluation,
+                                      np.array([[-0.25]]), gp.grad,
+                                      alpha=0.2, beta=0.1)
+        assert (t, evals) == (0.1, 2)
+        assert trial.K[0, 0] == pytest.approx(-0.025)
+
     def test_stalls_below_float_resolution(self):
         # A direction so small that K + t*delta rounds back to K can
         # never produce a strict decrease.
@@ -387,17 +418,20 @@ class TestLineSearch:
                         alpha=0.2, beta=0.1)
 
 
-def cold_steps(beta, count):
-    """The first ``count`` steps of a cold search, by repeated
-    multiplication."""
-    steps = [1.0]
-    while len(steps) < count:
-        steps.append(steps[-1] * beta)
-    return steps
+def steep_scalar_problem():
+    """:func:`scalar_problem` with ``X0 = 100``: along ``delta = -0.25``
+    from ``K = 0`` the slope is -12.5 and the curvature 12.5, and the unit
+    step is acceptable."""
+    plant, _ = scalar_problem()
+    return plant, CostSpec(Q=[[1.0]], R=[[1.0]], X0=[[100.0]])
 
 
 class TestWarmStart:
-    """``line_search`` started one power above a previous step."""
+    """``line_search`` started at the power the curvature predicts.
+
+    With slope ``s`` and curvature ``kappa`` the start is the largest
+    ``beta ** k <= 2 (1 - alpha) |s| / kappa``, or 1.
+    """
 
     @staticmethod
     def trial_steps(monkeypatch, delta):
@@ -416,53 +450,82 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7, 16])
     def test_first_trial_is_cold_power(self, k, monkeypatch):
-        # Started above the cold sequence's (k+1)-th step, the search
-        # tries the k-th first, equal to it bit for bit.
+        # A curvature that predicts 5 beta^k, between beta^k and
+        # beta^(k-1), starts at the cold sequence's k-th power.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -1.0)
-        cold = cold_steps(0.1, k + 2)
+        slope = -0.5
+        assert np.vdot(gp.grad, [[-1.0]]) == slope
         line_search(plant, costspec, ConstraintSet.empty(), gp.evaluation,
                     np.array([[-1.0]]), gp.grad, alpha=0.2, beta=0.1,
-                    t_prev=cold[k + 1])
-        assert steps[0] == cold[k]
+                    curvature=1.6 * -slope / (5.0 * 0.1 ** k))
+        assert steps[0] == 0.1 ** k
 
-    @pytest.mark.parametrize("t_prev", [None, 0.0, 1.0, 0.5, 4.0])
-    def test_cold_start(self, t_prev, monkeypatch):
-        plant, costspec = scalar_problem()
+    @pytest.mark.parametrize("curvature", [None, 0.0, -1.0, 0.5, 1.0, 4.0])
+    def test_cold_start(self, curvature, monkeypatch):
+        # No curvature, one that is not positive, or one below
+        # 2 (1 - alpha) |s| = 20, which predicts a step above 1: the
+        # search starts at t = 1.
+        plant, costspec = steep_scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -0.25)
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
                                   gp.evaluation, np.array([[-0.25]]),
                                   gp.grad, alpha=0.2, beta=0.1,
-                                  t_prev=t_prev)
+                                  curvature=curvature)
         assert steps == [1.0]
         assert (t, evals) == (1.0, 1)
 
     def test_skips_only_rejected_powers(self):
         # The cold search rejects t = 1 (unstable) and accepts t = 0.1.
-        # Warm from t_prev = 0.01 it starts at 0.1 and accepts it at once.
+        # The exact curvature predicts 0.64, so the search starts at 0.1,
+        # accepts it, and the cubic rules out t = 1 without a trial.
         plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         costspec = identity_cost(1, 1)
         gp = gradient(plant, costspec, [[-3.0]])
+        delta = np.array([[2.5]])
+        kappa = curvature(plant, costspec, gp, delta)
+        assert kappa == pytest.approx(1.5625, rel=1e-12)
         args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                np.array([[2.5]]), gp.grad, 0.2, 0.1)
+                delta, gp.grad, 0.2, 0.1)
         cold_trial, cold_t, cold_evals = line_search(*args)
-        trial, t, evals = line_search(*args, t_prev=cold_steps(0.1, 3)[2])
-        assert (cold_t, cold_evals) == (cold_steps(0.1, 2)[1], 2)
+        trial, t, evals = line_search(*args, curvature=kappa)
+        assert (cold_t, cold_evals) == (0.1, 2)
         assert (t, evals) == (cold_t, 1)
         np.testing.assert_array_equal(trial.K, cold_trial.K)
         assert trial.cost == cold_trial.cost
 
-    @pytest.mark.parametrize("t_prev, delta, trials", [
-        # Started past the MIN_STEP floor: the last power, then 1.
-        (1e-300, -0.25, [1e-16, 1.0]),
-        # Started at 1e-11 along a tiny direction: the cost change of
+    @pytest.mark.parametrize("delta, accepted", [(-0.5, 1.0), (-1.0, 0.1)],
+                             ids=["confirmed", "refuted"])
+    def test_climb(self, delta, accepted, monkeypatch):
+        # The exact curvature predicts 0.8 and 0.4, so both searches
+        # start at 0.1, accept it, and the cubic predicts Armijo at 1.
+        # Along -0.5 the trial at 1 confirms it; along -1 it does not
+        # (J(-1) = J(0)), and the search keeps 0.1.  Either way the step
+        # is the cold search's.
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
+                np.array([[delta]]), gp.grad, 0.2, 0.1)
+        cold_trial, cold_t, _ = line_search(*args)
+        steps = self.trial_steps(monkeypatch, delta)
+        kappa = curvature(plant, costspec, gp, np.array([[delta]]))
+        assert kappa == pytest.approx(2.0 * delta ** 2, rel=1e-12)
+        trial, t, evals = line_search(*args, curvature=kappa)
+        assert steps == [0.1, 1.0]
+        assert t == cold_t == accepted
+        assert evals == 2
+        np.testing.assert_array_equal(trial.K, cold_trial.K)
+
+    @pytest.mark.parametrize("curvature, delta, trials", [
+        # Predicted below MIN_STEP: the last power, then 1.
+        (1e300, -0.25, [1e-16, 1.0]),
+        # Predicted 5e-11 along a tiny direction: the cost change of
         # every power from 1e-11 down rounds away, so the search wraps.
-        (cold_steps(0.1, 13)[12], -1e-8,
-         [1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1.0]),
+        (160.0, -1e-8, [1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1.0]),
     ], ids=["past-floor", "tiny-direction"])
-    def test_wraps_to_skipped_powers(self, t_prev, delta, trials,
+    def test_wraps_to_skipped_powers(self, curvature, delta, trials,
                                      monkeypatch):
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
@@ -470,37 +533,69 @@ class TestWarmStart:
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
                                   gp.evaluation, np.array([[delta]]),
                                   gp.grad, alpha=0.2, beta=0.1,
-                                  t_prev=t_prev)
+                                  curvature=curvature)
         assert t == 1.0
         assert evals == len(trials)
         np.testing.assert_allclose(steps, trials, rtol=1e-14)
 
-    @pytest.mark.parametrize("t_prev", [None, 1.0, 1.0 - 1e-12])
-    def test_beta_near_one_unit_step(self, t_prev, monkeypatch):
+    @pytest.mark.parametrize("curvature", [None, 1.0, 1.0 - 1e-12])
+    def test_beta_near_one_unit_step(self, curvature, monkeypatch):
         # With beta this close to 1 there are about 3.7e13 powers above
         # MIN_STEP; an acceptable unit step is still found after one
         # trial, without enumerating them.
-        plant, costspec = scalar_problem()
+        plant, costspec = steep_scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -0.25)
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
                                   gp.evaluation, np.array([[-0.25]]),
                                   gp.grad, alpha=0.2, beta=1.0 - 1e-12,
-                                  t_prev=t_prev)
+                                  curvature=curvature)
         assert steps == [1.0]
         assert (t, evals) == (1.0, 1)
 
-    @pytest.mark.parametrize("t_prev", [0.1, 1e-8, 1e-300])
-    def test_stalls_below_float_resolution(self, t_prev, monkeypatch):
-        # Started warm, the search still tries all 17 powers above
-        # MIN_STEP before it stalls.
+    def test_beta_near_one_predicted_start(self):
+        # With beta = 1 - 1e-12 the predicted start 0.8 is about 2.2e11
+        # powers below 1; it is found from logarithms, not by walking
+        # down.  B = 0 makes J(K) = (1 + K^2) / 2 exactly quadratic, so
+        # the start is the largest acceptable power and the cubic stops
+        # the climb at once.  A fresh interpreter with a timeout, so that
+        # a walk over the powers fails instead of hanging the suite.
+        root = str(Path(soflqr.__file__).resolve().parent.parent)
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {root!r})\n"
+            "import numpy as np\n"
+            "from soflqr import (ConstraintSet, CostSpec, Plant, curvature,\n"
+            "                    gradient, line_search)\n"
+            "plant = Plant(A=[[-1.0]], B=[[0.0]], C=[[1.0]])\n"
+            "costspec = CostSpec(Q=[[1.0]], R=[[1.0]], X0=[[1.0]])\n"
+            "gp = gradient(plant, costspec, [[1.0]])\n"
+            "delta = np.array([[-2.0]])\n"
+            "kappa = curvature(plant, costspec, gp, delta)\n"
+            "_, t, evals = line_search(plant, costspec, ConstraintSet.empty(),\n"
+            "                          gp.evaluation, delta, gp.grad, 0.2,\n"
+            "                          1.0 - 1e-12, curvature=kappa)\n"
+            "print(kappa, t, evals)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True,
+                              timeout=60)
+        kappa, t, evals = map(float, proc.stdout.split())
+        assert kappa == pytest.approx(4.0, rel=1e-12)
+        assert 0.8 * (1.0 - 1e-11) <= t <= 0.8
+        assert evals == 1
+
+    @pytest.mark.parametrize("curvature", [0.1, 1e-8, 1e-300])
+    def test_stalls_below_float_resolution(self, curvature, monkeypatch):
+        # Started at the floor (first two) or at 0.1 (last), the search
+        # still tries all 17 powers above MIN_STEP before it stalls.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -1e-300)
         with pytest.raises(LineSearchStalled):
             line_search(plant, costspec, ConstraintSet.empty(),
                         gp.evaluation, np.array([[-1e-300]]), gp.grad,
-                        alpha=0.2, beta=0.1, t_prev=t_prev)
+                        alpha=0.2, beta=0.1, curvature=curvature)
         assert len(steps) == 17
 
 
