@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .first_order import first_order_solve, gradient
 from .lyapunov import NotHurwitzError
 from .problem import BadStartError, InfeasibleConstraintsError, evaluate_start
 from .problems import (
+    _METHODS,
     BUILTIN_NAMES,
     ProblemFormatError,
     builtin_problem,
@@ -104,7 +106,7 @@ def _build_parser():
     solve = sub.add_parser("solve", help="run a solver on a problem")
     solve.add_argument("problem",
                        help="problem file path or built-in name")
-    solve.add_argument("--method", choices=("newton", "grad"),
+    solve.add_argument("--method", choices=_METHODS,
                        help="override the problem file's solver method")
     solve.add_argument("--tol", type=float, help="stopping tolerance")
     solve.add_argument("--pt-eps", type=float, dest="pt_eps",
@@ -163,31 +165,24 @@ def _cmd_solve(args):
         alpha=args.alpha, beta=args.beta, max_iters=args.max_iters,
     )
     params = problem.params
-    common = dict(
-        tol=params.resolved_tol(), alpha=params.alpha, beta=params.beta,
-        max_iters=params.resolved_max_iters(),
-    )
+    settings = asdict(params)
+    del settings["method"]
+    solve = newton_solve if params.method == "newton" else first_order_solve
     # A bad start and numerical failures propagate to main, which maps
     # them to exits 4 and 5.
-    if params.method == "newton":
-        result = newton_solve(problem.plant, problem.costspec,
-                              problem.constraints, problem.gain0,
-                              pt_eps=params.pt_eps, **common)
-    else:
-        result = first_order_solve(problem.plant, problem.costspec,
-                                   problem.constraints, problem.gain0,
-                                   **common)
+    result = solve(problem.plant, problem.costspec, problem.constraints,
+                   problem.gain0, **settings)
 
     out_path = args.out or Path(f"{stem}.result.json")
     trace_path = args.trace or Path(f"{stem}.trace.csv")
     payload = {
         "problem": problem.name or args.problem,
         "method": params.method,
-        "tol": common["tol"],
+        "tol": params.resolved_tol(),
         "pt_eps": params.pt_eps if params.method == "newton" else None,
         "alpha": params.alpha,
         "beta": params.beta,
-        "max_iters": common["max_iters"],
+        "max_iters": params.resolved_max_iters(),
         "K": result.K.tolist(),
         "cost": result.cost,
         "iterations": result.iterations,
@@ -211,7 +206,7 @@ def _cmd_solve(args):
     print(f"result file: {out_path}")
     print(f"trace file:  {trace_path}")
     if not result.converged:
-        print(f"note: tolerance {common['tol']:g} not reached "
+        print(f"note: tolerance {params.resolved_tol():g} not reached "
               f"(status {result.status!r})", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     return EXIT_OK

@@ -29,6 +29,7 @@ from .problem import (
     evaluate,
     evaluate_start,
 )
+from .problems import SolverParams
 
 __all__ = ["GradientPair", "gradient", "curvature", "project_gradient",
            "first_order_solve"]
@@ -109,30 +110,26 @@ def project_gradient(grad, cs):
     return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
 
-def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-             max_iters, name, step_measure=False):
-    """Line-search descent shared by both solvers.
+def _descend(plant, costspec, cs, K0, params, direction):
+    """Line-search descent shared by both solvers, with the settings of
+    the :class:`SolverParams` ``params``.
 
     At each iterate the gradient ``gp`` and its projection ``pg`` are
     computed once, and ``direction(gp, pg)`` returns the search direction
     ``delta`` and the curvature ``<delta, H delta>`` of the cost along it.
-    The trace records ``||pg||``, and the run has converged
-    when ``||delta||`` falls to ``tol``, or when the predicted decrease
-    ``-<grad, delta>`` is positive but at most four ulps of the cost, so
-    that no step along ``delta`` can lower the cost by a representable
-    amount.  With ``step_measure`` that
-    ``||delta||`` is reported as the result's ``step_norm``, else the
-    last accepted step is.  A direction without descent, or a line
+    The trace records ``||pg||``, and the run has converged when
+    ``||delta||``, the result's ``step_norm``, falls to ``tol``, or when
+    the predicted decrease ``-<grad, delta>`` is positive but at most four
+    ulps of the cost, so that no step along ``delta`` can lower the cost
+    by a representable amount.  A direction without descent, or a line
     search that cannot certify a decrease, ends the run as stalled.
 
     Each line search starts at the step that the curvature predicts (see
     :func:`line_search`), so it depends on the current iterate only.
-    ``K0`` is checked by
-    :func:`evaluate_start`, and :func:`gradient` is called once per
-    visited gain.
+    ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
+    called once per visited gain.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
 
     trace = SolveTrace()
@@ -162,12 +159,13 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
             break
         try:
             ev, t, evals = line_search(plant, costspec, cs, ev, delta,
-                                       gp.grad, alpha, beta, curvature=kappa)
+                                       gp.grad, params.alpha, params.beta,
+                                       curvature=kappa)
         except (LineSearchStalled, NotDescentError) as exc:
             status = "stalled"
             logger.info(
                 "%s solve stalled after %d iterations at stopping measure "
-                "%.3e (tol %.1e): %s", name, it, measure, tol, exc,
+                "%.3e (tol %.1e): %s", params.method, it, measure, tol, exc,
             )
             break
         evals_total += evals
@@ -176,16 +174,13 @@ def _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
 
     final = trace.records[-1]
     return SolveResult(
-        K=ev.K, cost=final.cost, converged=(status == "converged"),
-        status=status, iterations=final.iteration,
-        grad_norm=final.grad_norm,
-        step_norm=measure if step_measure else final.step_norm,
+        K=ev.K, cost=final.cost, status=status, iterations=final.iteration,
+        grad_norm=final.grad_norm, step_norm=measure,
         line_search_evals=evals_total, trace=trace,
     )
 
 
-def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
-                      beta=0.1, max_iters=10000):
+def first_order_solve(plant, costspec, cs, K0, **settings):
     """Projected-gradient descent on the constrained cost.
 
     Iterates ``K <- K - t * Gp`` where ``Gp`` is the projected gradient
@@ -198,8 +193,10 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
     K0 : ndarray
         Initial gain; must be stabilizing and feasible, else
         :class:`BadStartError` is raised.
-    tol : float
-        Stopping threshold on the projected-gradient norm.
+    **settings
+        :class:`SolverParams` fields but ``method``; ``tol`` bounds the
+        projected-gradient norm.  Unset fields take the ``grad``
+        defaults, and one out of range raises :class:`ProblemFormatError`.
 
     Returns
     -------
@@ -211,5 +208,5 @@ def first_order_solve(plant, costspec, cs, K0, tol=1e-5, alpha=0.2,
     def direction(gp, pg):
         return -pg, curvature(plant, costspec, gp, -pg)
 
-    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-                    max_iters, "first-order")
+    return _descend(plant, costspec, cs, K0,
+                    SolverParams(method="grad", **settings), direction)

@@ -528,15 +528,20 @@ class SolveResult:
     ``status`` is one of ``"converged"``, ``"stalled"`` (the line search
     could not certify further decrease in floating point, or rounding
     left the search direction without descent), or ``"max_iters"``.
-    ``iterations`` counts accepted steps.
+    ``iterations`` counts accepted steps.  ``step_norm`` is the norm of
+    the search direction at ``K``, the stopping measure, and the last
+    accepted step is in the trace's last row.
     """
 
     K: np.ndarray
     cost: float
-    converged: bool
     status: str
     iterations: int
     grad_norm: float
     step_norm: float
     line_search_evals: int
     trace: SolveTrace
+
+    @property
+    def converged(self):
+        return self.status == "converged"

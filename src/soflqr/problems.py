@@ -62,8 +62,10 @@ class ProblemFormatError(ValueError):
 class SolverParams:
     """Solver selection and tuning knobs carried by a problem file.
 
-    A field out of range raises :class:`ProblemFormatError`.  ``tol``
-    and ``max_iters`` may be None for the method's default.
+    The one copy of the solver defaults: the CLI and both solver
+    functions build their settings here.  A field out of range raises
+    :class:`ProblemFormatError`.  ``tol`` and ``max_iters`` may be None
+    for the method's default.
     """
 
     method: str = "newton"
@@ -340,8 +342,7 @@ def _example1():
         costspec=CostSpec.identity_moment(np.eye(4), np.eye(2)),
         constraints=ConstraintSet.empty(),
         gain0=np.zeros((2, 3)),
-        params=SolverParams(method="newton", tol=1e-9, pt_eps=1e-9,
-                            alpha=0.2, beta=0.1),
+        params=SolverParams(pt_eps=1e-9),
         name="example1",
     )
 
@@ -383,8 +384,6 @@ def _example2():
         costspec=CostSpec.identity_moment(np.eye(3), np.eye(2)),
         constraints=constraints,
         gain0=np.diag([-2.0, -3.0]),
-        params=SolverParams(method="newton", tol=1e-9, pt_eps=1e-6,
-                            alpha=0.2, beta=0.1),
         name="example2",
     )
 

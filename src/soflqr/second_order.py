@@ -22,6 +22,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .first_order import _descend
 from .lyapunov import unvec, vec
+from .problems import SolverParams
 
 __all__ = [
     "PTMatrix",
@@ -218,8 +219,7 @@ def newton_step(Heps, grad, cs):
     return unvec(Z @ theta, m, q)
 
 
-def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
-                 beta=0.1, max_iters=200):
+def newton_solve(plant, costspec, cs, K0, **settings):
     """Constrained Newton descent on the structured feedback LQR cost.
 
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
@@ -234,25 +234,27 @@ def newton_solve(plant, costspec, cs, K0, tol=1e-9, pt_eps=1e-6, alpha=0.2,
     K0 : ndarray
         Initial gain; must be stabilizing and feasible, else
         :class:`BadStartError` is raised.
-    tol : float
-        Stopping threshold on the Newton step norm.
-    pt_eps : float
-        Eigenvalue floor of the truncated curvature model.
+    **settings
+        :class:`SolverParams` fields but ``method``; ``tol`` bounds the
+        Newton step norm and ``pt_eps`` floors the curvature model's
+        eigenvalues.  Unset fields take the ``newton`` defaults, and one
+        out of range raises :class:`ProblemFormatError`.
 
     Returns
     -------
     SolveResult
         Final gain, cost, convergence status, and per-iteration trace.
     """
+    params = SolverParams(method="newton", **settings)
+
     def direction(gp, pg):
         K = gp.evaluation.K
         Z = cs.null_basis(K.shape)
         H = hessian(plant, costspec, K, gp, Z)
-        step = newton_step(pt_matrix(H, pt_eps), gp.grad, cs)
+        step = newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs)
         # The curvature of H itself, not of the PT model, which bounds it
         # by the slope |<grad, step>|: every search starts at t = 1.
         theta = Z.T @ vec(step)
         return step, float(theta @ H @ theta)
 
-    return _descend(plant, costspec, cs, K0, direction, tol, alpha, beta,
-                    max_iters, "Newton", step_measure=True)
+    return _descend(plant, costspec, cs, K0, params, direction)

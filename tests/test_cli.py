@@ -13,8 +13,10 @@ from soflqr import (
     ProblemFormatError,
     SchurSolver,
     SolverParams,
+    first_order_solve,
     is_stabilizing,
     load_problem,
+    newton_solve,
     spectral_abscissa,
 )
 import soflqr.cli
@@ -82,6 +84,13 @@ class TestExamples:
             Abar, [[0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(cbar, [0.0, 0.0])
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_method_defaults_left_unset(self, tmp_path, name):
+        out = tmp_path / "ex.json"
+        assert main(["examples", name, "--out", str(out)]) == 0
+        solver = json.loads(out.read_text())["solver"]
+        assert "tol" not in solver and "max_iters" not in solver
+
     def test_unknown_name_fails(self, capsys):
         assert main(["examples", "example3"]) == 3
         assert "unknown built-in" in capsys.readouterr().err
@@ -116,6 +125,35 @@ class TestSolve:
         assert K[0, 0] == pytest.approx(-1.3211, abs=1e-3)
         assert K[1, 1] == pytest.approx(-6.0723, abs=1e-3)
         assert 60 <= result["iterations"] <= 300
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_grad_on_builtin_runs_at_grad_tolerance(self, tmp_path, name):
+        # The built-ins set no tol, so --method grad takes grad's default
+        # instead of Newton's 1e-9, at which both runs stall.
+        out = tmp_path / "r.json"
+        code = main(["solve", name, "--method", "grad", "--out", str(out),
+                     "--trace", str(tmp_path / "t.csv")])
+        assert code == 0
+        result = json.loads(out.read_text())
+        assert result["tol"] == 1e-5
+        assert result["status"] == "converged"
+
+    @pytest.mark.parametrize("method", ["newton", "grad"])
+    def test_cli_and_library_defaults_agree(self, tmp_path, method):
+        path = write_problem(tmp_path / "p.json", solver={"method": method})
+        out = tmp_path / "r.json"
+        main(["solve", str(path), "--out", str(out),
+              "--trace", str(tmp_path / "t.csv")])
+        result = json.loads(out.read_text())
+        problem = load_problem(path)
+        solve = {"newton": newton_solve, "grad": first_order_solve}[method]
+        reference = solve(problem.plant, problem.costspec,
+                          problem.constraints, problem.gain0)
+        assert reference.status == "converged"
+        assert np.array(result["K"]).tobytes() == reference.K.tobytes()
+        assert result["cost"] == reference.cost
+        assert result["iterations"] == reference.iterations
+        assert result["line_search_evals"] == reference.line_search_evals
 
     def test_trace_file_format(self, tmp_path):
         trace = tmp_path / "t.csv"

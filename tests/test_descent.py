@@ -11,6 +11,7 @@ from soflqr import (
     ConstraintSet,
     CostSpec,
     Plant,
+    ProblemFormatError,
     SchurSolver,
     builtin_problem,
     check_feasible,
@@ -116,6 +117,39 @@ def test_negative_iteration_cap_rejected(method):
                              prob.gain0, max_iters=0)
     assert result.status == "max_iters"
     assert result.iterations == 0
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_settings_are_solver_params_fields(method):
+    prob = builtin_problem("example2")
+    args = (prob.plant, prob.costspec, prob.constraints, prob.gain0)
+    with pytest.raises(ProblemFormatError, match="solver.alpha"):
+        SOLVERS[method](*args, alpha=0.5)
+    with pytest.raises(TypeError):
+        SOLVERS[method](*args, max_iter=3)
+
+
+def test_converged_is_read_only_view_of_status():
+    prob = builtin_problem("example2")
+    result = newton_solve(prob.plant, prob.costspec, prob.constraints,
+                          prob.gain0, max_iters=0)
+    assert result.status == "max_iters" and not result.converged
+    result.status = "converged"
+    assert result.converged
+    with pytest.raises(AttributeError):
+        result.converged = False
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_grad_step_norm_is_stopping_measure(name):
+    # The reported step norm is the norm of the direction compared with
+    # tol, which for the gradient baseline is the projected gradient's.
+    prob = builtin_problem(name)
+    result = first_order_solve(prob.plant, prob.costspec, prob.constraints,
+                               prob.gain0)
+    assert result.status == "converged"
+    assert result.step_norm == result.grad_norm <= 1e-5
+    assert result.trace.records[-1].step_norm > 0.0
 
 
 def test_rounding_level_ascent_direction_stalls(monkeypatch):
