@@ -116,7 +116,8 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     At each iterate the gradient ``gp`` and its projection ``pg`` are
     computed once, and ``direction(gp, pg)`` returns the search direction
-    ``delta`` and the curvature ``<delta, H delta>`` of the cost along it.
+    ``delta`` and the curvature ``<delta, H delta>`` of the cost along
+    it, or None for a search from ``t = 1``.
     The trace records ``||pg||``, and the run has converged when
     ``||delta||``, the result's ``step_norm``, falls to ``tol``, or when
     the predicted decrease ``-<grad, delta>`` is positive but at most four
@@ -124,8 +125,9 @@ def _descend(plant, costspec, cs, K0, params, direction):
     by a representable amount.  A direction without descent, or a line
     search that cannot certify a decrease, ends the run as stalled.
 
-    Each line search starts at the step that the curvature predicts (see
-    :func:`line_search`), so it depends on the current iterate only.
+    Each line search starts at 1 or at the step that the curvature
+    predicts (see :func:`line_search`), so it depends on the current
+    iterate only.
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
     called once per visited gain.
     """

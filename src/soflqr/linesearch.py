@@ -96,7 +96,8 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
     curvature : float, optional
         ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.
         ``None`` starts a cold search at ``t = 1``; so does a curvature
-        that is not positive.
+        that is not positive.  Newton passes None: for its PT-truncated
+        step the prediction is never below 1.
 
     Returns
     -------

@@ -125,7 +125,8 @@ class Plant:
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic cost data: state weight ``Q`` (PSD), input weight ``R``
-    (PD), and the initial-state second moment ``X0`` (PSD)."""
+    (PD), and the initial-state second moment ``X0`` (PSD), all
+    symmetric, with ``Q`` and ``X0`` of one order."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -139,6 +140,9 @@ class CostSpec:
             if M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {M.shape}")
             _check_symmetric(M, name)
+        if X0.shape != Q.shape:
+            raise ValueError(f"Q and X0 must have the same order, got "
+                             f"{Q.shape[0]} and {X0.shape[0]}")
         if np.linalg.eigvalsh(Q).min() < -1e-10:
             raise ValueError("Q must be positive semidefinite")
         if R.size == 0 or np.linalg.eigvalsh(R).min() <= 0.0:
@@ -270,12 +274,42 @@ class ConstraintSet:
         return self.flattened(gain_shape)[2]
 
 
+def _check_term_shapes(cs, gain_shape):
+    # Every term L K R of cs must take an m x q gain K; the error names
+    # the term as the field of a problem file.
+    m, q = gain_shape
+    for k, con in enumerate(cs.constraints):
+        for t, term in enumerate(con.terms):
+            where = f"constraints[{k}].terms[{t}]"
+            if term.left.shape[1] != m:
+                raise ValueError(f"field '{where}.left': expected {m} "
+                                 f"columns, got {term.left.shape[1]}")
+            if term.right.shape[0] != q:
+                raise ValueError(f"field '{where}.right': expected {q} "
+                                 f"rows, got {term.right.shape[0]}")
+
+
+def _check_shapes(plant, costspec, cs, K0):
+    """Raise ValueError, naming the field of a problem file, unless ``Q``
+    (and so ``X0``) is n x n, ``R`` m x m, ``K0`` m x q, and every term
+    of ``cs`` takes an m x q gain, for the plant's n, m and q."""
+    n, (m, q) = plant.nstates, plant.gain_shape()
+    for name, shape, expected in (("Q", costspec.Q.shape, (n, n)),
+                                  ("R", costspec.R.shape, (m, m)),
+                                  ("K0", np.shape(K0), (m, q))):
+        if shape != expected:
+            raise ValueError(
+                f"field '{name}': expected shape {expected}, got {shape}")
+    _check_term_shapes(cs, (m, q))
+
+
 def flatten_constraints(cs, gain_shape):
     """Convert matrix equalities to the vector form ``Abar vec(K) = cbar``.
 
     Each constraint ``sum_j L_j K R_j = C0`` contributes the block
     ``sum_j kron(R_j^T, L_j)`` and the stacked right-hand side
-    ``vec(C0)``.  Redundant rows are removed with a rank-revealing
+    ``vec(C0)``; a term that cannot multiply an m x q gain raises
+    ValueError.  Redundant rows are removed with a rank-revealing
     pivoted QR factorization of ``Abar^T`` (threshold
     ``1e-10 * ||Abar||_2``); an inconsistent system raises
     :class:`InfeasibleConstraintsError`.  The trailing ``m*q - p``
@@ -290,18 +324,13 @@ def flatten_constraints(cs, gain_shape):
         ``Abar`` with full row rank, shape ``(p, m*q)``, ``cbar`` of
         length ``p``, and the basis ``Z`` of shape ``(m*q, m*q - p)``.
     """
+    _check_term_shapes(cs, gain_shape)
     m, q = gain_shape
     blocks = []
     rhs_parts = []
-    for k, con in enumerate(cs.constraints):
+    for con in cs.constraints:
         block = np.zeros((con.rhs.size, m * q))
         for term in con.terms:
-            if term.left.shape[1] != m or term.right.shape[0] != q:
-                raise ValueError(
-                    f"constraint {k}: term shapes "
-                    f"{term.left.shape} x K x {term.right.shape} do not "
-                    f"match gain shape {m}x{q}"
-                )
             block += np.kron(term.right.T, term.left)
         blocks.append(block)
         rhs_parts.append(vec(con.rhs))

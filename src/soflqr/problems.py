@@ -15,8 +15,13 @@ A problem file is a JSON object with named matrix fields::
                  "alpha": 0.2, "beta": 0.1, "max_iters": 200}
     }
 
-Every ``solver`` key is optional; a key that is not a
-:class:`SolverParams` field is an error.
+Every matrix is 2-D and finite, and its shape fits the plant of n
+states, m inputs and q outputs: ``Q`` and ``X0`` are n x n, ``R`` m x m,
+``K0`` m x q, and each term's ``left`` has m columns and ``right`` q
+rows.  The loader parses only the JSON structure; the model types check
+the values, and :class:`Problem` the shapes, so a problem built in code
+meets the same rules.  Every ``solver`` key is optional; a key that is
+not a :class:`SolverParams` field is an error.
 
 JSON floats round-trip exactly, so a written file parses back to
 bit-identical matrices.  Two benchmarks ship as built-ins: ``example1``,
@@ -31,7 +36,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .problem import Constraint, ConstraintSet, ConstraintTerm, CostSpec, Plant
+from .problem import (Constraint, ConstraintSet, ConstraintTerm, CostSpec,
+                      Plant, _as_matrix, _check_shapes)
 
 __all__ = [
     "ProblemFormatError",
@@ -110,7 +116,9 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class Problem:
-    """A complete solvable instance: plant, cost, constraints, start."""
+    """A complete solvable instance: plant, cost, constraints, start.
+    A field that does not fit the plant raises :class:`ProblemFormatError`
+    with the field's name in a problem file, such as ``'K0'``."""
 
     plant: Plant
     costspec: CostSpec
@@ -119,30 +127,26 @@ class Problem:
     params: SolverParams = field(default_factory=SolverParams)
     name: str = None
 
+    def __post_init__(self):
+        try:
+            _check_shapes(self.plant, self.costspec, self.constraints,
+                          self.gain0)
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc)) from exc
+
     def with_params(self, **overrides):
         """Copy of the problem with solver parameters replaced."""
         overrides = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, params=replace(self.params, **overrides))
 
 
-def _matrix_field(data, key, required=True, prefix=""):
-    name = prefix + key
+def _matrix_field(data, key, prefix=""):
     if key not in data:
-        if required:
-            raise ProblemFormatError(f"field '{name}': missing")
-        return None
+        raise ProblemFormatError(f"field '{prefix}{key}': missing")
     try:
-        M = np.array(data[key], dtype=float)
+        return _as_matrix(data[key], key)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"field '{name}': not a numeric matrix "
-                                 f"({exc})") from exc
-    if M.ndim != 2:
-        raise ProblemFormatError(
-            f"field '{name}': expected a 2-D array, got ndim={M.ndim}"
-        )
-    if not np.all(np.isfinite(M)):
-        raise ProblemFormatError(f"field '{name}': non-finite entries")
-    return M
+        raise ProblemFormatError(f"field '{prefix}{key}': {exc}") from exc
 
 
 def _list_field(data, key, prefix=""):
@@ -154,55 +158,31 @@ def _list_field(data, key, prefix=""):
 
 
 def problem_from_dict(data):
-    """Build a :class:`Problem` from parsed JSON, validating field by
-    field so errors name the offending entry."""
+    """Build a :class:`Problem` from parsed JSON, parsing field by field
+    so errors name the offending entry; the model types check values."""
     if not isinstance(data, dict):
         raise ProblemFormatError("problem file must be a JSON object")
     name = data.get("name")
     if "name" in data and not isinstance(name, str):
         raise ProblemFormatError(
             f"field 'name': expected a string, got {name!r}")
-    A = _matrix_field(data, "A")
-    B = _matrix_field(data, "B")
-    C = _matrix_field(data, "C")
+    A, B, C = (_matrix_field(data, key) for key in "ABC")
     try:
         plant = Plant(A=A, B=B, C=C)
     except ValueError as exc:
         raise ProblemFormatError(f"plant: {exc}") from exc
 
-    Q = _matrix_field(data, "Q")
-    R = _matrix_field(data, "R")
-    X0 = _matrix_field(data, "X0", required=False)
-    if X0 is None:
-        X0 = np.eye(plant.nstates)
+    Q, R = (_matrix_field(data, key) for key in "QR")
+    X0 = _matrix_field(data, "X0") if "X0" in data else np.eye(plant.nstates)
     try:
         costspec = CostSpec(Q=Q, R=R, X0=X0)
     except ValueError as exc:
         raise ProblemFormatError(f"cost: {exc}") from exc
-    if Q.shape[0] != plant.nstates:
-        raise ProblemFormatError(
-            f"field 'Q': expected order {plant.nstates}, got {Q.shape[0]}"
-        )
-    if R.shape[0] != plant.ninputs:
-        raise ProblemFormatError(
-            f"field 'R': expected order {plant.ninputs}, got {R.shape[0]}"
-        )
-    if X0.shape[0] != plant.nstates:
-        raise ProblemFormatError(
-            f"field 'X0': expected order {plant.nstates}, got {X0.shape[0]}"
-        )
-
     K0 = _matrix_field(data, "K0")
-    if K0.shape != plant.gain_shape():
-        raise ProblemFormatError(
-            f"field 'K0': expected shape {plant.gain_shape()}, "
-            f"got {K0.shape}"
-        )
 
     constraints = []
     for k, entry in enumerate(_list_field(data, "constraints")):
-        if not isinstance(entry, dict) or "terms" not in entry \
-                or "rhs" not in entry:
+        if not isinstance(entry, dict) or not {"terms", "rhs"} <= set(entry):
             raise ProblemFormatError(
                 f"field 'constraints[{k}]': expected an object with "
                 f"'terms' and 'rhs'"
@@ -216,19 +196,9 @@ def problem_from_dict(data):
                     f"field '{where}': expected an object with 'left' and "
                     f"'right'"
                 )
-            left = _matrix_field(term, "left", prefix=f"{where}.")
-            right = _matrix_field(term, "right", prefix=f"{where}.")
-            if left.shape[1] != plant.ninputs:
-                raise ProblemFormatError(
-                    f"field '{where}.left': expected "
-                    f"{plant.ninputs} columns, got {left.shape[1]}"
-                )
-            if right.shape[0] != plant.noutputs:
-                raise ProblemFormatError(
-                    f"field '{where}.right': expected "
-                    f"{plant.noutputs} rows, got {right.shape[0]}"
-                )
-            terms.append(ConstraintTerm(left=left, right=right))
+            terms.append(ConstraintTerm(
+                left=_matrix_field(term, "left", prefix=f"{where}."),
+                right=_matrix_field(term, "right", prefix=f"{where}.")))
         rhs = _matrix_field(entry, "rhs", prefix=f"constraints[{k}].")
         try:
             constraints.append(Constraint(terms=tuple(terms), rhs=rhs))

@@ -225,9 +225,9 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
     the constraint null space (:func:`hessian`), truncate its spectrum to
     the positive definite model, solve it for the step, and accept a step
-    size with the stability-guarded backtracking search.  Terminates
-    when ``||vec(dK)|| <= tol``, or when the step's predicted decrease
-    falls below the resolution of the cost.
+    size with the stability-guarded backtracking search from ``t = 1``.
+    Terminates when ``||vec(dK)|| <= tol``, or when the step's predicted
+    decrease falls below the resolution of the cost.
 
     Parameters
     ----------
@@ -249,12 +249,7 @@ def newton_solve(plant, costspec, cs, K0, **settings):
 
     def direction(gp, pg):
         K = gp.evaluation.K
-        Z = cs.null_basis(K.shape)
-        H = hessian(plant, costspec, K, gp, Z)
-        step = newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs)
-        # The curvature of H itself, not of the PT model, which bounds it
-        # by the slope |<grad, step>|: every search starts at t = 1.
-        theta = Z.T @ vec(step)
-        return step, float(theta @ H @ theta)
+        H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
+        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs), None
 
     return _descend(plant, costspec, cs, K0, params, direction)

@@ -209,16 +209,62 @@ class TestSolve:
         "terms=5": "'constraints[0].terms'",
         "terms=[5]": "'constraints[0].terms[0]'",
         "terms=null": "'constraints[0].terms'",
+        "terms=[]": "'constraints[0]'",
         "directory": "p.json",
         "latin-1": "p.json",
         "name=[1]": "'name'",
         "name=5": "'name'",
+        "array": "JSON object",
+        "method=bfgs": "'solver.method'",
+        "solver=[1]": "'solver'",
+        "Q=text": "'Q'",
+        "K0=vector": "'K0'",
+        "B=2x2": "plant: B",
+        "R=0": "cost: R",
+        "Q=3x2": "cost: Q",
+        "Q,X0=2x2": "'Q'",
+        "X0=2x2": "X0",
+        "R=3x3": "'R'",
+        "K0=2x3": "'K0'",
+        "no rhs": "'constraints[0]'",
+        "left=1x3": "'constraints[0].terms[0].left'",
+        "right=3x1": "'constraints[0].terms[0].right'",
+        "rhs=1x2": "'constraints[0]'",
+    }
+
+    # Example-2 files with one field of the wrong type or shape: n = 3
+    # states, a 2x2 gain, one pin per constraint.
+    EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+    EYE3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    PIN = {"left": [[1.0, 0.0]], "right": [[0.0], [1.0]]}
+    MALFORMED = {
+        "method=bfgs": {"solver": {"method": "bfgs"}},
+        "solver=[1]": {"solver": [1]},
+        "Q=text": {"Q": [["a"]]},
+        "K0=vector": {"K0": [-2.0, -3.0]},
+        "B=2x2": {"B": EYE2},
+        "R=0": {"R": [[0.0, 0.0], [0.0, 0.0]]},
+        "Q=3x2": {"Q": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+        "Q,X0=2x2": {"Q": EYE2, "X0": EYE2},
+        "X0=2x2": {"X0": EYE2},
+        "R=3x3": {"R": EYE3},
+        "K0=2x3": {"K0": [[-2.0, 0.0, 0.0], [0.0, -3.0, 0.0]]},
+        "no rhs": {"constraints": [{"terms": [PIN]}]},
+        "left=1x3": {"constraints": [{
+            "terms": [{"left": [[1.0, 0.0, 0.0]], "right": PIN["right"]}],
+            "rhs": [[0.0]]}]},
+        "right=3x1": {"constraints": [{
+            "terms": [{"left": PIN["left"], "right": [[0.0], [1.0], [0.0]]}],
+            "rhs": [[0.0]]}]},
+        "rhs=1x2": {"constraints": [{"terms": [PIN], "rhs": [[0.0, 0.0]]}]},
     }
 
     @pytest.mark.parametrize("case", UNREADABLE)
     def test_unreadable_or_malformed_file(self, tmp_path, capsys, case):
         path = tmp_path / "p.json"
-        if case == "constraints=7":
+        if case in self.MALFORMED:
+            write_problem(path, **self.MALFORMED[case])
+        elif case == "constraints=7":
             write_problem(path, constraints=7)
         elif case.startswith("terms="):
             terms = json.loads(case[len("terms="):])
@@ -228,6 +274,8 @@ class TestSolve:
             write_problem(path, name=json.loads(case[len("name="):]))
         elif case == "directory":
             path.mkdir()
+        elif case == "array":
+            path.write_text("[1, 2]")
         else:
             path.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
         assert main(["solve", str(path)]) == 3

@@ -242,6 +242,19 @@ def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
     np.testing.assert_allclose(result.K, reference.K, atol=1e-6)
 
 
+def test_infeasible_accepted_step_is_refused():
+    # The unprojected gradient of example2 moves the pinned off-diagonal
+    # entries, so the step the search accepts along it leaves the
+    # constraint set.  The search raises instead of returning that gain.
+    prob = builtin_problem("example2")
+    plant, costspec = prob.plant, prob.costspec
+    gp = gradient(plant, costspec, prob.gain0)
+    assert np.abs(gp.grad[[0, 1], [1, 0]]).min() > 0.0
+    with pytest.raises(RuntimeError, match="violates the constraint set"):
+        line_search(plant, costspec, prob.constraints, gp.evaluation,
+                    -gp.grad, gp.grad, 0.2, 0.1)
+
+
 def test_gradient_reuses_evaluation():
     prob = builtin_problem("example2")
     ev = evaluate(prob.plant, prob.costspec, prob.gain0)

@@ -1,5 +1,8 @@
 """Tests for the problem data model, cost, and constraint handling."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from soflqr import (
     InfeasibleConstraintsError,
     InfiniteCostError,
     Plant,
+    ProblemFormatError,
     builtin_problem,
     check_feasible,
     closed_loop,
@@ -66,6 +70,12 @@ class TestCostSpecValidation:
         with pytest.raises(ValueError, match="Q must be symmetric"):
             CostSpec(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1),
                      X0=np.eye(2))
+
+    def test_rejects_Q_and_X0_of_different_orders(self):
+        # effective_weight would broadcast this Q to an all-ones 4x4
+        # weight, and a solve would converge to the wrong cost.
+        with pytest.raises(ValueError, match=r"Q and X0 .*got 1 and 4"):
+            CostSpec(Q=[[1.0]], R=np.eye(2), X0=np.eye(4))
 
 
 class TestClosedLoop:
@@ -224,6 +234,15 @@ class TestFlattenConstraints:
         with pytest.raises(InfeasibleConstraintsError):
             flatten_constraints(cs, (2, 2))
 
+    @pytest.mark.parametrize("gain_shape, message", [
+        ((3, 2), "'constraints[0].terms[0].left': expected 3 columns"),
+        ((2, 3), "'constraints[0].terms[0].right': expected 3 rows"),
+    ], ids=["left", "right"])
+    def test_term_must_multiply_the_gain(self, gain_shape, message):
+        prob = builtin_problem("example2")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flatten_constraints(prob.constraints, gain_shape)
+
     def test_empty_set(self):
         Abar, cbar, Z = flatten_constraints(ConstraintSet.empty(), (2, 3))
         assert Abar.shape == (0, 6)
@@ -291,6 +310,40 @@ class TestCheckFeasible:
         assert len(cs) == 0
         assert check_feasible(cs, K0)
         assert not check_feasible(ConstraintSet(constraints=given), K0)
+
+
+class TestProblemShapeContract:
+    # example2 has n = 3 states and a 2x2 gain.
+    @pytest.mark.parametrize("field, change", [
+        ("K0", {"gain0": np.zeros((2, 3))}),
+        ("K0", {"gain0": [-2.0, -3.0]}),
+        ("K0", {"plant": Plant(A=-np.eye(3), B=np.ones((3, 2)),
+                               C=np.eye(3))}),
+        ("Q", {"costspec": CostSpec.identity_moment(np.eye(2), np.eye(2))}),
+        ("R", {"costspec": CostSpec.identity_moment(np.eye(3), np.eye(3))}),
+        ("constraints[1].terms[0].right", {"constraints": ConstraintSet(
+            constraints=[
+                Constraint(terms=((np.eye(2), np.eye(2)),),
+                           rhs=np.zeros((2, 2))),
+                Constraint(terms=((np.eye(2), np.eye(3)),),
+                           rhs=np.zeros((2, 3))),
+            ])}),
+    ], ids=["K0=2x3", "K0=vector", "C=3x3", "Q=2x2", "R=3x3", "right=3x3"])
+    def test_rejects_fields_that_do_not_fit_the_plant(self, field, change):
+        prob = builtin_problem("example2")
+        with pytest.raises(ProblemFormatError, match=re.escape(f"'{field}'")):
+            dataclasses.replace(prob, **change)
+
+    def test_with_params_copy_is_checked(self):
+        prob = builtin_problem("example2")
+        object.__setattr__(prob, "gain0", np.zeros((2, 3)))
+        with pytest.raises(ProblemFormatError, match="'K0'"):
+            prob.with_params(tol=1e-3)
+
+    def test_constraints_stay_unflattened(self):
+        # The solve, not the problem's construction, pays for flattening.
+        prob = builtin_problem("example2")
+        assert prob.constraints._flattened is None
 
 
 class TestEvaluateStart:
