@@ -17,7 +17,7 @@ from .first_order import (
     gradient,
     project_gradient,
 )
-from .linesearch import LineSearchStalled, NotDescentError, line_search
+from .linesearch import LineSearchStalled, line_search
 from .lyapunov import (
     NotHurwitzError,
     SchurSolver,
@@ -80,7 +80,6 @@ __all__ = [
     "InfeasibleConstraintsError",
     "InfiniteCostError",
     "LineSearchStalled",
-    "NotDescentError",
     "NotHurwitzError",
     "PTMatrix",
     "Plant",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linesearch import LineSearchStalled, NotDescentError, line_search
+from .linesearch import LineSearchStalled, line_search
 from .lyapunov import unvec, vec
 from .problem import (
     Evaluation,
@@ -44,7 +44,9 @@ class GradientPair:
     Attributes
     ----------
     grad : ndarray
-        m x q gradient of the cost with respect to the gain.
+        m x q gradient ``2 M G C^T`` of the cost with respect to the gain.
+    M : ndarray
+        ``B^T P + R K C``, which :func:`curvature` reads again.
     gramian : ndarray
         Symmetric state-covariance Gramian ``G`` from the adjoint
         equation.
@@ -54,6 +56,7 @@ class GradientPair:
     """
 
     grad: np.ndarray
+    M: np.ndarray
     gramian: np.ndarray
     evaluation: Evaluation
 
@@ -69,18 +72,18 @@ def gradient(plant, costspec, K):
     ev = K if isinstance(K, Evaluation) else evaluate(plant, costspec, K)
     G = ev.solver.solve_adjoint(costspec.X0)
     G = 0.5 * (G + G.T)
-    grad = 2.0 * (plant.B.T @ ev.P
-                  + costspec.R @ ev.K @ plant.C) @ G @ plant.C.T
-    return GradientPair(grad=grad, gramian=G, evaluation=ev)
+    M = plant.B.T @ ev.P + costspec.R @ ev.K @ plant.C
+    grad = 2.0 * M @ G @ plant.C.T
+    return GradientPair(grad=grad, M=M, gramian=G, evaluation=ev)
 
 
 def curvature(plant, costspec, gp, delta):
     """Second derivative ``<delta, H delta>`` of the cost along ``delta``.
 
-    ``gp`` is the :class:`GradientPair` at the gain; its Gramian ``G`` and
-    its evaluation's ``P`` and Schur factorization are reused, so this is
-    one Lyapunov solve.  With ``M = B^T P + R K C`` and
-    ``W = (delta C)^T M``, the change of ``P`` along ``delta`` solves
+    ``gp`` is the :class:`GradientPair` at the gain; its Gramian ``G``,
+    its ``M = B^T P + R K C`` and its evaluation's Schur factorization are
+    reused, so this is one Lyapunov solve.  With ``W = (delta C)^T M``,
+    the change of ``P`` along ``delta`` solves
     ``Ac^T P' + P' Ac + W + W^T = 0``, and
 
         <delta, H delta> = 4 <P' B delta C, G> + 2 <(delta C)^T R delta C, G>,
@@ -88,10 +91,9 @@ def curvature(plant, costspec, gp, delta):
     the quadratic form of :func:`~soflqr.second_order.hessian`, whose two
     solved terms are equal by the adjoint identity.
     """
-    ev = gp.evaluation
     dC = np.asarray(delta, dtype=float) @ plant.C
-    W = dC.T @ (plant.B.T @ ev.P + costspec.R @ ev.K @ plant.C)
-    dP = ev.solver.solve_primal(W + W.T)
+    W = dC.T @ gp.M
+    dP = gp.evaluation.solver.solve_primal(W + W.T)
     return float(np.vdot(4.0 * dP @ plant.B @ dC
                          + 2.0 * dC.T @ costspec.R @ dC, gp.gramian))
 
@@ -117,17 +119,16 @@ def _descend(plant, costspec, cs, K0, params, direction):
     At each iterate the gradient ``gp`` and its projection ``pg`` are
     computed once, and ``direction(gp, pg)`` returns the search direction
     ``delta`` and the curvature ``<delta, H delta>`` of the cost along
-    it, or None for a search from ``t = 1``.
-    The trace records ``||pg||``, and the run has converged when
-    ``||delta||``, the result's ``step_norm``, falls to ``tol``, or when
-    the predicted decrease ``-<grad, delta>`` is positive but at most four
-    ulps of the cost, so that no step along ``delta`` can lower the cost
-    by a representable amount.  A direction without descent, or a line
-    search that cannot certify a decrease, ends the run as stalled.
+    it, or 0 for a search from ``t = 1``.  The loop forms the slope
+    ``s = <grad, delta>`` and makes every stop decision; the line search
+    is handed ``s`` and only searches.  The trace records ``||pg||``, and
+    the run has converged when ``||delta||``, the result's ``step_norm``,
+    falls to ``tol``, or when ``-s`` is positive but at most four ulps of
+    the cost, so that no step along ``delta`` can lower the cost by a
+    representable amount.  :class:`LineSearchStalled`, for a direction
+    without descent or a search that certifies no decrease, ends the run
+    as stalled, with its trials counted and its reason logged.
 
-    Each line search starts at 1 or at the step that the curvature
-    predicts (see :func:`line_search`), so it depends on the current
-    iterate only.
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
     called once per visited gain.
     """
@@ -161,13 +162,14 @@ def _descend(plant, costspec, cs, K0, params, direction):
             break
         try:
             ev, t, evals = line_search(plant, costspec, cs, ev, delta,
-                                       gp.grad, params.alpha, params.beta,
-                                       curvature=kappa)
-        except (LineSearchStalled, NotDescentError) as exc:
+                                       slope, params, curvature=kappa)
+        except LineSearchStalled as exc:
+            evals_total += exc.evals
             status = "stalled"
             logger.info(
                 "%s solve stalled after %d iterations at stopping measure "
-                "%.3e (tol %.1e): %s", params.method, it, measure, tol, exc,
+                "%.3e (tol %.1e): %s", params.method, it, measure, tol,
+                exc.reason,
             )
             break
         evals_total += evals

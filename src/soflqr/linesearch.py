@@ -5,14 +5,15 @@ are the powers ``beta^k`` above ``MIN_STEP``, each computed as
 ``beta ** k``.  A trial is accepted when the trial gain keeps the closed
 loop Hurwitz and satisfies the Armijo sufficient-decrease condition.
 The decrease is the exact cost change of :func:`evaluate_step`, not the
-difference of two rounded costs.
+difference of two rounded costs.  The caller supplies the direction, its
+slope ``s = <grad, delta>`` and the curvature ``kappa = <delta, H delta>``
+of the cost along it; the search evaluates trials and nothing else.
 
-The cold search tries ``1, beta, beta^2, ...`` and accepts the largest
-acceptable power.  Given the curvature ``kappa = <delta, H delta>`` of
-the cost along ``delta``, a search instead starts where the model
-``dJ(t) ~ t s + t^2 kappa / 2``, with the slope ``s = <grad, delta>``,
+The cold search, for ``kappa <= 0``, tries ``1, beta, beta^2, ...`` and
+accepts the largest acceptable power.  A positive ``kappa`` instead
+starts the search where the model ``dJ(t) ~ t s + t^2 kappa / 2``
 predicts that power: at the largest ``beta^k <= 2 (1 - alpha) |s| /
-kappa``, or at 1 when ``kappa <= 0``.  Its exponent comes from
+kappa``, or at 1 when that bound is at least 1.  Its exponent comes from
 logarithms, so the start costs O(1) for every ``beta``.  If that first
 trial is accepted below 1, the cubic through ``s``, ``kappa`` and the
 exact ``dJ`` of the trial decides whether to try the next larger power;
@@ -30,13 +31,10 @@ so a prediction off by a factor ``r`` costs about
 import itertools
 import math
 
-import numpy as np
-
 from .lyapunov import NotHurwitzError
 from .problem import InfiniteCostError, check_feasible, evaluate_step
 
-__all__ = ["LineSearchStalled", "NotDescentError", "line_search",
-           "MIN_STEP"]
+__all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
 
 # Step sizes below this are treated as underflow: the search has reached
 # the floating-point floor of the cost along the given direction.
@@ -44,17 +42,17 @@ MIN_STEP = 1e-16
 
 
 class LineSearchStalled(RuntimeError):
-    """No acceptable step found before the step size underflowed."""
+    """The search found no acceptable step.
 
-    def __init__(self):
-        super().__init__(
-            f"line search stalled: no trial step above {MIN_STEP:.0e} "
-            f"produced a certified cost decrease"
-        )
+    ``reason`` says why: the direction has no descent, or no power above
+    ``MIN_STEP`` certified a decrease.  ``evals`` is the number of trials
+    the search evaluated before it gave up.
+    """
 
-
-class NotDescentError(ValueError):
-    """The search direction has a nonnegative slope along the gradient."""
+    def __init__(self, reason, evals):
+        super().__init__(f"line search stalled: {reason}")
+        self.reason = reason
+        self.evals = evals
 
 
 def _first_power(beta, bound):
@@ -71,19 +69,16 @@ def _first_power(beta, bound):
     return k
 
 
-def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
-                curvature=None):
-    """Backtracking search along the descent direction ``delta``.
+def line_search(plant, costspec, cs, current, delta, slope, params,
+                curvature=0.0):
+    """Backtracking search along the direction ``delta``.
 
     Accepts a power ``t = beta ** k`` above ``MIN_STEP`` whose exact cost
     change ``dJ`` satisfies the Armijo condition
-    ``dJ <= alpha * t * <grad, delta>`` (with the full gradient ``grad``)
-    and leaves ``J(K) + dJ`` strictly below ``J(K)`` in floating point.
-    Destabilizing trial points, and those whose Lyapunov solve is too
-    ill-conditioned to be trusted, count as rejections.  Without
-    ``curvature`` the powers are tried from ``t = 1`` down; with it the
-    search starts at the power the quadratic model predicts and may climb
-    from there (see the module docstring).
+    ``dJ <= alpha * t * slope`` and leaves ``J(K) + dJ`` strictly below
+    ``J(K)`` in floating point.  Destabilizing trial points, and those
+    whose Lyapunov solve is too ill-conditioned to be trusted, count as
+    rejections.
 
     Parameters
     ----------
@@ -91,34 +86,31 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
         Used to verify the accepted iterate stays feasible.
     current : Evaluation
         Evaluation at the current gain ``K``; its cost is ``J(K)``.
-    grad : ndarray
-        Cost gradient at ``K`` (not the projected gradient).
-    curvature : float, optional
-        ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.
-        ``None`` starts a cold search at ``t = 1``; so does a curvature
-        that is not positive.  Newton passes None: for its PT-truncated
-        step the prediction is never below 1.
+    slope : float
+        ``<grad, delta>`` for the full (not projected) gradient at ``K``.
+    params : SolverParams
+        Supplies ``alpha`` and ``beta``, whose ranges it has checked.
+    curvature : float
+        ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.  A
+        positive value starts the search at the power the quadratic model
+        predicts (see the module docstring); zero, the default, or a
+        negative value starts a cold search at ``t = 1``.  Newton passes
+        0: for its PT-truncated step the prediction is never below 1.
 
     Returns
     -------
     (Evaluation, float, int)
         Evaluation at the accepted gain ``K + t*delta``, the accepted
-        ``t``, and the number of cost evaluations performed, that is of
-        trials actually evaluated.  Raises :class:`NotDescentError` if
-        ``<grad, delta> >= 0`` and :class:`LineSearchStalled` if every
-        power above ``MIN_STEP`` is rejected.
+        ``t``, and the number of trials evaluated.  Raises
+        :class:`LineSearchStalled`, carrying its reason and trial count,
+        before any trial if ``slope >= 0``, and after the last one if
+        every power above ``MIN_STEP`` is rejected.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
-    K, current_cost = current.K, current.cost
-    delta = np.asarray(delta, dtype=float)
-    slope = float(np.trace(np.asarray(grad).T @ delta))
+    alpha, beta = params.alpha, params.beta
     if slope >= 0.0:
-        raise NotDescentError(
-            f"delta is not a descent direction: <grad, delta> = {slope:.3e}"
-        )
+        raise LineSearchStalled(
+            f"delta is not a descent direction: <grad, delta> = "
+            f"{slope:.3e}", 0)
 
     def attempt(k):
         # The accepted trial and its dJ at t = beta^k, or None.
@@ -129,17 +121,17 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
             # the solve means trsyl had to perturb it: the closed loop is
             # too ill-conditioned for its cost to be trusted.
             trial, dJ = evaluate_step(plant, costspec, current,
-                                      K + t * delta)
+                                      current.K + t * delta)
         except (InfiniteCostError, NotHurwitzError):
             return None
-        if trial.cost < current_cost and dJ <= alpha * t * slope:
+        if trial.cost < current.cost and dJ <= alpha * t * slope:
             return trial, dJ
         return None
 
     # Powers k = 0 .. count - 1 lie above MIN_STEP.
     count = _first_power(beta, MIN_STEP)
     start = 0
-    if curvature is not None and curvature > 0.0:
+    if curvature > 0.0:
         predicted = 2.0 * (1.0 - alpha) * -slope / curvature
         if predicted < 1.0:
             start = min(_first_power(beta, max(predicted, MIN_STEP)),
@@ -152,7 +144,9 @@ def line_search(plant, costspec, cs, current, delta, grad, alpha, beta,
         if accepted is not None:
             break
     else:
-        raise LineSearchStalled()
+        raise LineSearchStalled(
+            f"no trial step above {MIN_STEP:.0e} produced a certified "
+            f"cost decrease", evals)
     if k == start:
         # The start was accepted: climb while the cubic through the
         # slope, the curvature and the last accepted dJ predicts Armijo

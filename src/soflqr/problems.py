@@ -51,7 +51,6 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-BUILTIN_NAMES = ("example1", "example2")
 
 _METHODS = ("newton", "grad")
 
@@ -358,13 +357,15 @@ def _example2():
     )
 
 
+_BUILTINS = {"example1": _example1, "example2": _example2}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_problem(name):
     """Return one of the bundled benchmark problems by name."""
-    if name == "example1":
-        return _example1()
-    if name == "example2":
-        return _example2()
-    raise ValueError(
-        f"unknown built-in problem {name!r}; available: "
-        f"{', '.join(BUILTIN_NAMES)}"
-    )
+    if name not in _BUILTINS:
+        raise ValueError(
+            f"unknown built-in problem {name!r}; available: "
+            f"{', '.join(BUILTIN_NAMES)}"
+        )
+    return _BUILTINS[name]()

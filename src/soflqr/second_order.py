@@ -225,9 +225,10 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
     the constraint null space (:func:`hessian`), truncate its spectrum to
     the positive definite model, solve it for the step, and accept a step
-    size with the stability-guarded backtracking search from ``t = 1``.
-    Terminates when ``||vec(dK)|| <= tol``, or when the step's predicted
-    decrease falls below the resolution of the cost.
+    size with the stability-guarded backtracking search, from ``t = 1``
+    since the step comes with curvature 0.  Terminates when
+    ``||vec(dK)|| <= tol``, or when the step's predicted decrease falls
+    below the resolution of the cost; a stalled search stalls the run.
 
     Parameters
     ----------
@@ -250,6 +251,6 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     def direction(gp, pg):
         K = gp.evaluation.K
         H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
-        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs), None
+        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs), 0.0
 
     return _descend(plant, costspec, cs, K0, params, direction)

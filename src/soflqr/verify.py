@@ -20,7 +20,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .first_order import gradient
-from .lyapunov import NotHurwitzError, SchurSolver, unvec, vec
+from .lyapunov import (NotHurwitzError, SchurSolver, spectral_abscissa,
+                       unvec, vec)
 from .problem import InfiniteCostError, closed_loop, cost, effective_weight
 
 __all__ = [
@@ -289,7 +290,7 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
         raise ValueError("horizon must be positive and steps at least 2")
     K = np.asarray(K, dtype=float)
     Ac = closed_loop(plant, K)
-    abscissa = float(np.max(np.linalg.eigvals(Ac).real))
+    abscissa = spectral_abscissa(Ac)
     if abscissa >= 0.0:
         raise InfiniteCostError(
             f"gain is not stabilizing (spectral abscissa {abscissa:.6e}); "

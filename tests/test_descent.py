@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_continuous_lyapunov
 
 import soflqr.first_order
+import soflqr.linesearch
 import soflqr.second_order
 from soflqr import (
     Constraint,
@@ -188,6 +189,38 @@ def test_one_factorization_per_visited_gain(method, monkeypatch):
     assert count == 1 + result.line_search_evals
 
 
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_stalled_search_counts_its_trials(method, monkeypatch):
+    # Every trial is evaluated, factored and then refused, so the first
+    # search stalls after the 17 powers of 0.1 above MIN_STEP.  Those
+    # trials still count in line_search_evals.
+    count = 0
+    init = SchurSolver.__init__
+    evaluate_step = soflqr.linesearch.evaluate_step
+    trials = []
+
+    def counting_init(self, Ac):
+        nonlocal count
+        count += 1
+        init(self, Ac)
+
+    def refused(plant, costspec, current, K):
+        trials.append(K)
+        trial, _ = evaluate_step(plant, costspec, current, K)
+        return trial, 0.0
+
+    monkeypatch.setattr(SchurSolver, "__init__", counting_init)
+    monkeypatch.setattr(soflqr.linesearch, "evaluate_step", refused)
+    prob = builtin_problem("example2")
+    result = SOLVERS[method](prob.plant, prob.costspec, prob.constraints,
+                             prob.gain0)
+    assert result.status == "stalled"
+    assert result.iterations == 0
+    assert len(trials) == 17
+    assert result.line_search_evals == len(trials)
+    assert count == 1 + result.line_search_evals
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_warm_start_moves_no_iterate(name, beta, monkeypatch):
@@ -250,9 +283,10 @@ def test_infeasible_accepted_step_is_refused():
     plant, costspec = prob.plant, prob.costspec
     gp = gradient(plant, costspec, prob.gain0)
     assert np.abs(gp.grad[[0, 1], [1, 0]]).min() > 0.0
+    slope = float(np.trace(gp.grad.T @ -gp.grad))
     with pytest.raises(RuntimeError, match="violates the constraint set"):
         line_search(plant, costspec, prob.constraints, gp.evaluation,
-                    -gp.grad, gp.grad, 0.2, 0.1)
+                    -gp.grad, slope, prob.params)
 
 
 def test_gradient_reuses_evaluation():

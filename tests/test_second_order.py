@@ -16,7 +16,9 @@ from soflqr import (
     LineSearchStalled,
     NotHurwitzError,
     Plant,
+    ProblemFormatError,
     SchurSolver,
+    SolverParams,
     builtin_problem,
     cost,
     curvature,
@@ -44,6 +46,15 @@ from conftest import (
 def scalar_problem():
     plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
     return plant, identity_cost(1, 1)
+
+
+# The line-search settings of the tests below: alpha = 0.2, beta = 0.1.
+SEARCH = SolverParams(alpha=0.2, beta=0.1)
+
+
+def slope(gp, delta):
+    """``<grad, delta>``, the slope :func:`line_search` is given."""
+    return float(np.vdot(gp.grad, delta))
 
 
 def pinned_diagonal_problem(n=40, k=4, seed=0):
@@ -338,10 +349,10 @@ class TestLineSearch:
         plant, costspec = scalar_problem()
         K = np.array([[0.0]])
         gp = gradient(plant, costspec, K)
+        delta = np.array([[-0.25]])
         trial, t, evals = line_search(plant, costspec,
                                       ConstraintSet.empty(), gp.evaluation,
-                                      np.array([[-0.25]]), gp.grad,
-                                      alpha=0.2, beta=0.1)
+                                      delta, slope(gp, delta), SEARCH)
         assert t == 1.0
         assert evals == 1
         assert trial.K[0, 0] == pytest.approx(-0.25)
@@ -354,34 +365,44 @@ class TestLineSearch:
         K = np.array([[-3.0]])
         gp = gradient(plant, costspec, K)
         assert gp.grad[0, 0] == pytest.approx(-0.25, abs=1e-12)
+        delta = np.array([[2.5]])
         trial, t, evals = line_search(plant, costspec,
                                       ConstraintSet.empty(), gp.evaluation,
-                                      np.array([[2.5]]), gp.grad,
-                                      alpha=0.2, beta=0.1)
+                                      delta, slope(gp, delta), SEARCH)
         assert t == pytest.approx(0.1)
         assert evals == 2
         assert trial.K[0, 0] == pytest.approx(-2.75)
         assert cost(plant, costspec, trial.K) < cost(plant, costspec, K)
 
-    def test_rejects_ascent_direction(self):
+    def test_rejects_ascent_direction(self, monkeypatch):
+        # A direction with a positive or a zero slope stalls before any
+        # trial is evaluated: no closed loop is factored.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
-        with pytest.raises(ValueError, match="descent"):
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, np.array([[1.0]]), gp.grad,
-                        alpha=0.2, beta=0.1)
+        delta = np.array([[1.0]])
+        built = []
+        monkeypatch.setattr(SchurSolver, "__init__",
+                            lambda self, Ac: built.append(Ac))
+        for s in (slope(gp, delta), 0.0):
+            with pytest.raises(LineSearchStalled, match="descent") as info:
+                line_search(plant, costspec, ConstraintSet.empty(),
+                            gp.evaluation, delta, s, SEARCH)
+            assert info.value.evals == 0
+        assert built == []
 
     def test_rejects_bad_parameters(self):
+        # The ranges of alpha and beta are SolverParams' to check.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
-        with pytest.raises(ValueError, match="alpha"):
+        delta = np.array([[-0.1]])
+        with pytest.raises(ProblemFormatError, match="alpha"):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, np.array([[-0.1]]), gp.grad,
-                        alpha=0.7, beta=0.1)
-        with pytest.raises(ValueError, match="beta"):
+                        gp.evaluation, delta, slope(gp, delta),
+                        SolverParams(alpha=0.7, beta=0.1))
+        with pytest.raises(ProblemFormatError, match="beta"):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, np.array([[-0.1]]), gp.grad,
-                        alpha=0.2, beta=1.5)
+                        gp.evaluation, delta, slope(gp, delta),
+                        SolverParams(alpha=0.2, beta=1.5))
 
     def test_ill_conditioned_trial_is_rejected(self, monkeypatch):
         # A trial whose Lyapunov solve LAPACK had to perturb (trsyl
@@ -400,10 +421,10 @@ class TestLineSearch:
                             ill_conditioned_unit_step)
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
+        delta = np.array([[-0.25]])
         trial, t, evals = line_search(plant, costspec,
                                       ConstraintSet.empty(), gp.evaluation,
-                                      np.array([[-0.25]]), gp.grad,
-                                      alpha=0.2, beta=0.1)
+                                      delta, slope(gp, delta), SEARCH)
         assert (t, evals) == (0.1, 2)
         assert trial.K[0, 0] == pytest.approx(-0.025)
 
@@ -412,10 +433,10 @@ class TestLineSearch:
         # never produce a strict decrease.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
+        delta = np.array([[-1e-300]])
         with pytest.raises(LineSearchStalled):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, np.array([[-1e-300]]), gp.grad,
-                        alpha=0.2, beta=0.1)
+                        gp.evaluation, delta, slope(gp, delta), SEARCH)
 
 
 def steep_scalar_problem():
@@ -458,7 +479,7 @@ class TestWarmStart:
         slope = -0.5
         assert np.vdot(gp.grad, [[-1.0]]) == slope
         line_search(plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                    np.array([[-1.0]]), gp.grad, alpha=0.2, beta=0.1,
+                    np.array([[-1.0]]), slope, SEARCH,
                     curvature=1.6 * -slope / (5.0 * 0.1 ** k))
         assert steps[0] == 0.1 ** k
 
@@ -470,10 +491,12 @@ class TestWarmStart:
         plant, costspec = steep_scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -0.25)
+        delta = np.array([[-0.25]])
+        # None passes no curvature: the default.
+        given = {} if curvature is None else {"curvature": curvature}
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
-                                  gp.evaluation, np.array([[-0.25]]),
-                                  gp.grad, alpha=0.2, beta=0.1,
-                                  curvature=curvature)
+                                  gp.evaluation, delta, slope(gp, delta),
+                                  SEARCH, **given)
         assert steps == [1.0]
         assert (t, evals) == (1.0, 1)
 
@@ -488,7 +511,7 @@ class TestWarmStart:
         kappa = curvature(plant, costspec, gp, delta)
         assert kappa == pytest.approx(1.5625, rel=1e-12)
         args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                delta, gp.grad, 0.2, 0.1)
+                delta, slope(gp, delta), SEARCH)
         cold_trial, cold_t, cold_evals = line_search(*args)
         trial, t, evals = line_search(*args, curvature=kappa)
         assert (cold_t, cold_evals) == (0.1, 2)
@@ -507,7 +530,7 @@ class TestWarmStart:
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                np.array([[delta]]), gp.grad, 0.2, 0.1)
+                np.array([[delta]]), slope(gp, [[delta]]), SEARCH)
         cold_trial, cold_t, _ = line_search(*args)
         steps = self.trial_steps(monkeypatch, delta)
         kappa = curvature(plant, costspec, gp, np.array([[delta]]))
@@ -532,7 +555,7 @@ class TestWarmStart:
         steps = self.trial_steps(monkeypatch, delta)
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
                                   gp.evaluation, np.array([[delta]]),
-                                  gp.grad, alpha=0.2, beta=0.1,
+                                  slope(gp, [[delta]]), SEARCH,
                                   curvature=curvature)
         assert t == 1.0
         assert evals == len(trials)
@@ -546,10 +569,12 @@ class TestWarmStart:
         plant, costspec = steep_scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -0.25)
+        delta = np.array([[-0.25]])
+        given = {} if curvature is None else {"curvature": curvature}
         _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
-                                  gp.evaluation, np.array([[-0.25]]),
-                                  gp.grad, alpha=0.2, beta=1.0 - 1e-12,
-                                  curvature=curvature)
+                                  gp.evaluation, delta, slope(gp, delta),
+                                  SolverParams(alpha=0.2, beta=1.0 - 1e-12),
+                                  **given)
         assert steps == [1.0]
         assert (t, evals) == (1.0, 1)
 
@@ -565,16 +590,18 @@ class TestWarmStart:
             "import sys\n"
             f"sys.path.insert(0, {root!r})\n"
             "import numpy as np\n"
-            "from soflqr import (ConstraintSet, CostSpec, Plant, curvature,\n"
-            "                    gradient, line_search)\n"
+            "from soflqr import (ConstraintSet, CostSpec, Plant, SolverParams,\n"
+            "                    curvature, gradient, line_search)\n"
             "plant = Plant(A=[[-1.0]], B=[[0.0]], C=[[1.0]])\n"
             "costspec = CostSpec(Q=[[1.0]], R=[[1.0]], X0=[[1.0]])\n"
             "gp = gradient(plant, costspec, [[1.0]])\n"
             "delta = np.array([[-2.0]])\n"
             "kappa = curvature(plant, costspec, gp, delta)\n"
             "_, t, evals = line_search(plant, costspec, ConstraintSet.empty(),\n"
-            "                          gp.evaluation, delta, gp.grad, 0.2,\n"
-            "                          1.0 - 1e-12, curvature=kappa)\n"
+            "                          gp.evaluation, delta,\n"
+            "                          float(np.vdot(gp.grad, delta)),\n"
+            "                          SolverParams(alpha=0.2, beta=1.0 - 1e-12),\n"
+            "                          curvature=kappa)\n"
             "print(kappa, t, evals)\n"
         )
         proc = subprocess.run([sys.executable, "-c", probe],
@@ -592,10 +619,11 @@ class TestWarmStart:
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -1e-300)
+        delta = np.array([[-1e-300]])
         with pytest.raises(LineSearchStalled):
             line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, np.array([[-1e-300]]), gp.grad,
-                        alpha=0.2, beta=0.1, curvature=curvature)
+                        gp.evaluation, delta, slope(gp, delta), SEARCH,
+                        curvature=curvature)
         assert len(steps) == 17
 
 
