@@ -14,6 +14,7 @@ orthogonally onto the homogeneous constraint subspace.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -103,11 +104,14 @@ def project_gradient(grad, cs):
 
     Returns the feasible direction closest to ``grad`` in the Frobenius
     norm, ``unvec(Z Z^T vec(grad))`` for the orthonormal null-space
-    basis ``Z`` of ``Abar`` cached by the constraint set.  The
+    basis ``Z`` of ``Abar`` cached by the constraint set, or ``grad``
+    itself when there are no constraints and ``Z`` is the identity.  The
     right-hand side ``cbar`` plays no part: directions in the null space
     keep a feasible gain feasible.
     """
     grad = np.asarray(grad, dtype=float)
+    if not len(cs):
+        return grad
     Z = cs.null_basis(grad.shape)
     return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
@@ -146,10 +150,11 @@ def _descend(plant, costspec, cs, K0, params, direction):
         gp = gradient(plant, costspec, ev)
         pg = project_gradient(gp.grad, cs)
         delta, kappa = direction(gp, pg)
-        measure = float(np.linalg.norm(vec(delta)))
+        v, w = vec(delta), vec(pg)
+        measure = math.sqrt(v @ v)
         trace.append(TraceRecord(
             iteration=it, cost=ev.cost,
-            grad_norm=float(np.linalg.norm(vec(pg))),
+            grad_norm=math.sqrt(w @ w),
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,

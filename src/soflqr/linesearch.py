@@ -1,9 +1,13 @@
 """Backtracking line search with a closed-loop stability guard.
 
 Shared by the gradient-projection and Newton solvers: the trial steps
-are the powers ``beta^k`` above ``MIN_STEP``, each computed as
-``beta ** k``.  A trial is accepted when the trial gain keeps the closed
-loop Hurwitz and satisfies the Armijo sufficient-decrease condition.
+are the powers ``beta^k`` above a floor, each computed as ``beta ** k``.
+The floor is ``MIN_STEP``, lowered to ``MIN_STEP max(1, ||K||) /
+||delta||`` for a direction longer than ``max(1, ||K||)`` (Frobenius
+norms), so that the smallest trial step ``t ||delta||`` is the same
+relative move of the gain ``K`` for every direction.  A trial is
+accepted when the trial gain keeps the closed loop Hurwitz and satisfies
+the Armijo sufficient-decrease condition.
 The decrease is the exact cost change of :func:`evaluate_step`, not the
 difference of two rounded costs.  The caller supplies the direction, its
 slope ``s = <grad, delta>`` and the curvature ``kappa = <delta, H delta>``
@@ -19,7 +23,7 @@ trial is accepted below 1, the cubic through ``s``, ``kappa`` and the
 exact ``dJ`` of the trial decides whether to try the next larger power;
 the search climbs while the cubic predicts Armijo there and the trial
 confirms it.  A rejected start walks down as the cold search does, and
-if the powers run down to ``MIN_STEP``, the skipped ones are tried next,
+if the powers run down to the floor, the skipped ones are tried next,
 largest first, before the search stalls.  So a search with a good
 prediction costs one trial, and accepts the cold search's step whenever
 acceptability is monotone in ``t`` and the cubic's verdict on the next
@@ -36,8 +40,8 @@ from .problem import InfiniteCostError, check_feasible, evaluate_step
 
 __all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
 
-# Step sizes below this are treated as underflow: the search has reached
-# the floating-point floor of the cost along the given direction.
+# Steps ``t ||delta||`` below ``MIN_STEP max(1, ||K||)`` are treated as
+# underflow: the gain, and so the cost, cannot change representably.
 MIN_STEP = 1e-16
 
 
@@ -45,7 +49,7 @@ class LineSearchStalled(RuntimeError):
     """The search found no acceptable step.
 
     ``reason`` says why: the direction has no descent, or no power above
-    ``MIN_STEP`` certified a decrease.  ``evals`` is the number of trials
+    the floor certified a decrease.  ``evals`` is the number of trials
     the search evaluated before it gave up.
     """
 
@@ -73,7 +77,7 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
                 curvature=0.0):
     """Backtracking search along the direction ``delta``.
 
-    Accepts a power ``t = beta ** k`` above ``MIN_STEP`` whose exact cost
+    Accepts a power ``t = beta ** k`` above the floor whose exact cost
     change ``dJ`` satisfies the Armijo condition
     ``dJ <= alpha * t * slope`` and leaves ``J(K) + dJ`` strictly below
     ``J(K)`` in floating point.  Destabilizing trial points, and those
@@ -104,7 +108,7 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
         ``t``, and the number of trials evaluated.  Raises
         :class:`LineSearchStalled`, carrying its reason and trial count,
         before any trial if ``slope >= 0``, and after the last one if
-        every power above ``MIN_STEP`` is rejected.
+        every power above the floor is rejected.
     """
     alpha, beta = params.alpha, params.beta
     if slope >= 0.0:
@@ -128,13 +132,16 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
             return trial, dJ
         return None
 
-    # Powers k = 0 .. count - 1 lie above MIN_STEP.
-    count = _first_power(beta, MIN_STEP)
+    # Powers k = 0 .. count - 1 lie above the floor.  hypot neither
+    # underflows nor overflows where the sum of squares would.
+    floor = MIN_STEP * min(1.0, max(1.0, math.hypot(*current.K.flat))
+                           / math.hypot(*delta.flat))
+    count = _first_power(beta, floor)
     start = 0
     if curvature > 0.0:
         predicted = 2.0 * (1.0 - alpha) * -slope / curvature
         if predicted < 1.0:
-            start = min(_first_power(beta, max(predicted, MIN_STEP)),
+            start = min(_first_power(beta, max(predicted, floor)),
                         count - 1)
 
     evals = 0
@@ -145,7 +152,7 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
             break
     else:
         raise LineSearchStalled(
-            f"no trial step above {MIN_STEP:.0e} produced a certified "
+            f"no trial step above {floor:.1e} produced a certified "
             f"cost decrease", evals)
     if k == start:
         # The start was accepted: climb while the cubic through the

@@ -9,15 +9,14 @@ solve becomes an elementwise product, or, when that basis is too badly
 conditioned, from one auxiliary solve in Schur coordinates per free
 coordinate.  The adjoint identity between the primal and adjoint
 Lyapunov operators supplies the rest.  Indefiniteness is handled by the
-PT (positive-definite truncation) transform of the reduced Hessian's
-spectrum, and the step ``Z theta`` keeps every iterate on the
-constraint set.
+PT (positive-definite truncation) of the reduced Hessian's spectrum,
+and the step is solved in the eigenbasis the truncation computes.  The
+step ``Z theta`` keeps every iterate on the constraint set.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 
 from .first_order import _descend
@@ -43,29 +42,34 @@ EIGEN_GUARD = 1e6
 
 @dataclass(frozen=True)
 class PTMatrix:
-    """Positive-definite truncation of a symmetric matrix.
+    """Positive-definite truncation of a symmetric matrix, kept factored.
 
-    Eigenvalues are replaced by ``max(|eig|, eps)`` in the original
-    eigenbasis, so the result is positive definite and shares
-    eigenvectors with the input.  ``modified_count`` is the number of
-    eigenvalues changed.
+    ``eigvecs`` is the input's orthonormal eigenbasis ``V``; ``eigvals``
+    are its eigenvalues replaced by ``max(|eig|, eps)``, so the model
+    ``V diag(eigvals) V^T`` is positive definite.  ``modified_count`` is
+    the number of eigenvalues changed.
     """
 
-    matrix: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
     modified_count: int
+
+    @property
+    def matrix(self):
+        """The model ``V diag(eigvals) V^T``, formed on each read."""
+        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
 
 
 def hessian(plant, costspec, K, gp, basis=None):
     """Hessian of the cost in vectorized gain coordinates.
 
     ``gp`` is the :class:`GradientPair` at the same ``K``; its Gramian
-    ``G`` and its evaluation's ``P`` and Schur factorization
+    ``G``, its ``M = B^T P + R K C`` and its evaluation's Schur form
     ``Ac = U T U^T`` are reused.  Returns the symmetric ndarray.  Columns
     follow the column-major ordering of the gain entries.  With
     ``basis`` (an ``m*q x N`` matrix ``Z``, such as
     :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
-    ``Z^T H Z``.  With ``M = B^T P + R K C``, the column of entry
-    ``E = E_ij`` is
+    ``Z^T H Z``.  The column of entry ``E = E_ij`` is
 
         2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
 
@@ -87,13 +91,10 @@ def hessian(plant, costspec, K, gp, basis=None):
     return schur_hessian(plant, costspec, K, gp, basis) if H is None else H
 
 
-def _schur_factors(plant, costspec, K, gp):
+def _schur_factors(plant, gp):
     # M^T, C^T, B and G C^T in the Schur coordinates of the closed loop.
-    K = np.asarray(K, dtype=float)
-    B, C, R = plant.B, plant.C, costspec.R
-    U = gp.evaluation.solver.U
-    Ms = U.T @ (gp.evaluation.P @ B + C.T @ K.T @ R)
-    return Ms, U.T @ C.T, U.T @ B, U.T @ (gp.gramian @ C.T)
+    U, C = gp.evaluation.solver.U, plant.C
+    return U.T @ gp.M.T, U.T @ C.T, U.T @ plant.B, U.T @ (gp.gramian @ C.T)
 
 
 def _assemble(plant, costspec, gp, Z, ZSZ):
@@ -121,7 +122,7 @@ def schur_hessian(plant, costspec, K, gp, basis=None):
     m, q = plant.gain_shape()
     Z = _basis(plant, basis)
     solver = gp.evaluation.solver
-    Ms, Cs, Bs, GCs = _schur_factors(plant, costspec, K, gp)
+    Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
     SZ = np.empty(Z.shape)
     for col in range(Z.shape[1]):
         Y = solver.solve_schur(Ms @ unvec(Z[:, col], m, q) @ Cs.T)
@@ -167,7 +168,7 @@ def eigen_hessian(plant, costspec, K, gp, basis=None):
     if not np.linalg.norm(T, 1) <= EIGEN_GUARD * rcond * np.abs(sums).min():
         return None
     L = 1.0 / sums
-    Ms, Cs, Bs, GCs = _schur_factors(plant, costspec, K, gp)
+    Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
     BG, _ = getrs(lu, piv, np.hstack([Bs, GCs]).astype(W.dtype))
     Bv, Gv = BG[:, :m], BG[:, m:]
     Mv, Cv = W.T @ Ms, W.T @ Cs
@@ -187,17 +188,16 @@ def pt_matrix(H, eps):
 
     Eigendecomposes ``H`` with a symmetric eigensolver and maps each
     eigenvalue to its absolute value, or to ``eps`` when the absolute
-    value falls below ``eps``.  The result is the curvature model used
-    by the Newton step: positive definite, same eigenvectors as ``H``.
+    value falls below ``eps``.  Returns the eigenpairs of the result, the
+    Newton step's positive definite curvature model.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     H = np.asarray(H, dtype=float)
-    eigvals, M = np.linalg.eigh(0.5 * (H + H.T))
+    eigvals, V = np.linalg.eigh(0.5 * (H + H.T))
     truncated = np.where(np.abs(eigvals) >= eps, np.abs(eigvals), eps)
     modified = int(np.sum(truncated != eigvals))
-    Heps = (M * truncated) @ M.T
-    return PTMatrix(matrix=0.5 * (Heps + Heps.T), modified_count=modified)
+    return PTMatrix(eigvals=truncated, eigvecs=V, modified_count=modified)
 
 
 def newton_step(Heps, grad, cs):
@@ -206,16 +206,16 @@ def newton_step(Heps, grad, cs):
     ``Heps`` is the :class:`PTMatrix` of ``Z^T H Z``, a positive
     definite model, for the null-space basis ``Z`` of the
     constraints, and ``grad`` is the m x q gradient.  Solves
-    ``Heps theta = -Z^T vec(grad)`` by Cholesky and returns the m x q
-    step ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so
+    ``Heps theta = -Z^T vec(grad)`` in its eigenbasis, with no second
+    factorization to fail on a wide spectrum, and returns the m x q step
+    ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so
     iterates stay on the constraint set.  Without constraints ``Z`` is
     the identity and this is the plain Newton system.
     """
     grad = np.asarray(grad, dtype=float)
     m, q = grad.shape
-    Z = cs.null_basis((m, q))
-    theta = scipy.linalg.solve(Heps.matrix, -(Z.T @ vec(grad)),
-                               assume_a="pos")
+    Z, V = cs.null_basis((m, q)), Heps.eigvecs
+    theta = -(V @ ((V.T @ (Z.T @ vec(grad))) / Heps.eigvals))
     return unvec(Z @ theta, m, q)
 
 

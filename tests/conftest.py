@@ -28,6 +28,34 @@ def identity_cost(n, m):
     return CostSpec(Q=np.eye(n), R=np.eye(m), X0=np.eye(n))
 
 
+def family_member(member, margin, n=8, m=2, q=3):
+    """Member of the seeded random family of the benchmark workloads.
+
+    ``A = randn(n, n) / sqrt(n)`` from ``default_rng(member)``, shifted so
+    that the closed loop at ``K0 = 0`` has spectral abscissa ``-margin``,
+    then ``B`` (n x m) and ``C`` (q x n) standard normal, with identity
+    weights.  Returns ``(plant, costspec)``.
+    """
+    rng = np.random.default_rng(member)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = A - (spectral_abscissa(A) + margin) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((q, n))
+    return Plant(A=A, B=B, C=C), identity_cost(n, m)
+
+
+def unobservable_psd_problem():
+    """PSD state weight that leaves two stable modes unobserved.
+
+    The cost matrix ``P`` is singular at every gain; the optimum is
+    ``K = 1 - sqrt(2)`` with ``J = sqrt(2) - 1``.
+    """
+    plant = Plant(A=np.diag([-1.0, -2.0, -3.0]), B=[[1.0], [0.0], [0.0]],
+                  C=[[1.0, 0.0, 0.0]])
+    costspec = CostSpec(Q=np.diag([1.0, 0.0, 0.0]), R=[[1.0]], X0=np.eye(3))
+    return plant, costspec
+
+
 def random_spd(rng, n, floor=0.1):
     """Random symmetric positive definite matrix."""
     M = rng.standard_normal((n, n))

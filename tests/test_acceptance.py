@@ -24,7 +24,8 @@ from soflqr import (
 from soflqr.verify import are_gain, error_report, fd_gradient, fd_hessian, \
     kron_hessian, kron_lyapunov
 
-from conftest import identity_cost, recorded_iterates, stable_plant
+from conftest import family_member, identity_cost, recorded_iterates, \
+    stable_plant, unobservable_psd_problem
 
 K_STAR_AIRCRAFT = np.array([[0.3975, 1.5925, 7.8522],
                             [-1.2575, -3.4823, -5.0041]])
@@ -32,6 +33,18 @@ J_STAR_AIRCRAFT = 159.0686
 K_STAR_DIAG = (-1.3211, -6.0723)
 J_STAR_DECENTRALIZED = 12.8281
 J_INITIAL_DECENTRALIZED = 22.2010
+# e_{k+1} <= C_QUADRATIC e_k^2 over Newton's last three steps, for
+# e = ||grad||.  The largest ratio measured is 1.50 (the PSD-Q instance);
+# the bound leaves a factor 10.  A linear rate r gives r / e_k, which is
+# above 1e4 once e_k is below 1e-4.
+C_QUADRATIC = 15.0
+# (e_end / e_{end-w})^(1/w) for w in GRAD_WINDOWS on the gradient
+# baseline lies in 0.891-0.970 on the two bundled runs, and in
+# 0.745-0.970 on every benchmark gradient solve.  RATE_BAND allows a
+# contraction 1 - r three times weaker than the slowest measured, and a
+# ratio a third below the fastest.
+GRAD_WINDOWS = (10, 20, 50)
+RATE_BAND = (0.5, 0.99)
 
 
 def report(number, passed, detail):
@@ -101,6 +114,23 @@ def full_information_runs():
         runs.append((plant, costspec, solve_recorded(
             newton_solve, plant, costspec, ConstraintSet.empty(),
             np.zeros((m, n)), tol=1e-9, pt_eps=1e-9)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def newton_rate_runs(aircraft_newton, decentralized_newton):
+    """Newton runs whose final steps show the local rate: both bundled
+    problems, the PSD-Q instance and three n = 60 family members."""
+    runs = {"aircraft": aircraft_newton[0],
+            "decentralized": decentralized_newton[0]}
+    plant, costspec = unobservable_psd_problem()
+    runs["psd_q"] = newton_solve(plant, costspec, ConstraintSet.empty(),
+                                 np.zeros((1, 1)), tol=1e-9)
+    for member in range(3):
+        plant, costspec = family_member(member, 0.5, n=60, m=4, q=6)
+        runs[f"rand60m{member}"] = newton_solve(
+            plant, costspec, ConstraintSet.empty(), np.zeros((4, 6)),
+            tol=1e-9)
     return runs
 
 
@@ -297,3 +327,33 @@ def test_criterion_11_descent_with_stability(aircraft_newton, aircraft_grad,
            f"{len(runs)} solver runs: strictly decreasing costs "
            f"({monotone}), Hurwitz at every iterate ({stable}), positive "
            f"definite certificate at every iterate ({certified})")
+
+
+def test_criterion_12_newton_quadratic_rate(newton_rate_runs):
+    worst = 0.0
+    for name, result in newton_rate_runs.items():
+        assert result.converged, name
+        e = [r.grad_norm for r in result.trace.records]
+        assert len(e) >= 4, name
+        worst = max(worst, max(e[k + 1] / e[k] ** 2
+                               for k in range(len(e) - 4, len(e) - 1)))
+    report(12, worst <= C_QUADRATIC,
+           f"{len(newton_rate_runs)} Newton runs: largest e_(k+1) / e_k^2 "
+           f"over the last three steps {worst:.3g} (bound {C_QUADRATIC:g})")
+
+
+def test_criterion_13_first_order_linear_rate(aircraft_grad,
+                                              decentralized_grad):
+    ratios = []
+    # The decentralized run stalls at the rounding floor of J short of
+    # its 1e-9 tolerance; its last steps still show the rate.
+    for result, _ in (aircraft_grad, decentralized_grad):
+        e = [r.grad_norm for r in result.trace.records]
+        ratios += [(e[-1] / e[-1 - w]) ** (1.0 / w)
+                   for w in GRAD_WINDOWS if len(e) > w]
+    low, high = RATE_BAND
+    report(13, len(ratios) == 2 * len(GRAD_WINDOWS)
+           and low <= min(ratios) and max(ratios) <= high,
+           f"windowed gradient-norm ratios {min(ratios):.3f}-"
+           f"{max(ratios):.3f} over w = {GRAD_WINDOWS} "
+           f"(band {low:g}-{high:g})")

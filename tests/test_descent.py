@@ -26,21 +26,9 @@ from soflqr import (
     newton_solve,
 )
 
-from conftest import recorded_iterates
+from conftest import recorded_iterates, unobservable_psd_problem
 
 SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
-
-
-def unobservable_psd_problem():
-    """PSD state weight that leaves two stable modes unobserved.
-
-    The cost matrix ``P`` is singular at every gain; the optimum is
-    ``K = 1 - sqrt(2)`` with ``J = sqrt(2) - 1``.
-    """
-    plant = Plant(A=np.diag([-1.0, -2.0, -3.0]), B=[[1.0], [0.0], [0.0]],
-                  C=[[1.0, 0.0, 0.0]])
-    costspec = CostSpec(Q=np.diag([1.0, 0.0, 0.0]), R=[[1.0]], X0=np.eye(3))
-    return plant, costspec
 
 
 @pytest.mark.parametrize("method, tol, iterations",
