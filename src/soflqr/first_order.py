@@ -14,7 +14,6 @@ orthogonally onto the homogeneous constraint subspace.
 """
 
 import logging
-import math
 import time
 from dataclasses import dataclass
 
@@ -104,14 +103,11 @@ def project_gradient(grad, cs):
 
     Returns the feasible direction closest to ``grad`` in the Frobenius
     norm, ``unvec(Z Z^T vec(grad))`` for the orthonormal null-space
-    basis ``Z`` of ``Abar`` cached by the constraint set, or ``grad``
-    itself when there are no constraints and ``Z`` is the identity.  The
+    basis ``Z`` of ``Abar`` cached by the constraint set.  The
     right-hand side ``cbar`` plays no part: directions in the null space
     keep a feasible gain feasible.
     """
     grad = np.asarray(grad, dtype=float)
-    if not len(cs):
-        return grad
     Z = cs.null_basis(grad.shape)
     return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
@@ -150,11 +146,10 @@ def _descend(plant, costspec, cs, K0, params, direction):
         gp = gradient(plant, costspec, ev)
         pg = project_gradient(gp.grad, cs)
         delta, kappa = direction(gp, pg)
-        v, w = vec(delta), vec(pg)
-        measure = math.sqrt(v @ v)
+        measure = float(np.linalg.norm(vec(delta)))
         trace.append(TraceRecord(
             iteration=it, cost=ev.cost,
-            grad_norm=math.sqrt(w @ w),
+            grad_norm=float(np.linalg.norm(vec(pg))),
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,

@@ -4,10 +4,12 @@ Shared by the gradient-projection and Newton solvers: the trial steps
 are the powers ``beta^k`` above a floor, each computed as ``beta ** k``.
 The floor is ``MIN_STEP``, lowered to ``MIN_STEP max(1, ||K||) /
 ||delta||`` for a direction longer than ``max(1, ||K||)`` (Frobenius
-norms), so that the smallest trial step ``t ||delta||`` is the same
-relative move of the gain ``K`` for every direction.  A trial is
-accepted when the trial gain keeps the closed loop Hurwitz and satisfies
-the Armijo sufficient-decrease condition.
+norms).  So the smallest trial step ``t ||delta||`` is
+``MIN_STEP min(||delta||, max(1, ||K||))``: a long direction, such as a
+gradient of 1e12 near the stability margin, is not tried at steps that
+move ``K`` by order one and no further.  A trial is accepted when the
+trial gain keeps the closed loop Hurwitz and satisfies the Armijo
+sufficient-decrease condition.
 The decrease is the exact cost change of :func:`evaluate_step`, not the
 difference of two rounded costs.  The caller supplies the direction, its
 slope ``s = <grad, delta>`` and the curvature ``kappa = <delta, H delta>``
@@ -40,8 +42,9 @@ from .problem import InfiniteCostError, check_feasible, evaluate_step
 
 __all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
 
-# Steps ``t ||delta||`` below ``MIN_STEP max(1, ||K||)`` are treated as
-# underflow: the gain, and so the cost, cannot change representably.
+# Floor on the trial step: ``t >= MIN_STEP`` for a direction no longer
+# than ``max(1, ||K||)``, and ``t ||delta|| >= MIN_STEP max(1, ||K||)``
+# for a longer one.
 MIN_STEP = 1e-16
 
 

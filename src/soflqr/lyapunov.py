@@ -118,7 +118,7 @@ class SchurSolver:
             raise ValueError(
                 f"expected a non-empty square matrix, got shape {Ac.shape}"
             )
-        if not np.isfinite(Ac).all():
+        if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
         n = Ac.shape[0]
         lwork = _GEES_LWORK.get(n)
@@ -132,7 +132,7 @@ class SchurSolver:
             )
         # A 2x2 block of LAPACK's real Schur form has equal diagonal
         # entries, the real part of its complex-conjugate eigenvalues.
-        self.abscissa = float(self.T.diagonal().max())
+        self.abscissa = float(np.diag(self.T).max())
         if self.abscissa >= HURWITZ_MARGIN:
             raise NotHurwitzError(self.abscissa)
 

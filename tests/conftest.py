@@ -9,14 +9,17 @@ import soflqr.first_order
 from soflqr import CostSpec, Plant, spectral_abscissa
 
 
-def stable_plant(rng, n, m, q, margin=0.7):
+def stable_plant(rng, n, m, q, margin=0.7, normalized=False):
     """Random plant whose open loop is Hurwitz with the given margin.
 
-    The state matrix is shifted so its spectral abscissa is exactly
-    ``-margin``, which makes the zero gain stabilizing and keeps the
-    Lyapunov solves well conditioned.
+    The state matrix, standard normal or, if ``normalized``, standard
+    normal divided by ``sqrt(n)``, is shifted so its spectral abscissa is
+    exactly ``-margin``, which makes the zero gain stabilizing and keeps
+    the Lyapunov solves well conditioned.
     """
     A = rng.standard_normal((n, n))
+    if normalized:
+        A = A / np.sqrt(n)
     A = A - (spectral_abscissa(A) + margin) * np.eye(n)
     B = rng.standard_normal((n, m))
     C = rng.standard_normal((q, n))
@@ -31,17 +34,13 @@ def identity_cost(n, m):
 def family_member(member, margin, n=8, m=2, q=3):
     """Member of the seeded random family of the benchmark workloads.
 
-    ``A = randn(n, n) / sqrt(n)`` from ``default_rng(member)``, shifted so
-    that the closed loop at ``K0 = 0`` has spectral abscissa ``-margin``,
-    then ``B`` (n x m) and ``C`` (q x n) standard normal, with identity
+    The normalized :func:`stable_plant` drawn from ``default_rng(member)``,
+    so ``K0 = 0`` has closed-loop abscissa ``-margin``, with identity
     weights.  Returns ``(plant, costspec)``.
     """
-    rng = np.random.default_rng(member)
-    A = rng.standard_normal((n, n)) / np.sqrt(n)
-    A = A - (spectral_abscissa(A) + margin) * np.eye(n)
-    B = rng.standard_normal((n, m))
-    C = rng.standard_normal((q, n))
-    return Plant(A=A, B=B, C=C), identity_cost(n, m)
+    plant = stable_plant(np.random.default_rng(member), n, m, q, margin,
+                         normalized=True)
+    return plant, identity_cost(n, m)
 
 
 def unobservable_psd_problem():
