@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg import qr, solve_triangular
 
 from .lyapunov import NotHurwitzError, SchurSolver, vec
 
@@ -59,7 +59,8 @@ class InfiniteCostError(ArithmeticError):
 
 
 class InfeasibleConstraintsError(ValueError):
-    """The constraint right-hand side is outside the range of the system."""
+    """Constraint rows that are dependent at the rank tolerance of
+    :func:`flatten_constraints` have right-hand sides that disagree."""
 
 
 class BadStartError(ValueError):
@@ -240,8 +241,9 @@ class ConstraintSet:
 
     The flattened form ``Abar vec(K) = cbar`` and an orthonormal basis
     ``Z`` of the null space of ``Abar`` are computed lazily by
-    :func:`flatten_constraints` and cached; redundant rows are pruned
-    there so ``Abar`` always has full row rank.  Feasible gains are
+    :func:`flatten_constraints` and cached; rows dependent at its rank
+    tolerance are pruned there so ``Abar`` always has full row rank, and
+    must agree with the kept rows.  Feasible gains are
     exactly ``vec(K) = vec(K0) + Z theta`` for any feasible ``K0``.
     The set is frozen and holds its constraints in a tuple, so the
     cache cannot go stale.
@@ -309,14 +311,18 @@ def flatten_constraints(cs, gain_shape):
     Each constraint ``sum_j L_j K R_j = C0`` contributes the block
     ``sum_j kron(R_j^T, L_j)`` and the stacked right-hand side
     ``vec(C0)``; a term that cannot multiply an m x q gain raises
-    ValueError.  Redundant rows are removed with a rank-revealing
-    pivoted QR factorization of ``Abar^T`` (threshold
-    ``1e-10 * ||Abar||_2``); an inconsistent system raises
-    :class:`InfeasibleConstraintsError`.  The trailing ``m*q - p``
-    columns of the same factorization's ``Q`` are an orthonormal basis
-    of the null space of ``Abar``.  For pinned entries the factorization
-    is a product of exact coordinate swaps, so the basis selects the
-    free entries exactly.
+    ValueError.  One pivoted QR factorization ``Abar^T P = Q R`` decides
+    everything else.  Its rank is the number of pivots with
+    ``|R_ii| > 1e-10 * |R_00|``, and the rows of the leading pivots are
+    kept, so ``Abar`` has full row rank.  The kept rows' least-norm
+    solution, from the leading triangle of ``R``, must meet every row
+    within ``1e-8 * max(1, ||cbar||)``; otherwise a dropped row disagrees
+    with the kept ones and :class:`InfeasibleConstraintsError` is
+    raised.  The trailing ``m*q - p`` columns of ``Q`` are an
+    orthonormal basis of the null space of ``Abar``, the identity for
+    the empty set.  For pinned entries the factorization is a product of
+    exact coordinate swaps, so the basis selects the free entries
+    exactly.
 
     Returns
     -------
@@ -326,32 +332,26 @@ def flatten_constraints(cs, gain_shape):
     """
     _check_term_shapes(cs, gain_shape)
     m, q = gain_shape
-    blocks = []
-    rhs_parts = []
-    for con in cs.constraints:
-        block = np.zeros((con.rhs.size, m * q))
-        for term in con.terms:
-            block += np.kron(term.right.T, term.left)
-        blocks.append(block)
-        rhs_parts.append(vec(con.rhs))
-    if not blocks:
-        return np.zeros((0, m * q)), np.zeros(0), np.eye(m * q)
-    Abar = np.vstack(blocks)
-    cbar = np.concatenate(rhs_parts)
-
-    # Consistency before pruning: cbar must lie in the range of Abar.
-    x = np.linalg.lstsq(Abar, cbar, rcond=None)[0]
-    misfit = float(np.linalg.norm(Abar @ x - cbar))
-    if misfit > 1e-8 * max(1.0, np.linalg.norm(cbar)):
-        raise InfeasibleConstraintsError(
-            f"constraints are inconsistent: no gain satisfies them "
-            f"(least-squares misfit {misfit:.3e})"
-        )
-
+    # The empty leading parts give an empty set its shapes.
+    Abar = np.vstack([np.zeros((0, m * q))] + [
+        sum(np.kron(t.right.T, t.left) for t in con.terms)
+        for con in cs.constraints])
+    cbar = np.concatenate([np.zeros(0)]
+                          + [vec(con.rhs) for con in cs.constraints])
+    # Abar^T[:, pivots] = Qf r, and |r_00| is the largest pivot.
     Qf, r, pivots = qr(Abar.T, pivoting=True)
     diag = np.abs(np.diag(r))
-    threshold = 1e-10 * np.linalg.norm(Abar, 2)
-    rank = int(np.sum(diag > threshold))
+    rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0)))
+    # The kept rows are r_rr^T Qf_r^T; their least-norm solution must
+    # meet every row, the dropped ones included.
+    y = solve_triangular(r[:rank, :rank], cbar[pivots[:rank]], trans="T")
+    misfit = float(np.linalg.norm(Abar @ (Qf[:, :rank] @ y) - cbar))
+    if misfit > 1e-8 * max(1.0, np.linalg.norm(cbar)):
+        raise InfeasibleConstraintsError(
+            f"constraints are inconsistent: rows dependent at the rank "
+            f"tolerance have right-hand sides that disagree (misfit "
+            f"{misfit:.3e})"
+        )
     if rank < Abar.shape[0]:
         keep = np.sort(pivots[:rank])
         logger.info(
@@ -368,9 +368,7 @@ def check_feasible(cs, K):
     ``FEASIBILITY_TOL`` in the infinity norm of the flattened system."""
     K = np.asarray(K, dtype=float)
     Abar, cbar, _ = cs.flattened(K.shape)
-    if Abar.shape[0] == 0:
-        return True
-    return bool(np.abs(Abar @ vec(K) - cbar).max() <= FEASIBILITY_TOL)
+    return bool(np.all(np.abs(Abar @ vec(K) - cbar) <= FEASIBILITY_TOL))
 
 
 def closed_loop(plant, K):

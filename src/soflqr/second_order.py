@@ -63,7 +63,8 @@ class PTMatrix:
 def hessian(plant, costspec, K, gp, basis=None):
     """Hessian of the cost in vectorized gain coordinates.
 
-    ``gp`` is the :class:`GradientPair` at the same ``K``; its Gramian
+    ``gp`` is the :class:`GradientPair` at the gain ``K``, which the
+    Hessian reads from ``gp`` rather than from ``K``; its Gramian
     ``G``, its ``M = B^T P + R K C`` and its evaluation's Schur form
     ``Ac = U T U^T`` are reused.  Returns the symmetric ndarray.  Columns
     follow the column-major ordering of the gain entries.  With
@@ -87,8 +88,10 @@ def hessian(plant, costspec, K, gp, basis=None):
     ``T`` are well enough conditioned for it, and otherwise from
     :func:`schur_hessian`.
     """
-    H = eigen_hessian(plant, costspec, K, gp, basis)
-    return schur_hessian(plant, costspec, K, gp, basis) if H is None else H
+    # K stays the third argument: benchmarks/spans.py sizes the Hessian
+    # span from it.
+    H = eigen_hessian(plant, costspec, gp, basis)
+    return schur_hessian(plant, costspec, gp, basis) if H is None else H
 
 
 def _schur_factors(plant, gp):
@@ -109,7 +112,7 @@ def _basis(plant, basis):
     return np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
 
 
-def schur_hessian(plant, costspec, K, gp, basis=None):
+def schur_hessian(plant, costspec, gp, basis=None):
     """:func:`hessian` from one Schur-coordinate Lyapunov solve per basis
     column.
 
@@ -135,7 +138,7 @@ def _khatri_rao(X, Y):
     return (X[:, :, None] * Y[:, None, :]).reshape(X.shape[0], -1)
 
 
-def eigen_hessian(plant, costspec, K, gp, basis=None):
+def eigen_hessian(plant, costspec, gp, basis=None):
     """:func:`hessian` from the eigenvectors of the Schur factor ``T``.
 
     With ``T = W Lambda W^-1``, the solve ``T^T Y + Y T + Ms E Cs^T = 0``

@@ -88,11 +88,19 @@ class NearMarginError(ArithmeticError):
         )
 
 
-def _central_difference(evaluate, h):
-    # Shrink the step tenfold while a shifted gain destabilizes the loop.
+def _unit_gains(m, q):
+    # The unit gains E_ij of an m x q gain, in the column-major order of vec.
+    for e in np.eye(m * q):
+        yield unvec(e, m, q)
+
+
+def _central_difference(f, K, E, h):
+    # (f(K + s E) - f(K - s E)) / (2 s) at s = h, shrunk tenfold while a
+    # shifted gain destabilizes the loop.
     for k in range(FD_SHRINKS + 1):
+        step = h / 10.0 ** k
         try:
-            return evaluate(h / 10.0 ** k)
+            return (f(K + step * E) - f(K - step * E)) / (2.0 * step)
         except (InfiniteCostError, NotHurwitzError):
             continue
     raise NearMarginError(h / 10.0 ** FD_SHRINKS)
@@ -109,20 +117,12 @@ def fd_gradient(plant, costspec, K, h=1e-5):
     if h <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
     K = np.asarray(K, dtype=float)
-    m, q = K.shape
-    out = np.empty((m, q))
-    for i in range(m):
-        for j in range(q):
-            E = np.zeros((m, q))
-            E[i, j] = 1.0
 
-            def difference(step, E=E):
-                upper = cost(plant, costspec, K + step * E)
-                lower = cost(plant, costspec, K - step * E)
-                return (upper - lower) / (2.0 * step)
+    def f(G):
+        return cost(plant, costspec, G)
 
-            out[i, j] = _central_difference(difference, h)
-    return out
+    return unvec([_central_difference(f, K, E, h)
+                  for E in _unit_gains(*K.shape)], *K.shape)
 
 
 def fd_hessian(plant, costspec, K, h=1e-4):
@@ -136,21 +136,12 @@ def fd_hessian(plant, costspec, K, h=1e-4):
     if h <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
     K = np.asarray(K, dtype=float)
-    m, q = K.shape
-    H = np.empty((m * q, m * q))
-    col = 0
-    for j in range(q):
-        for i in range(m):
-            E = np.zeros((m, q))
-            E[i, j] = 1.0
 
-            def difference(step, E=E):
-                upper = gradient(plant, costspec, K + step * E).grad
-                lower = gradient(plant, costspec, K - step * E).grad
-                return (upper - lower) / (2.0 * step)
+    def f(G):
+        return gradient(plant, costspec, G).grad
 
-            H[:, col] = vec(_central_difference(difference, h))
-            col += 1
+    H = np.column_stack([vec(_central_difference(f, K, E, h))
+                         for E in _unit_gains(*K.shape)])
     return 0.5 * (H + H.T)
 
 
@@ -214,20 +205,15 @@ def kron_hessian(plant, costspec, K, max_order=8):
     M = B.T @ P + R @ K @ C
     GCt = G @ C.T
     H = np.empty((m * q, m * q))
-    col = 0
-    for j in range(q):
-        for i in range(m):
-            E = np.zeros((m, q))
-            E[i, j] = 1.0
-            BEC = B @ E @ C
-            P1 = kron_lyapunov(Ac, P @ BEC, max_order)
-            G1 = kron_lyapunov(Ac.T, G @ BEC.T, max_order)
-            R1 = kron_lyapunov(Ac, (K @ C).T @ R @ E @ C, max_order)
-            block = (2.0 * B.T @ (P1 + P1.T + R1 + R1.T) @ GCt
-                     + 2.0 * M @ (G1 + G1.T) @ C.T
-                     + 2.0 * R @ E @ C @ GCt)
-            H[:, col] = vec(block)
-            col += 1
+    for col, E in enumerate(_unit_gains(m, q)):
+        BEC = B @ E @ C
+        P1 = kron_lyapunov(Ac, P @ BEC, max_order)
+        G1 = kron_lyapunov(Ac.T, G @ BEC.T, max_order)
+        R1 = kron_lyapunov(Ac, (K @ C).T @ R @ E @ C, max_order)
+        block = (2.0 * B.T @ (P1 + P1.T + R1 + R1.T) @ GCt
+                 + 2.0 * M @ (G1 + G1.T) @ C.T
+                 + 2.0 * R @ E @ C @ GCt)
+        H[:, col] = vec(block)
     return 0.5 * (H + H.T)
 
 

@@ -493,6 +493,36 @@ class TestChecks:
         assert main([command, str(path)]) == 4
         assert "inconsistent" in capsys.readouterr().err
 
+    @staticmethod
+    def near_dependent_pins(tmp_path, rhs):
+        # example1 with K[0, 0] = 0 and K[0, 0] + 1e-12 K[1, 0] = rhs; the
+        # second row is dependent at the rank tolerance and is dropped.
+        path = tmp_path / "p.json"
+        main(["examples", "example1", "--out", str(path)])
+        first = {"left": [[1.0, 0.0]], "right": [[1.0], [0.0], [0.0]]}
+        tilt = {"left": [[0.0, 1e-12]], "right": [[1.0], [0.0], [0.0]]}
+        data = json.loads(path.read_text())
+        data["constraints"] = [{"terms": [first], "rhs": [[0.0]]},
+                               {"terms": [first, tilt], "rhs": [[rhs]]}]
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("method", ["newton", "grad"])
+    def test_dropped_row_must_agree(self, tmp_path, capsys, method):
+        path = self.near_dependent_pins(tmp_path, 1e-3)
+        assert main(["solve", str(path), "--method", method]) == 4
+        assert "disagree" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["newton", "grad"])
+    def test_agreeing_dropped_row_converges(self, tmp_path, method):
+        path = self.near_dependent_pins(tmp_path, 0.0)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(path), "--method", method,
+                     "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["status"] == "converged"
+        assert result["K"][0][0] == 0.0
+
     def test_check_requires_stabilizing_gain(self, tmp_path):
         path = write_problem(tmp_path / "p.json",
                              K0=[[0.0, 0.0], [0.0, 0.0]])

@@ -234,6 +234,21 @@ class TestFlattenConstraints:
         with pytest.raises(InfeasibleConstraintsError):
             flatten_constraints(cs, (2, 2))
 
+    def test_near_dependent_rows_must_agree(self):
+        # K[0, 0] = 0 and K[0, 0] + 1e-12 K[1, 0] = 1e-3 on a 2x3 gain:
+        # the second row is dependent at the rank tolerance and dropped,
+        # so its right-hand side must agree with the kept row's.
+        pin = ConstraintTerm(left=[[1.0, 0.0]], right=[[1.0], [0.0], [0.0]])
+        tilt = ConstraintTerm(left=[[0.0, 1e-12]],
+                              right=[[1.0], [0.0], [0.0]])
+        cs = ConstraintSet(constraints=[
+            Constraint(terms=(pin,), rhs=[[0.0]]),
+            Constraint(terms=(pin, tilt), rhs=[[1e-3]]),
+        ])
+        with pytest.raises(InfeasibleConstraintsError,
+                           match=r"disagree \(misfit 1\.000e-03\)"):
+            flatten_constraints(cs, (2, 3))
+
     @pytest.mark.parametrize("gain_shape, message", [
         ((3, 2), "'constraints[0].terms[0].left': expected 3 columns"),
         ((2, 3), "'constraints[0].terms[0].right': expected 3 rows"),

@@ -1,6 +1,6 @@
 """Property tests of the Hessian and the curvature along a direction, of
-the exact cost difference and of constrained solves over random plants
-and weights.
+the exact cost difference, of constraint flattening and of constrained
+solves over random plants and weights.
 
 Plants have n in [1, 6] states and m, q in [1, 3] inputs and outputs.
 For the Hessian, R is a random positive definite matrix, Q a
@@ -10,7 +10,8 @@ solves use positive definite weights, random pins or general rows
 ``L K R = c`` with a nonzero right-hand side, and a feasible stabilizing
 start.  Matrix entries are drawn on a grid of eighths, which keeps the
 Lyapunov solves well conditioned while still reaching zero rows,
-repeated eigenvalues and defective state matrices.
+repeated eigenvalues and defective state matrices.  Flattening draws
+Gaussian rows with exactly or nearly dependent rows appended.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from soflqr import (
     ConstraintSet,
     ConstraintTerm,
     CostSpec,
+    InfeasibleConstraintsError,
     Plant,
     check_feasible,
     closed_loop,
@@ -39,6 +41,7 @@ from soflqr import (
     newton_step,
     pt_matrix,
     spectral_abscissa,
+    unvec,
     vec,
 )
 from soflqr.second_order import schur_hessian
@@ -103,7 +106,7 @@ def test_hessian_symmetric_and_matches_oracles(problem):
     assert error_report(reference, H).max_abs_error <= 1e-9 * scale
     # The draws take the eigenbasis path; the Schur loop is held to the
     # same oracle.
-    loop = error_report(reference, schur_hessian(plant, costspec, K, gp))
+    loop = error_report(reference, schur_hessian(plant, costspec, gp))
     assert loop.max_abs_error <= 1e-9 * scale
     fd = error_report(fd_hessian(plant, costspec, K, h=1e-4), H)
     assert fd.max_abs_error <= 1e-4 * scale
@@ -243,3 +246,52 @@ def test_constrained_newton_step_and_solves(problem):
         grad = first_order_solve(plant, costspec, cs, K0, tol=1e-6)
     _check_descent(plant, costspec, cs, grad, iterates)
     assert newton.cost == pytest.approx(grad.cost, rel=1e-9)
+
+
+def _row_constraints(rows, rhs, m, q):
+    # Row a of vec(K) as one term e_i^T K a_i^T per gain row i, with
+    # a_i the row i of unvec(a); the flattened row is a exactly.
+    constraints = []
+    for a, c in zip(rows, rhs):
+        A = unvec(a, m, q)
+        terms = tuple(ConstraintTerm(np.eye(m)[i:i + 1], A[i:i + 1].T)
+                      for i in range(m))
+        constraints.append(Constraint(terms=terms, rhs=[[c]]))
+    return ConstraintSet(constraints=constraints)
+
+
+@st.composite
+def dependent_systems(draw):
+    # A full-row-rank block of `rank` rows, then rows that are random
+    # combinations of it, with right-hand sides from the same
+    # combinations; for `near`, the combinations' coefficients are
+    # perturbed by 1e-12 relative.
+    m, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rank = draw(st.integers(1, m * q))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.standard_normal((rank, m * q))
+    assume(np.linalg.cond(block) < 1e4)
+    weights = rng.standard_normal((draw(st.integers(1, 3)), rank))
+    dependent = weights @ block
+    if draw(st.booleans()):
+        dependent *= 1.0 + 1e-12 * rng.standard_normal(dependent.shape)
+    c = rng.standard_normal(rank)
+    return (m, q, rank, np.vstack([block, dependent]),
+            np.concatenate([c, weights @ c]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dependent_systems())
+def test_flattening_keeps_rank_rows_and_rejects_disagreement(system):
+    m, q, rank, rows, rhs = system
+    Abar, cbar, Z = _row_constraints(rows, rhs, m, q).flattened((m, q))
+    assert Abar.shape == (rank, m * q) and cbar.shape == (rank,)
+    assert Z.shape == (m * q, m * q - rank)
+    np.testing.assert_allclose(Z.T @ Z, np.eye(m * q - rank), atol=1e-14)
+    np.testing.assert_allclose(Abar @ Z, 0.0,
+                               atol=1e-12 * np.abs(Abar).max())
+    # A dependent row whose right-hand side disagrees is an error.
+    shifted = rhs.copy()
+    shifted[-1] += 1e-6 * (1.0 + np.linalg.norm(rhs))
+    with pytest.raises(InfeasibleConstraintsError):
+        _row_constraints(rows, shifted, m, q).flattened((m, q))

@@ -150,8 +150,8 @@ class TestHessian:
                                 X0=random_spd(rng, n))
             K = 0.02 * rng.standard_normal((m, q))
             gp = gradient(plant, costspec, K)
-            eigen = eigen_hessian(plant, costspec, K, gp)
-            schur = schur_hessian(plant, costspec, K, gp)
+            eigen = eigen_hessian(plant, costspec, gp)
+            schur = schur_hessian(plant, costspec, gp)
             assert np.array_equal(eigen, eigen.T)
             assert error_report(schur, eigen).max_rel_error <= 1e-12
             if n <= 16:
@@ -167,10 +167,10 @@ class TestHessian:
         costspec = identity_cost(3, 1)
         K = np.zeros((1, 1))
         gp = gradient(plant, costspec, K)
-        assert eigen_hessian(plant, costspec, K, gp) is None
+        assert eigen_hessian(plant, costspec, gp) is None
         H = hessian(plant, costspec, K, gp)
         np.testing.assert_array_equal(H,
-                                      schur_hessian(plant, costspec, K, gp))
+                                      schur_hessian(plant, costspec, gp))
         report = error_report(kron_hessian(plant, costspec, K), H)
         assert report.max_rel_error <= 1e-9
 
@@ -198,7 +198,7 @@ class TestHessian:
         H = hessian(plant, costspec, K, gp, Z)
         assert calls == {"solve_schur": 0, "__init__": 0}
         np.testing.assert_array_equal(
-            H, eigen_hessian(plant, costspec, K, gp, Z))
+            H, eigen_hessian(plant, costspec, gp, Z))
 
     @pytest.mark.parametrize("case", ["example1", "random3x2"])
     def test_one_schur_solve_per_entry(self, monkeypatch, case):
@@ -219,7 +219,7 @@ class TestHessian:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(SchurSolver, name, counted)
-        schur_hessian(plant, costspec, K, gp)
+        schur_hessian(plant, costspec, gp)
         assert calls == {"solve_schur": K.size, "__init__": 0}
 
     @pytest.mark.parametrize("case, free", [("example2", 2),
@@ -243,12 +243,12 @@ class TestHessian:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(SchurSolver, "solve_schur", counted)
-        reduced = schur_hessian(plant, costspec, K, gp, Z)
+        reduced = schur_hessian(plant, costspec, gp, Z)
         assert calls == free
         assert reduced.shape == (free, free)
         assert np.array_equal(reduced, reduced.T)
         monkeypatch.setattr(SchurSolver, "solve_schur", original)
-        full = schur_hessian(plant, costspec, K, gp)
+        full = schur_hessian(plant, costspec, gp)
         report = error_report(Z.T @ full @ Z, reduced)
         assert report.max_rel_error <= 1e-12
 
