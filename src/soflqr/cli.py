@@ -189,6 +189,7 @@ def _cmd_solve(args):
         "line_search_evals": result.line_search_evals,
         "converged": result.converged,
         "status": result.status,
+        "stop_reason": result.stop_reason,
         "grad_norm": result.grad_norm,
         "step_norm": result.step_norm,
     }

@@ -125,9 +125,12 @@ def _descend(plant, costspec, cs, K0, params, direction):
     the run has converged when ``||delta||``, the result's ``step_norm``,
     falls to ``tol``, or when ``-s`` is positive but at most four ulps of
     the cost, so that no step along ``delta`` can lower the cost by a
-    representable amount.  :class:`LineSearchStalled`, for a direction
+    representable amount (stop reasons ``step_tol`` and
+    ``cost_resolution``).  :class:`LineSearchStalled`, for a direction
     without descent or a search that certifies no decrease, ends the run
-    as stalled, with its trials counted and its reason logged.
+    as stalled, with its trials counted, its reason logged and its code
+    as the stop reason.  A run that uses up ``max_iters`` stops with
+    reason ``max_iters``.
 
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
     called once per visited gain.
@@ -137,7 +140,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     trace = SolveTrace()
     start = time.perf_counter()
-    status = "max_iters"
+    status = stop_reason = "max_iters"
     evals_total = 0
     last_step_norm = 0.0
     last_t = 0.0
@@ -155,8 +158,11 @@ def _descend(plant, costspec, cs, K0, params, direction):
             seconds=time.perf_counter() - start,
         ))
         slope = float(np.trace(gp.grad.T @ delta))
-        if measure <= tol or 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
-            status = "converged"
+        if measure <= tol:
+            status, stop_reason = "converged", "step_tol"
+            break
+        if 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
+            status, stop_reason = "converged", "cost_resolution"
             break
         if it == max_iters:
             break
@@ -165,7 +171,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
                                        slope, params, curvature=kappa)
         except LineSearchStalled as exc:
             evals_total += exc.evals
-            status = "stalled"
+            status, stop_reason = "stalled", exc.code
             logger.info(
                 "%s solve stalled after %d iterations at stopping measure "
                 "%.3e (tol %.1e): %s", params.method, it, measure, tol,
@@ -178,9 +184,9 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     final = trace.records[-1]
     return SolveResult(
-        K=ev.K, cost=final.cost, status=status, iterations=final.iteration,
-        grad_norm=final.grad_norm, step_norm=measure,
-        line_search_evals=evals_total, trace=trace,
+        K=ev.K, cost=final.cost, status=status, stop_reason=stop_reason,
+        iterations=final.iteration, grad_norm=final.grad_norm,
+        step_norm=measure, line_search_evals=evals_total, trace=trace,
     )
 
 

@@ -51,13 +51,16 @@ MIN_STEP = 1e-16
 class LineSearchStalled(RuntimeError):
     """The search found no acceptable step.
 
-    ``reason`` says why: the direction has no descent, or no power above
-    the floor certified a decrease.  ``evals`` is the number of trials
-    the search evaluated before it gave up.
+    ``code`` says why: ``"not_descent"`` for a direction without descent,
+    or ``"line_search_floor"`` when no power above the floor certified a
+    decrease.  ``reason`` says it in words, with the numbers, and
+    ``evals`` is the number of trials the search evaluated before it
+    gave up.
     """
 
-    def __init__(self, reason, evals):
+    def __init__(self, code, reason, evals):
         super().__init__(f"line search stalled: {reason}")
+        self.code = code
         self.reason = reason
         self.evals = evals
 
@@ -116,6 +119,7 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
     alpha, beta = params.alpha, params.beta
     if slope >= 0.0:
         raise LineSearchStalled(
+            "not_descent",
             f"delta is not a descent direction: <grad, delta> = "
             f"{slope:.3e}", 0)
 
@@ -155,6 +159,7 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
             break
     else:
         raise LineSearchStalled(
+            "line_search_floor",
             f"no trial step above {floor:.1e} produced a certified "
             f"cost decrease", evals)
     if k == start:

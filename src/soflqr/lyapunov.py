@@ -10,8 +10,7 @@ factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
 ``SchurSolver`` calls the LAPACK routines ``gees`` (factorization) and
-``trsyl`` (Sylvester solve) directly; the ``gees`` workspace size is
-queried once per matrix order.
+``trsyl`` (Sylvester solve) directly.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
@@ -35,10 +34,6 @@ __all__ = [
 HURWITZ_MARGIN = -1e-10
 
 _gees, _trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
-# Optimal ``gees`` workspace length per matrix order.  It depends on the
-# order alone, so every caller can share it; ``scipy.linalg.schur``
-# repeats the query on each call.
-_GEES_LWORK = {}
 
 
 def _no_sort(wr, wi):
@@ -50,7 +45,8 @@ class NotHurwitzError(ValueError):
     """Raised when a matrix required to be Hurwitz is not.
 
     For the solvers in this package this signals that a controller gain
-    left the stabilizing set.
+    left the stabilizing set, or that a Lyapunov solve at a Hurwitz gain
+    was refused as too ill-conditioned to be trusted.
     """
 
     def __init__(self, abscissa, message=None):
@@ -97,14 +93,14 @@ def unvec(v, rows, cols):
 class SchurSolver:
     """Lyapunov solves against a fixed Hurwitz matrix.
 
-    Factorizes ``Ac = U T U^T`` (real Schur form) on construction and
-    solves each right-hand side with a single quasi-triangular Sylvester
-    solve (LAPACK ``trsyl``), so repeated solves cost O(n^2) beyond the
-    one-time O(n^3) factorization (LAPACK ``gees``, with the workspace
-    and results of ``scipy.linalg.schur(Ac, output="real")``).  ``T`` and
-    ``U`` are kept; :meth:`solve_schur` is the kernel in their
-    coordinates, which :meth:`solve_primal` and :meth:`solve_adjoint` wrap
-    in the basis change.
+    Factorizes ``Ac = U T U^T`` (real Schur form) once, by one LAPACK
+    ``gees`` call on the wrapper's default workspace, and solves each
+    right-hand side with one quasi-triangular Sylvester solve (LAPACK
+    ``trsyl``), so repeated solves cost O(n^2) beyond the one-time O(n^3)
+    factorization.  Up to order 120, ``T`` and ``U`` equal those of
+    ``scipy.linalg.schur(Ac, output="real")`` bit for bit.  Both are kept:
+    :meth:`solve_schur` is the kernel in their coordinates, which
+    :meth:`solve_primal` and :meth:`solve_adjoint` wrap in the basis change.
 
     Raises
     ------
@@ -120,12 +116,7 @@ class SchurSolver:
             )
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
-        n = Ac.shape[0]
-        lwork = _GEES_LWORK.get(n)
-        if lwork is None:
-            work = _gees(_no_sort, Ac, lwork=-1)[-2]
-            lwork = _GEES_LWORK[n] = int(work[0])
-        self.T, _, _, _, self.U, _, info = _gees(_no_sort, Ac, lwork=lwork)
+        self.T, _, _, _, self.U, _, info = _gees(_no_sort, Ac)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"gees: Schur form not found (info {info})"
@@ -142,6 +133,8 @@ class SchurSolver:
         With ``adjoint`` the equation is ``Z T^T + T Z + Wt = 0``.  For
         ``Wt = U^T W U`` the solution is ``Z = U^T X U``, where ``X``
         solves the primal (adjoint) equation with constant term ``W``.
+        Raises :class:`NotHurwitzError`, naming the cause, if ``trsyl``
+        had to perturb the solve.
         """
         trana, tranb = ("N", "T") if adjoint else ("T", "N")
         x, scale, info = _trsyl(self.T, self.T, -Wt, isgn=1,
@@ -151,13 +144,19 @@ class SchurSolver:
                 f"trsyl: illegal value in argument {-info}"
             )
         if info == 1:
-            # Perturbed solve: Ac and -Ac have (near-)common eigenvalues,
-            # which the Hurwitz gate should have excluded.
-            raise NotHurwitzError(
-                self.abscissa,
-                "Lyapunov equation is singular: the closed-loop matrix and "
-                "its negation share an eigenvalue within tolerance",
-            )
+            # trsyl perturbed the solve.  Hurwitz T keeps Re(la + lb) < 0;
+            # the equation is singular to working precision only if some
+            # |la + lb| <= eps ||T||_1, and is otherwise ill-conditioned.
+            eigs = np.linalg.eigvals(self.T)
+            gap = np.abs(eigs[:, None] + eigs).min()
+            size = np.linalg.norm(self.T, 1)
+            cause = ("the closed-loop matrix and its negation share an "
+                     "eigenvalue within eps ||T||_1"
+                     if gap <= np.finfo(float).eps * size
+                     else "the Schur factor T is ill-conditioned")
+            raise NotHurwitzError(self.abscissa, (
+                f"Lyapunov solve refused, trsyl had to perturb it: {cause}"
+                f" (||T||_1 = {size:.3e}, min |la + lb| = {gap:.3e})"))
         return x / scale
 
     def _solve(self, W, adjoint):

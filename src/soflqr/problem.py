@@ -555,6 +555,11 @@ class SolveResult:
     ``status`` is one of ``"converged"``, ``"stalled"`` (the line search
     could not certify further decrease in floating point, or rounding
     left the search direction without descent), or ``"max_iters"``.
+    ``stop_reason`` names the rule that ended the run: ``"step_tol"``
+    (``step_norm <= tol``) or ``"cost_resolution"`` (the predicted
+    decrease is at most four ulps of the cost) for ``converged``,
+    ``"not_descent"`` or ``"line_search_floor"`` (the codes of
+    :class:`LineSearchStalled`) for ``stalled``, and ``"max_iters"``.
     ``iterations`` counts accepted steps.  ``step_norm`` is the norm of
     the search direction at ``K``, the stopping measure, and the last
     accepted step is in the trace's last row.
@@ -563,6 +568,7 @@ class SolveResult:
     K: np.ndarray
     cost: float
     status: str
+    stop_reason: str
     iterations: int
     grad_norm: float
     step_norm: float

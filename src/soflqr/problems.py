@@ -71,6 +71,12 @@ class SolverParams:
     functions build their settings here.  A field out of range raises
     :class:`ProblemFormatError`.  ``tol`` and ``max_iters`` may be None
     for the method's default.
+
+    The line search moves one power of ``beta`` per trial, so a start
+    off by a factor ``r`` costs about ``log r / log(1 / beta)`` trials,
+    nearly ``log r / (1 - beta)`` as ``beta`` nears 1: with ``beta =
+    0.9999999999``, grad on ``example2`` was still searching after 20 s.
+    Use ``beta <= 0.9``.
     """
 
     method: str = "newton"

@@ -43,6 +43,24 @@ def family_member(member, margin, n=8, m=2, q=3):
     return plant, identity_cost(n, m)
 
 
+def rescaled_states(plant, costspec, span, reverse=False):
+    """The plant and cost in the state coordinates ``x = D x~``.
+
+    ``D = diag(geomspace(1, span, n))``, or its reverse, so that
+    ``A -> D^-1 A D``, ``B -> D^-1 B``, ``C -> C D``, ``Q -> D Q D`` and
+    ``X0 -> D^-1 X0 D^-1``.  K and J are unchanged in exact arithmetic.
+    Returns ``(plant, costspec)``.
+    """
+    d = np.geomspace(1.0, span, plant.nstates)
+    if reverse:
+        d = d[::-1]
+    D, Dinv = np.diag(d), np.diag(1.0 / d)
+    scaled = Plant(A=Dinv @ plant.A @ D, B=Dinv @ plant.B, C=plant.C @ D)
+    scaled_cost = CostSpec(Q=D @ costspec.Q @ D, R=costspec.R,
+                           X0=Dinv @ costspec.X0 @ Dinv)
+    return scaled, scaled_cost
+
+
 def unobservable_psd_problem():
     """PSD state weight that leaves two stable modes unobserved.
 

@@ -13,15 +13,19 @@ from soflqr import (
     ProblemFormatError,
     SchurSolver,
     SolverParams,
+    builtin_problem,
     first_order_solve,
     is_stabilizing,
     load_problem,
     newton_solve,
+    save_problem,
     spectral_abscissa,
 )
 import soflqr.cli
 from soflqr.cli import main
 from soflqr.lyapunov import HURWITZ_MARGIN
+
+from conftest import rescaled_states
 
 
 @pytest.fixture(autouse=True)
@@ -61,7 +65,6 @@ class TestExamples:
         reference = load_problem(out)
         assert np.array_equal(problem.plant.A, reference.plant.A)
         # Written file must reproduce the in-memory matrices exactly.
-        from soflqr import builtin_problem
         built = builtin_problem("example1")
         assert np.array_equal(problem.plant.A, built.plant.A)
         assert np.array_equal(problem.plant.B, built.plant.B)
@@ -288,7 +291,8 @@ class TestSolve:
         code = main(["solve", str(path), "--max-iters", "1",
                      "--out", str(out), "--trace", str(tmp_path / "t.csv")])
         assert code == 2
-        assert json.loads(out.read_text())["status"] == "max_iters"
+        result = json.loads(out.read_text())
+        assert result["status"] == result["stop_reason"] == "max_iters"
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -522,6 +526,25 @@ class TestChecks:
         result = json.loads(out.read_text())
         assert result["status"] == "converged"
         assert result["K"][0][0] == 0.0
+
+    @pytest.mark.parametrize("command", ["solve", "check-gradient"])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    @pytest.mark.parametrize("span", [1e6, 1e8])
+    def test_ill_conditioned_start_is_numerical_failure(
+            self, tmp_path, capsys, span, reverse, command):
+        # trsyl perturbs the start's Lyapunov solve on rescaled example2;
+        # the refusal says why, and is not a shared eigenvalue.
+        prob = builtin_problem("example2")
+        plant, costspec = rescaled_states(prob.plant, prob.costspec, span,
+                                          reverse)
+        path = tmp_path / "scaled.json"
+        save_problem(dataclasses.replace(prob, plant=plant,
+                                         costspec=costspec), path)
+        assert main([command, str(path)]) == 5
+        err = capsys.readouterr().err
+        assert "ill-conditioned" in err
+        assert "share an eigenvalue" not in err
 
     def test_check_requires_stabilizing_gain(self, tmp_path):
         path = write_problem(tmp_path / "p.json",

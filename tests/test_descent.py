@@ -26,7 +26,11 @@ from soflqr import (
     newton_solve,
 )
 
-from conftest import recorded_iterates, unobservable_psd_problem
+from conftest import (
+    recorded_iterates,
+    rescaled_states,
+    unobservable_psd_problem,
+)
 
 SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
 
@@ -158,6 +162,33 @@ def test_rounding_level_ascent_direction_stalls(monkeypatch):
     np.testing.assert_array_equal(result.K, prob.gain0)
 
 
+STOPS = [
+    ("step_tol", "newton", {}, "converged"),
+    # Below any tol, Newton ends where the predicted decrease is at most
+    # four ulps of J, and grad where no power certifies a decrease.
+    ("cost_resolution", "newton", {"tol": 0.0}, "converged"),
+    ("line_search_floor", "grad", {"tol": 0.0}, "stalled"),
+    ("not_descent", "newton", {"tol": 0.0}, "stalled"),
+    ("max_iters", "grad", {"max_iters": 3}, "max_iters"),
+]
+
+
+@pytest.mark.parametrize("reason, method, settings, status", STOPS,
+                         ids=[stop[0] for stop in STOPS])
+def test_stop_reason_names_the_rule(reason, method, settings, status,
+                                    monkeypatch):
+    if reason == "not_descent":
+        def ascent_step(Heps, grad, cs):
+            return 1e-12 * np.asarray(grad)
+
+        monkeypatch.setattr(soflqr.second_order, "newton_step", ascent_step)
+    prob = builtin_problem("example2")
+    result = SOLVERS[method](prob.plant, prob.costspec, prob.constraints,
+                             prob.gain0, **settings)
+    assert result.stop_reason == reason
+    assert result.status == status
+
+
 @pytest.mark.parametrize("method", sorted(SOLVERS))
 def test_one_factorization_per_visited_gain(method, monkeypatch):
     count = 0
@@ -245,11 +276,7 @@ def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
     # rejected, and either run reaches the unscaled optimum.
     prob = builtin_problem("example1")
     plant, costspec = prob.plant, prob.costspec
-    d = np.geomspace(1.0, span, plant.nstates)
-    D, Dinv = np.diag(d), np.diag(1.0 / d)
-    scaled = Plant(A=Dinv @ plant.A @ D, B=Dinv @ plant.B, C=plant.C @ D)
-    scaled_cost = CostSpec(Q=D @ costspec.Q @ D, R=costspec.R,
-                           X0=Dinv @ costspec.X0 @ Dinv)
+    scaled, scaled_cost = rescaled_states(plant, costspec, span)
     args = (prob.constraints, prob.gain0)
     reference = first_order_solve(plant, costspec, *args)
     if search == "cold":

@@ -10,6 +10,7 @@ from soflqr import (
     SchurSolver,
     builtin_problem,
     evaluate,
+    evaluate_start,
     gradient,
     spectral_abscissa,
     unvec,
@@ -17,7 +18,7 @@ from soflqr import (
 )
 from soflqr.verify import kron_lyapunov
 
-from conftest import stable_plant
+from conftest import family_member, rescaled_states, stable_plant
 
 
 def characteristic_polynomial(M):
@@ -200,15 +201,41 @@ class TestSchurSolver:
         assert rightmost == {False, True}
 
     def test_factor_equals_scipy_schur(self):
-        # The second order-3 matrix reuses the workspace size queried for
-        # the first.
-        rng = np.random.default_rng(37)
-        for n in (1, 3, 40, 3):
-            A = stable_plant(rng, n, 1, 1).A
+        # One plain gees call, pinned bit for bit to scipy's Schur form on
+        # the benchmark family's plants, complex pairs included, so that
+        # a change to the call shows here.
+        pairs = 0
+        for n in (1, 2, 3, 4, 8, 40, 60, 80, 120):
+            A = family_member(n, 0.5, n=n)[0].A
             T, U = scipy.linalg.schur(A, output="real")
             solver = SchurSolver(A)
             np.testing.assert_array_equal(solver.T, T)
             np.testing.assert_array_equal(solver.U, U)
+            pairs += np.count_nonzero(np.diag(T, -1))
+        assert pairs > 0
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    @pytest.mark.parametrize("span", [1e6, 1e8])
+    def test_perturbed_solve_names_ill_conditioning(self, span, reverse):
+        # example2 in rescaled states: a 2x2 block of T is about
+        # [[-2, 1e6], [-3e-6, -2]] at span 1e6, so trsyl perturbs the
+        # solve, yet every eigenvalue sum has modulus at least 4.
+        prob = builtin_problem("example2")
+        plant, costspec = rescaled_states(prob.plant, prob.costspec, span,
+                                          reverse)
+        with pytest.raises(NotHurwitzError) as info:
+            evaluate_start(plant, costspec, prob.constraints, prob.gain0)
+        message = str(info.value)
+        assert "ill-conditioned" in message
+        assert "min |la + lb| = 4.000e+00" in message
+        assert "share an eigenvalue" not in message
+
+    def test_perturbed_solve_names_shared_eigenvalue(self):
+        # Hurwitz, but -1e-9 - 1e-9 lies within eps ||T||_1 = 2.2e-9 of 0.
+        solver = SchurSolver(np.diag([-1e-9, -1e7]))
+        with pytest.raises(NotHurwitzError, match="share an eigenvalue"):
+            solver.solve_primal(np.eye(2))
 
     @pytest.mark.parametrize("Ac, error", [
         (np.array([[-1.0, np.nan], [0.0, -1.0]]), ValueError),
