@@ -33,7 +33,6 @@ from .problem import (
     CostSpec,
     Evaluation,
     InfeasibleConstraintsError,
-    InfiniteCostError,
     Plant,
     SolveResult,
     SolveTrace,
@@ -78,7 +77,6 @@ __all__ = [
     "Evaluation",
     "GradientPair",
     "InfeasibleConstraintsError",
-    "InfiniteCostError",
     "LineSearchStalled",
     "NotHurwitzError",
     "PTMatrix",

@@ -26,6 +26,7 @@ from .problem import (
     SolveResult,
     SolveTrace,
     TraceRecord,
+    effective_weight,
     evaluate,
     evaluate_start,
 )
@@ -66,7 +67,7 @@ def gradient(plant, costspec, K):
 
     ``K`` is a gain or an :class:`Evaluation` at it.  An evaluation
     already holds the Schur factorization and ``P``, so only the adjoint
-    solve for ``G`` is added.  Raises :class:`InfiniteCostError` if the
+    solve for ``G`` is added.  Raises :class:`NotHurwitzError` if the
     gain does not stabilize the plant.
     """
     ev = K if isinstance(K, Evaluation) else evaluate(plant, costspec, K)
@@ -133,7 +134,11 @@ def _descend(plant, costspec, cs, K0, params, direction):
     reason ``max_iters``.
 
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
-    called once per visited gain.
+    called once per visited gain.  The trace's costs are the certified
+    running sum ``J(K0) + sum dJ``, which decreases strictly; the result's
+    cost is ``<Q + (K C)^T R (K C), G>`` with the Gramian ``G`` of the
+    last gradient, at the returned gain.  By the adjoint identity it is
+    ``trace(P X0)``, without the rounding the running sum has gathered.
     """
     tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
@@ -183,8 +188,9 @@ def _descend(plant, costspec, cs, K0, params, direction):
         last_t = t
 
     final = trace.records[-1]
+    J = float(np.vdot(effective_weight(costspec, plant, ev.K), gp.gramian))
     return SolveResult(
-        K=ev.K, cost=final.cost, status=status, stop_reason=stop_reason,
+        K=ev.K, cost=J, status=status, stop_reason=stop_reason,
         iterations=final.iteration, grad_norm=final.grad_norm,
         step_norm=measure, line_search_evals=evals_total, trace=trace,
     )

@@ -37,8 +37,10 @@ so a prediction off by a factor ``r`` costs about
 import itertools
 import math
 
+import numpy as np
+
 from .lyapunov import NotHurwitzError
-from .problem import InfiniteCostError, check_feasible, evaluate_step
+from .problem import check_feasible, evaluate_step
 
 __all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
 
@@ -86,9 +88,10 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
     Accepts a power ``t = beta ** k`` above the floor whose exact cost
     change ``dJ`` satisfies the Armijo condition
     ``dJ <= alpha * t * slope`` and leaves ``J(K) + dJ`` strictly below
-    ``J(K)`` in floating point.  Destabilizing trial points, and those
-    whose Lyapunov solve is too ill-conditioned to be trusted, count as
-    rejections.
+    ``J(K)`` in floating point.  Destabilizing trial points
+    (:class:`NotHurwitzError`), and those whose factorization or
+    Lyapunov solve LAPACK refused (``numpy.linalg.LinAlgError``), count
+    as rejections; any other error propagates.
 
     Parameters
     ----------
@@ -128,12 +131,12 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
         t = beta ** k
         try:
             # The Hurwitz gate comes before the Lyapunov solve, so a
-            # destabilizing trial is never solved.  NotHurwitzError from
-            # the solve means trsyl had to perturb it: the closed loop is
-            # too ill-conditioned for its cost to be trusted.
+            # destabilizing trial is never solved.  LinAlgError means
+            # LAPACK could not factor the closed loop or solve for its
+            # cost accurately enough to be trusted.
             trial, dJ = evaluate_step(plant, costspec, current,
                                       current.K + t * delta)
-        except (InfiniteCostError, NotHurwitzError):
+        except (NotHurwitzError, np.linalg.LinAlgError):
             return None
         if trial.cost < current.cost and dJ <= alpha * t * slope:
             return trial, dJ

@@ -10,7 +10,11 @@ factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
 ``SchurSolver`` calls the LAPACK routines ``gees`` (factorization) and
-``trsyl`` (Sylvester solve) directly.
+``trsyl`` (Sylvester solve) directly.  Each failure has one type: a
+matrix that fails the Hurwitz test raises :class:`NotHurwitzError`, a
+factorization or solve LAPACK could not do accurately raises
+``numpy.linalg.LinAlgError``, and an illegal LAPACK argument raises
+``ValueError``.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
@@ -42,21 +46,19 @@ def _no_sort(wr, wi):
 
 
 class NotHurwitzError(ValueError):
-    """Raised when a matrix required to be Hurwitz is not.
+    """The spectral abscissa ``abscissa`` of a matrix required to be
+    Hurwitz is not below ``HURWITZ_MARGIN``.
 
-    For the solvers in this package this signals that a controller gain
-    left the stabilizing set, or that a Lyapunov solve at a Hurwitz gain
-    was refused as too ill-conditioned to be trusted.
+    For the solvers in this package this means that a controller gain
+    does not stabilize the plant, so its cost is infinite.
     """
 
-    def __init__(self, abscissa, message=None):
+    def __init__(self, abscissa):
         self.abscissa = abscissa
-        if message is None:
-            message = (
-                f"matrix is not Hurwitz: spectral abscissa {abscissa:.6e} "
-                f"is not below {HURWITZ_MARGIN:.0e}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"matrix is not Hurwitz: spectral abscissa {abscissa:.6e} "
+            f"is not below {HURWITZ_MARGIN:.0e}"
+        )
 
 
 def spectral_abscissa(M):
@@ -106,6 +108,8 @@ class SchurSolver:
     ------
     NotHurwitzError
         If the spectral abscissa of ``Ac`` is not below ``HURWITZ_MARGIN``.
+    numpy.linalg.LinAlgError
+        If ``gees`` does not converge.
     """
 
     def __init__(self, Ac):
@@ -117,7 +121,9 @@ class SchurSolver:
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
         self.T, _, _, _, self.U, _, info = _gees(_no_sort, Ac)
-        if info != 0:
+        if info < 0:
+            raise ValueError(f"gees: illegal value in argument {-info}")
+        if info > 0:
             raise np.linalg.LinAlgError(
                 f"gees: Schur form not found (info {info})"
             )
@@ -133,16 +139,14 @@ class SchurSolver:
         With ``adjoint`` the equation is ``Z T^T + T Z + Wt = 0``.  For
         ``Wt = U^T W U`` the solution is ``Z = U^T X U``, where ``X``
         solves the primal (adjoint) equation with constant term ``W``.
-        Raises :class:`NotHurwitzError`, naming the cause, if ``trsyl``
-        had to perturb the solve.
+        Raises ``numpy.linalg.LinAlgError``, naming the cause, if
+        ``trsyl`` had to perturb the solve.
         """
         trana, tranb = ("N", "T") if adjoint else ("T", "N")
         x, scale, info = _trsyl(self.T, self.T, -Wt, isgn=1,
                                 trana=trana, tranb=tranb)
         if info < 0:
-            raise np.linalg.LinAlgError(
-                f"trsyl: illegal value in argument {-info}"
-            )
+            raise ValueError(f"trsyl: illegal value in argument {-info}")
         if info == 1:
             # trsyl perturbed the solve.  Hurwitz T keeps Re(la + lb) < 0;
             # the equation is singular to working precision only if some
@@ -154,9 +158,9 @@ class SchurSolver:
                      "eigenvalue within eps ||T||_1"
                      if gap <= np.finfo(float).eps * size
                      else "the Schur factor T is ill-conditioned")
-            raise NotHurwitzError(self.abscissa, (
+            raise np.linalg.LinAlgError(
                 f"Lyapunov solve refused, trsyl had to perturb it: {cause}"
-                f" (||T||_1 = {size:.3e}, min |la + lb| = {gap:.3e})"))
+                f" (||T||_1 = {size:.3e}, min |la + lb| = {gap:.3e})")
         return x / scale
 
     def _solve(self, W, adjoint):

@@ -6,7 +6,10 @@ basic evaluations built on them: closed loop, effective state weight,
 the evaluation of the cost at a gain and of its exact change to a
 nearby gain, stability and feasibility checks, the check of a solve's
 initial gain, and constraint flattening to the vectorized form
-``Abar vec(K) = cbar``.
+``Abar vec(K) = cbar``.  An evaluation at a gain that does not stabilize
+the plant, whose cost is infinite, raises :class:`NotHurwitzError`; a
+Lyapunov solve refused as ill-conditioned raises
+``numpy.linalg.LinAlgError``.
 """
 
 import csv
@@ -21,7 +24,6 @@ from .lyapunov import NotHurwitzError, SchurSolver, vec
 __all__ = [
     "FEASIBILITY_TOL",
     "BadStartError",
-    "InfiniteCostError",
     "InfeasibleConstraintsError",
     "Plant",
     "CostSpec",
@@ -48,14 +50,6 @@ logger = logging.getLogger(__name__)
 
 # Infinity-norm tolerance for membership in the constraint set.
 FEASIBILITY_TOL = 1e-9
-
-
-class InfiniteCostError(ArithmeticError):
-    """The quadratic cost is infinite because the gain is not stabilizing.
-
-    A typed signal rather than a floating-point infinity, so callers such
-    as the line search can treat destabilizing trial points explicitly.
-    """
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -416,23 +410,13 @@ class Evaluation:
     cost: float
 
 
-def _factor(plant, K):
-    try:
-        return SchurSolver(closed_loop(plant, K))
-    except NotHurwitzError as exc:
-        raise InfiniteCostError(
-            f"gain is not stabilizing (spectral abscissa {exc.abscissa:.6e}); "
-            f"the infinite-horizon cost is infinite"
-        ) from exc
-
-
 def evaluate(plant, costspec, K):
     """Factor the closed loop at ``K`` and solve for its cost.
 
-    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    Raises :class:`NotHurwitzError` for non-stabilizing gains.
     """
     K = np.asarray(K, dtype=float)
-    solver = _factor(plant, K)
+    solver = SchurSolver(closed_loop(plant, K))
     P = solver.solve_primal(effective_weight(costspec, plant, K))
     P = 0.5 * (P + P.T)
     return Evaluation(K=K, solver=solver, P=P,
@@ -444,16 +428,17 @@ def evaluate_start(plant, costspec, cs, K0):
 
     Raises :class:`BadStartError` unless ``K0`` stabilizes the plant, by
     the Hurwitz test of :class:`SchurSolver`, and satisfies ``cs``; an
-    inconsistent ``cs`` raises :class:`InfeasibleConstraintsError`.
+    inconsistent ``cs`` raises :class:`InfeasibleConstraintsError`, and a
+    refused Lyapunov solve at ``K0`` ``numpy.linalg.LinAlgError``.
     """
     try:
         ev = evaluate(plant, costspec, np.array(K0, dtype=float))
-    except InfiniteCostError as exc:
+    except NotHurwitzError as exc:
         raise BadStartError(
             f"initial gain K0 does not stabilize the plant (closed-loop "
-            f"spectral abscissa {exc.__cause__.abscissa:.6e}); the solvers "
-            f"need a stabilizing K0, e.g. from an external stabilization "
-            f"procedure") from exc
+            f"spectral abscissa {exc.abscissa:.6e}); the solvers need a "
+            f"stabilizing K0, e.g. from an external stabilization procedure"
+        ) from exc
     if not check_feasible(cs, ev.K):
         raise BadStartError("initial gain K0 does not satisfy the constraints")
     return ev
@@ -475,10 +460,10 @@ def evaluate_step(plant, costspec, current, K):
     ``dJ = <dP, X0>`` carries no cancellation, whereas the difference of
     two costs near an optimum is rounding noise.  Returns the evaluation,
     with ``P + dP`` and the cost ``current.cost + dJ``, and ``dJ``.
-    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    Raises :class:`NotHurwitzError` for non-stabilizing gains.
     """
     K = np.asarray(K, dtype=float)
-    solver = _factor(plant, K)
+    solver = SchurSolver(closed_loop(plant, K))
     P = current.P
     dKC = (K - current.K) @ plant.C
     RdKC = costspec.R @ dKC
@@ -496,7 +481,7 @@ def evaluate_step(plant, costspec, current, K):
 def cost(plant, costspec, K):
     """Infinite-horizon quadratic cost ``trace(P X0)`` of the closed loop.
 
-    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    Raises :class:`NotHurwitzError` for non-stabilizing gains.
     """
     return evaluate(plant, costspec, K).cost
 
@@ -560,9 +545,11 @@ class SolveResult:
     decrease is at most four ulps of the cost) for ``converged``,
     ``"not_descent"`` or ``"line_search_floor"`` (the codes of
     :class:`LineSearchStalled`) for ``stalled``, and ``"max_iters"``.
-    ``iterations`` counts accepted steps.  ``step_norm`` is the norm of
-    the search direction at ``K``, the stopping measure, and the last
-    accepted step is in the trace's last row.
+    ``iterations`` counts accepted steps.  ``cost`` is the cost of ``K``
+    from its Gramian, whereas the trace's costs are the running sum the
+    line search certified.  ``step_norm`` is the norm of the search
+    direction at ``K``, the stopping measure, and the last accepted step
+    is in the trace's last row.
     """
 
     K: np.ndarray

@@ -7,7 +7,9 @@ Lyapunov equations without a Schur factorization, the optimal
 full-information gain comes from a Riccati fixed-point iteration on
 ``SchurSolver`` solves, and the cost integral is evaluated by quadrature
 on matrix exponentials.  These routines back the test suite and the CLI
-``check-gradient`` / ``check-hessian`` commands.
+``check-gradient`` / ``check-hessian`` commands.  A gain that does not
+stabilize the plant raises :class:`NotHurwitzError`, and a refused
+Lyapunov solve ``numpy.linalg.LinAlgError``, as in the solvers.
 
 Importing this module loads ``scipy.linalg`` only: ``quadrature_cost``
 imports ``scipy.integrate`` (with ``scipy.optimize`` and
@@ -22,7 +24,7 @@ from scipy.linalg import expm
 from .first_order import gradient
 from .lyapunov import (NotHurwitzError, SchurSolver, spectral_abscissa,
                        unvec, vec)
-from .problem import InfiniteCostError, closed_loop, cost, effective_weight
+from .problem import closed_loop, cost, effective_weight
 
 __all__ = [
     "FD_SHRINKS",
@@ -96,12 +98,12 @@ def _unit_gains(m, q):
 
 def _central_difference(f, K, E, h):
     # (f(K + s E) - f(K - s E)) / (2 s) at s = h, shrunk tenfold while a
-    # shifted gain destabilizes the loop.
+    # shifted gain destabilizes the loop or its Lyapunov solve is refused.
     for k in range(FD_SHRINKS + 1):
         step = h / 10.0 ** k
         try:
             return (f(K + step * E) - f(K - step * E)) / (2.0 * step)
-        except (InfiniteCostError, NotHurwitzError):
+        except (NotHurwitzError, np.linalg.LinAlgError):
             continue
     raise NearMarginError(h / 10.0 ** FD_SHRINKS)
 
@@ -110,9 +112,10 @@ def fd_gradient(plant, costspec, K, h=1e-5):
     """Central-difference gradient of the cost at ``K``.
 
     Shifts one gain entry at a time by ``+-h``.  While a shifted gain
-    destabilizes the closed loop the step for that entry is shrunk by a
-    factor of ten, at most ``FD_SHRINKS`` times; past that floor
-    :class:`NearMarginError` is raised.
+    destabilizes the closed loop, or its Lyapunov solve is refused, the
+    step for that entry is shrunk by a factor of ten, at most
+    ``FD_SHRINKS`` times; past that floor :class:`NearMarginError` is
+    raised.
     """
     if h <= 0.0:
         raise ValueError(f"step size h must be positive, got {h}")
@@ -268,7 +271,7 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
     ``expm(Ac * dt)``.  ``horizon`` must be long enough for the
     integrand tail to be negligible.
 
-    Raises :class:`InfiniteCostError` for non-stabilizing gains.
+    Raises :class:`NotHurwitzError` for non-stabilizing gains.
     """
     from scipy.integrate import simpson
 
@@ -278,10 +281,7 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
     Ac = closed_loop(plant, K)
     abscissa = spectral_abscissa(Ac)
     if abscissa >= 0.0:
-        raise InfiniteCostError(
-            f"gain is not stabilizing (spectral abscissa {abscissa:.6e}); "
-            f"the cost integral diverges"
-        )
+        raise NotHurwitzError(abscissa)
     Qc = effective_weight(costspec, plant, K)
     X0 = costspec.X0
     dt = horizon / steps

@@ -271,7 +271,7 @@ def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
     # example1 in the state coordinates x = D x~, D = diag(1 .. span):
     # K and J are unchanged in exact arithmetic.  Searched from t = 1,
     # some trials of the gradient run meet a closed loop whose Schur
-    # factor makes trsyl perturb the Lyapunov solve (NotHurwitzError);
+    # factor makes trsyl perturb the Lyapunov solve (LinAlgError);
     # the predicted start happens to avoid them.  Such trials are
     # rejected, and either run reaches the unscaled optimum.
     prob = builtin_problem("example1")

@@ -11,6 +11,7 @@ from soflqr import (
     Plant,
     builtin_problem,
     check_feasible,
+    cost,
     first_order_solve,
     gradient,
     project_gradient,
@@ -170,7 +171,11 @@ class TestFirstOrderSolve:
                                    prob.constraints, prob.gain0, tol=1e-4)
         assert result.converged
         assert len(result.trace) == result.iterations + 1
-        assert result.trace.records[-1].cost == result.cost
+        # The trace ends at the certified running sum, and the result
+        # reports the cost of the returned gain.
+        J = cost(prob.plant, prob.costspec, result.K)
+        assert result.cost == pytest.approx(J, rel=1e-12, abs=0.0)
+        assert result.trace.records[-1].cost == pytest.approx(J, rel=1e-9)
 
     def test_pinned_nonzero_entry_held_through_solve(self):
         # Inhomogeneous constraint: K[0, 0] pinned to its start value.

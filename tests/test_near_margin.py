@@ -18,6 +18,7 @@ import pytest
 from soflqr import (
     ConstraintSet,
     check_feasible,
+    cost,
     first_order_solve,
     is_stabilizing,
     newton_solve,
@@ -32,14 +33,17 @@ IDS = [f"m{member}-{margin:.0e}" for member, margin in CASES]
 
 
 def check_descent(plant, costspec, cs, result, iterates):
-    """Every accepted iterate is Hurwitz and feasible, and J strictly
-    decreases along the run."""
+    """Every accepted iterate is Hurwitz and feasible, J strictly
+    decreases along the run, and the reported J is the cost of the
+    returned gain, not the running sum that drifts from it."""
     assert len(iterates) == result.iterations + 1
     for K in iterates:
         assert is_stabilizing(plant, K)
         assert check_feasible(cs, K)
     costs = result.trace.costs
     assert all(a > b for a, b in zip(costs, costs[1:]))
+    assert result.cost == pytest.approx(cost(plant, costspec, result.K),
+                                        rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("member, margin", CASES, ids=IDS)

@@ -13,7 +13,7 @@ from soflqr import (
     ConstraintTerm,
     CostSpec,
     InfeasibleConstraintsError,
-    InfiniteCostError,
+    NotHurwitzError,
     Plant,
     ProblemFormatError,
     builtin_problem,
@@ -28,6 +28,8 @@ from soflqr import (
     vec,
     weights_from_performance_output,
 )
+
+from soflqr.lyapunov import HURWITZ_MARGIN
 
 from conftest import identity_cost, stable_plant
 
@@ -141,9 +143,11 @@ class TestCost:
         assert J == pytest.approx(12.8281, abs=1e-3)
 
     def test_unstable_gain_raises_typed_signal(self):
+        # The closed loop of xdot = -x + u at K = 2 is 1.
         plant, costspec = scalar_problem()
-        with pytest.raises(InfiniteCostError):
+        with pytest.raises(NotHurwitzError) as info:
             cost(plant, costspec, [[2.0]])
+        assert info.value.abscissa == pytest.approx(1.0)
 
     def test_certificate_is_positive_definite(self):
         plant, costspec = scalar_problem()
@@ -160,8 +164,9 @@ class TestCost:
             if is_stabilizing(plant, K):
                 assert np.isfinite(cost(plant, costspec, K))
             else:
-                with pytest.raises(InfiniteCostError):
+                with pytest.raises(NotHurwitzError) as info:
                     cost(plant, costspec, K)
+                assert info.value.abscissa >= HURWITZ_MARGIN
 
 
 class TestIsStabilizing:

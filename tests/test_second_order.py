@@ -406,15 +406,22 @@ class TestLineSearch:
 
     def test_ill_conditioned_trial_is_rejected(self, monkeypatch):
         # A trial whose Lyapunov solve LAPACK had to perturb (trsyl
-        # info = 1, raised as NotHurwitzError) is rejected like an
-        # unstable one; the search goes on to t = 0.1.
+        # info = 1, raised as LinAlgError) is rejected like an unstable
+        # one; the search goes on to t = 0.1.
         import soflqr.linesearch
 
         evaluate_step = soflqr.linesearch.evaluate_step
+        refusals = []
 
         def ill_conditioned_unit_step(plant, costspec, current, K):
             if K[0, 0] == -0.25:
-                raise NotHurwitzError(-1.0, "perturbed solve")
+                # The solve at a Hurwitz matrix that trsyl perturbs.
+                try:
+                    SchurSolver(np.diag([-1e-9, -1e7])).solve_primal(
+                        np.eye(2))
+                except np.linalg.LinAlgError as exc:
+                    refusals.append(exc)
+                    raise
             return evaluate_step(plant, costspec, current, K)
 
         monkeypatch.setattr(soflqr.linesearch, "evaluate_step",
@@ -427,6 +434,30 @@ class TestLineSearch:
                                       delta, slope(gp, delta), SEARCH)
         assert (t, evals) == (0.1, 2)
         assert trial.K[0, 0] == pytest.approx(-0.025)
+        assert len(refusals) == 1
+        assert not isinstance(refusals[0], NotHurwitzError)
+
+    def test_illegal_lapack_argument_is_not_a_rejection(self, monkeypatch):
+        # info < 0 from trsyl is a programming error: it leaves the
+        # search as ValueError at the first trial instead of being
+        # counted as a rejected trial.
+        import soflqr.lyapunov
+
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        delta = np.array([[-0.25]])
+        calls = []
+
+        def illegal(T, *args, **kwargs):
+            calls.append(T)
+            return np.zeros_like(T), 1.0, -3
+
+        monkeypatch.setattr(soflqr.lyapunov, "_trsyl", illegal)
+        with pytest.raises(ValueError, match="illegal value") as info:
+            line_search(plant, costspec, ConstraintSet.empty(),
+                        gp.evaluation, delta, slope(gp, delta), SEARCH)
+        assert type(info.value) is ValueError
+        assert len(calls) == 1
 
     def test_stalls_below_float_resolution(self):
         # A direction so small that K + t*delta rounds back to K can

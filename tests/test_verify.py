@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soflqr import (
-    InfiniteCostError,
+    NotHurwitzError,
     Plant,
     SchurSolver,
     builtin_problem,
@@ -178,9 +178,11 @@ class TestQuadratureCost:
         assert J == pytest.approx(22.2010, abs=1e-2)
 
     def test_unstable_gain_raises(self):
+        # The closed loop of xdot = -x + u at K = 2 is 1.
         plant, costspec = scalar_problem()
-        with pytest.raises(InfiniteCostError):
+        with pytest.raises(NotHurwitzError) as info:
             quadrature_cost(plant, costspec, [[2.0]])
+        assert info.value.abscissa == pytest.approx(1.0)
 
     def test_agrees_with_lyapunov_cost(self):
         rng = np.random.default_rng(137)
