@@ -1,0 +1,46 @@
+"""SciPy's compiled LAPACK wrapper, loaded without ``scipy.linalg``.
+
+The package calls a handful of LAPACK routines directly.  Reaching them
+through ``scipy.linalg`` runs its ``__init__``, which loads SciPy's
+array-API layer, ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``:
+about half the wall time of a cold ``soflqr`` call.  So this module
+loads SciPy's private extension ``scipy.linalg._flapack`` from its file
+instead.  Its routines are the same compiled objects that
+``scipy.linalg.get_lapack_funcs`` returns, so every result is unchanged.
+The module is registered in ``sys.modules`` under its own name, so a
+later ``import scipy.linalg`` reuses it, and one loaded earlier is
+reused here.  The load depends on SciPy's install layout
+(``scipy/linalg/_flapack.<extension suffix>``) and raises ``ImportError``
+naming the path if it changes.
+"""
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
+import scipy  # Cheap; on Windows it also adds SciPy's DLL directories.
+
+__all__ = ["flapack"]
+
+_NAME = "scipy.linalg._flapack"
+
+
+def _load():
+    if _NAME in sys.modules:
+        return sys.modules[_NAME]
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + s for s in suffixes if os.path.exists(stem + s)),
+                None)
+    if path is None:
+        raise ImportError(f"SciPy's LAPACK wrapper not found: no {stem} "
+                          f"with an extension suffix in {suffixes}")
+    spec = importlib.util.spec_from_file_location(_NAME, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_NAME] = module
+    return module
+
+
+flapack = _load()

@@ -9,19 +9,21 @@ for a Hurwitz matrix ``Ac``, via the Bartels-Stewart method (real Schur
 factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
-``SchurSolver`` calls the LAPACK routines ``gees`` (factorization) and
-``trsyl`` (Sylvester solve) directly.  Each failure has one type: a
-matrix that fails the Hurwitz test raises :class:`NotHurwitzError`, a
-factorization or solve LAPACK could not do accurately raises
-``numpy.linalg.LinAlgError``, and an illegal LAPACK argument raises
-``ValueError``.
+``SchurSolver`` calls the LAPACK routines ``dgees`` (factorization) and
+``dtrsyl`` (Sylvester solve) directly.  They are bound at import from
+SciPy's compiled wrapper by :mod:`soflqr._lapack`, which does not import
+``scipy.linalg``.  Each failure has one type: a matrix that fails the
+Hurwitz test raises :class:`NotHurwitzError`, a factorization or solve
+LAPACK could not do accurately raises ``numpy.linalg.LinAlgError``, and
+an illegal LAPACK argument raises ``ValueError``.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
 """
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+
+from ._lapack import flapack
 
 __all__ = [
     "HURWITZ_MARGIN",
@@ -37,7 +39,7 @@ __all__ = [
 # ill-conditioned.
 HURWITZ_MARGIN = -1e-10
 
-_gees, _trsyl = get_lapack_funcs(("gees", "trsyl"), dtype=np.float64)
+_gees, _trsyl = flapack.dgees, flapack.dtrsyl
 
 
 def _no_sort(wr, wi):

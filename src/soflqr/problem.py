@@ -17,8 +17,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
 
+from ._lapack import flapack
 from .lyapunov import NotHurwitzError, SchurSolver, vec
 
 __all__ = [
@@ -299,6 +299,37 @@ def _check_shapes(plant, costspec, cs, K0):
     _check_term_shapes(cs, (m, q))
 
 
+def _check_info(routine, info):
+    if info < 0:
+        raise ValueError(
+            f"{routine.__name__}: illegal value in argument {-info}")
+
+
+def _queried(routine, *args, **kwargs):
+    # One call after LAPACK's workspace query, as scipy.linalg makes it.
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    _check_info(routine, info)
+    return out
+
+
+def _pivoted_qr(a):
+    """``a[:, pivots] = Q R`` for an M x N matrix ``a``, with ``Q``
+    orthogonal of order M; ``R`` is the upper triangle of the returned
+    M x N factor.  The LAPACK calls and results of
+    ``scipy.linalg.qr(a, pivoting=True)``."""
+    M, N = a.shape
+    if not a.size:
+        return np.eye(M), np.zeros((M, N)), np.arange(N)
+    qr, jpvt, tau = _queried(flapack.dgeqp3, a)
+    # dorgqr reads the min(M, N) reflectors and fills in the rest of Q.
+    k = min(M, N)
+    q = np.empty((M, M), order="F")
+    q[:, :k] = qr[:, :k]
+    Q, = _queried(flapack.dorgqr, q, tau, overwrite_a=1)
+    return Q, qr, jpvt - 1
+
+
 def flatten_constraints(cs, gain_shape):
     """Convert matrix equalities to the vector form ``Abar vec(K) = cbar``.
 
@@ -333,12 +364,19 @@ def flatten_constraints(cs, gain_shape):
     cbar = np.concatenate([np.zeros(0)]
                           + [vec(con.rhs) for con in cs.constraints])
     # Abar^T[:, pivots] = Qf r, and |r_00| is the largest pivot.
-    Qf, r, pivots = qr(Abar.T, pivoting=True)
+    Qf, r, pivots = _pivoted_qr(Abar.T)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0)))
     # The kept rows are r_rr^T Qf_r^T; their least-norm solution must
-    # meet every row, the dropped ones included.
-    y = solve_triangular(r[:rank, :rank], cbar[pivots[:rank]], trans="T")
+    # meet every row, the dropped ones included.  r_rr^T y = c is solved
+    # as a lower-triangular system, as scipy.linalg.solve_triangular
+    # solves it for a C-ordered r; a transposed upper-triangular solve
+    # differs in the last bits.
+    y = np.zeros(0)
+    if rank:
+        y, info = flapack.dtrtrs(r[:rank, :rank].T, cbar[pivots[:rank]],
+                                 lower=1)
+        _check_info(flapack.dtrtrs, info)
     misfit = float(np.linalg.norm(Abar @ (Qf[:, :rank] @ y) - cbar))
     if misfit > 1e-8 * max(1.0, np.linalg.norm(cbar)):
         raise InfeasibleConstraintsError(

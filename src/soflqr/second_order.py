@@ -17,8 +17,8 @@ step ``Z theta`` keeps every iterate on the constraint set.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import flapack
 from .first_order import _descend
 from .lyapunov import unvec, vec
 from .problems import SolverParams
@@ -162,7 +162,10 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     m, q = plant.gain_shape()
     T = gp.evaluation.solver.T
     lam, W = np.linalg.eig(T)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (W,))
+    # W is real when every eigenvalue of T is, complex otherwise.
+    prefix = "z" if np.iscomplexobj(W) else "d"
+    getrf, gecon, getrs = (getattr(flapack, prefix + name)
+                           for name in ("getrf", "gecon", "getrs"))
     lu, piv, info = getrf(W)
     if info != 0:
         return None

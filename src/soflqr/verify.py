@@ -11,15 +11,15 @@ on matrix exponentials.  These routines back the test suite and the CLI
 stabilize the plant raises :class:`NotHurwitzError`, and a refused
 Lyapunov solve ``numpy.linalg.LinAlgError``, as in the solvers.
 
-Importing this module loads ``scipy.linalg`` only: ``quadrature_cost``
-imports ``scipy.integrate`` (with ``scipy.optimize`` and
-``scipy.special``) on its first call, so the CLI does not pay for it.
+Importing this module loads no SciPy subpackage: ``quadrature_cost``
+imports ``scipy.linalg`` and ``scipy.integrate`` (with ``scipy.optimize``
+and ``scipy.special``) on its first call, so the CLI does not pay for
+them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .first_order import gradient
 from .lyapunov import (NotHurwitzError, SchurSolver, spectral_abscissa,
@@ -274,6 +274,7 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
     Raises :class:`NotHurwitzError` for non-stabilizing gains.
     """
     from scipy.integrate import simpson
+    from scipy.linalg import expm
 
     if horizon <= 0.0 or steps < 2:
         raise ValueError("horizon must be positive and steps at least 2")

@@ -1,5 +1,6 @@
-"""Importing the package and its CLI loads no scipy subpackage beyond
-``scipy.linalg``."""
+"""Importing the package and its CLI loads no SciPy subpackage, not even
+``scipy.linalg``, and the LAPACK wrapper the package loads by itself is
+the one ``scipy.linalg`` uses, whichever is imported first."""
 
 import subprocess
 import sys
@@ -10,18 +11,37 @@ import soflqr
 # Loaded by scipy.integrate, which only verify.quadrature_cost uses.
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special",
          "scipy.sparse", "scipy.stats")
+# Loaded by scipy.linalg's __init__, which the package does not run.
+LINALG = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
+def _run(body):
     # A fresh interpreter, so that modules the test session has already
     # loaded do not count; it imports this session's copy of the package.
     root = str(Path(soflqr.__file__).resolve().parent.parent)
-    probe = (
-        "import sys\n"
-        f"sys.path.insert(0, {root!r})\n"
-        "import soflqr, soflqr.cli\n"
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
-    )
+    probe = f"import sys\nsys.path.insert(0, {root!r})\n{body}"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    loaded = _run(
+        "import soflqr, soflqr.cli\n"
+        f"print(' '.join(m for m in {HEAVY + LINALG!r} if m in sys.modules))\n"
+    )
+    assert loaded == []
+
+
+def test_lapack_wrapper_is_shared_with_scipy_linalg():
+    check = (
+        "import numpy as np, scipy.linalg, soflqr._lapack\n"
+        "a = np.array([[1.0, 2.0], [-3.0, 0.5]])\n"
+        "T, U = scipy.linalg.schur(a)\n"
+        "flapack = soflqr._lapack.flapack\n"
+        "print(sys.modules['scipy.linalg._flapack'] is flapack,\n"
+        "      scipy.linalg.get_lapack_funcs('gees', dtype=float)\n"
+        "      is flapack.dgees, np.allclose(U @ T @ U.T, a))\n"
+    )
+    assert _run("import soflqr\n" + check) == ["True"] * 3
+    assert _run("import scipy.linalg\n" + check) == ["True"] * 3

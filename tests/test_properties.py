@@ -11,7 +11,9 @@ solves use positive definite weights, random pins or general rows
 start.  Matrix entries are drawn on a grid of eighths, which keeps the
 Lyapunov solves well conditioned while still reaching zero rows,
 repeated eigenvalues and defective state matrices.  Flattening draws
-Gaussian rows with exactly or nearly dependent rows appended.
+Gaussian rows with exactly or nearly dependent rows appended, and its
+direct LAPACK calls are compared bit for bit with the ``scipy.linalg``
+code they replaced.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from soflqr import (
     evaluate,
     evaluate_step,
     first_order_solve,
+    flatten_constraints,
     gradient,
     hessian,
     is_stabilizing,
@@ -205,6 +208,38 @@ def constrained_problems(draw):
     return plant, costspec, cs, K0
 
 
+def _scipy_flattened(cs, gain_shape):
+    # flatten_constraints as it was written on scipy.linalg, the reference
+    # its direct LAPACK calls must match bit for bit; None where that
+    # raised InfeasibleConstraintsError.
+    from scipy.linalg import qr, solve_triangular
+    m, q = gain_shape
+    Abar = np.vstack([np.zeros((0, m * q))] + [
+        sum(np.kron(t.right.T, t.left) for t in con.terms)
+        for con in cs.constraints])
+    cbar = np.concatenate([np.zeros(0)]
+                          + [vec(con.rhs) for con in cs.constraints])
+    Qf, r, pivots = qr(Abar.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0)))
+    y = solve_triangular(r[:rank, :rank], cbar[pivots[:rank]], trans="T")
+    misfit = float(np.linalg.norm(Abar @ (Qf[:, :rank] @ y) - cbar))
+    if misfit > 1e-8 * max(1.0, np.linalg.norm(cbar)):
+        return None
+    keep = np.sort(pivots[:rank])
+    return Abar[keep], cbar[keep], Qf[:, rank:]
+
+
+def _assert_flattened_as_scipy(cs, gain_shape):
+    expected = _scipy_flattened(cs, gain_shape)
+    if expected is None:
+        with pytest.raises(InfeasibleConstraintsError):
+            flatten_constraints(cs, gain_shape)
+        return
+    for got, want in zip(flatten_constraints(cs, gain_shape), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _check_descent(plant, costspec, cs, result, iterates):
     assert all(check_feasible(cs, K) and is_stabilizing(plant, K)
                for K in iterates)
@@ -218,6 +253,7 @@ def _check_descent(plant, costspec, cs, result, iterates):
 @given(constrained_problems())
 def test_constrained_newton_step_and_solves(problem):
     plant, costspec, cs, K0 = problem
+    _assert_flattened_as_scipy(cs, K0.shape)
     Abar, _, _ = cs.flattened(K0.shape)
     Z = cs.null_basis(K0.shape)
 
@@ -295,3 +331,20 @@ def test_flattening_keeps_rank_rows_and_rejects_disagreement(system):
     shifted[-1] += 1e-6 * (1.0 + np.linalg.norm(rhs))
     with pytest.raises(InfeasibleConstraintsError):
         _row_constraints(rows, shifted, m, q).flattened((m, q))
+    for c in (rhs, shifted):
+        _assert_flattened_as_scipy(_row_constraints(rows, c, m, q), (m, q))
+
+
+# Above about 128 rows, LAPACK's blocked QR runs only with the queried
+# workspace, and its result differs in the last bits.
+BLOCKED = np.random.default_rng(0).standard_normal((140, 144))
+
+
+@pytest.mark.parametrize("rows, rhs, m, q", [
+    (np.zeros((0, 6)), np.zeros(0), 2, 3),
+    (np.arange(10.0).reshape(5, 2) - 4.5, np.arange(5.0) - 2.0, 1, 2),
+    (np.zeros((2, 4)), np.zeros(2), 2, 2),
+    (BLOCKED, BLOCKED @ np.linspace(-1.0, 1.0, 144), 12, 12),
+], ids=["empty", "wide", "rank-0", "blocked"])
+def test_flattening_edge_cases_match_scipy(rows, rhs, m, q):
+    _assert_flattened_as_scipy(_row_constraints(rows, rhs, m, q), (m, q))
