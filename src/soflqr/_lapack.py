@@ -11,7 +11,8 @@ The module is registered in ``sys.modules`` under its own name, so a
 later ``import scipy.linalg`` reuses it, and one loaded earlier is
 reused here.  The load depends on SciPy's install layout
 (``scipy/linalg/_flapack.<extension suffix>``) and raises ``ImportError``
-naming the path if it changes.
+naming the path if it changes.  The package calls every routine
+through :func:`lapack`, which reads every ``info`` the same way.
 """
 
 import importlib.machinery
@@ -21,7 +22,7 @@ import sys
 
 import scipy  # Cheap; on Windows it also adds SciPy's DLL directories.
 
-__all__ = ["flapack"]
+__all__ = ["flapack", "lapack"]
 
 _NAME = "scipy.linalg._flapack"
 
@@ -44,3 +45,18 @@ def _load():
 
 
 flapack = _load()
+
+
+def lapack(name, *args, query=False, **kwargs):
+    """Outputs of the wrapper's routine ``name``, looked up at call time;
+    the last is ``info``.  With ``query``, LAPACK's workspace query runs
+    first and its optimal ``lwork`` is used, as ``scipy.linalg`` does.
+    Raises ``ValueError`` for ``info < 0``, an illegal argument; what a
+    positive ``info`` means is the caller's to say."""
+    routine = getattr(flapack, name)
+    if query:
+        kwargs["lwork"] = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    out = routine(*args, **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"{name}: illegal value in argument {-out[-1]}")
+    return out

@@ -26,6 +26,7 @@ from .problem import (
     SolveResult,
     SolveTrace,
     TraceRecord,
+    check_feasible,
     effective_weight,
     evaluate,
     evaluate_start,
@@ -99,17 +100,16 @@ def curvature(plant, costspec, gp, delta):
                          + 2.0 * dC.T @ costspec.R @ dC, gp.gramian))
 
 
-def project_gradient(grad, cs):
+def project_gradient(grad, Z):
     """Orthogonal projection of ``grad`` onto the constraint null space.
 
-    Returns the feasible direction closest to ``grad`` in the Frobenius
-    norm, ``unvec(Z Z^T vec(grad))`` for the orthonormal null-space
-    basis ``Z`` of ``Abar`` cached by the constraint set.  The
-    right-hand side ``cbar`` plays no part: directions in the null space
-    keep a feasible gain feasible.
+    ``Z`` is an orthonormal basis of the null space of ``Abar``, as
+    :meth:`ConstraintSet.null_basis` gives it.  Returns the feasible
+    direction closest to ``grad`` in the Frobenius norm,
+    ``unvec(Z Z^T vec(grad))``.  The right-hand side ``cbar`` plays no
+    part: directions in the null space keep a feasible gain feasible.
     """
     grad = np.asarray(grad, dtype=float)
-    Z = cs.null_basis(grad.shape)
     return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
 
@@ -117,10 +117,13 @@ def _descend(plant, costspec, cs, K0, params, direction):
     """Line-search descent shared by both solvers, with the settings of
     the :class:`SolverParams` ``params``.
 
-    At each iterate the gradient ``gp`` and its projection ``pg`` are
-    computed once, and ``direction(gp, pg)`` returns the search direction
-    ``delta`` and the curvature ``<delta, H delta>`` of the cost along
-    it, or 0 for a search from ``t = 1``.  The loop forms the slope
+    Only the loop reads the constraint set ``cs``: it looks up the
+    null-space basis ``Z`` once, and raises ``RuntimeError`` if an
+    accepted gain violates ``cs``.  At each iterate the gradient ``gp``
+    and its projection ``pg`` are computed once, and
+    ``direction(gp, pg, Z)`` returns the search direction ``delta`` and
+    the curvature ``<delta, H delta>`` of the cost along it, or 0 for a
+    search from ``t = 1``.  The loop forms the slope
     ``s = <grad, delta>`` and makes every stop decision; the line search
     is handed ``s`` and only searches.  The trace records ``||pg||``, and
     the run has converged when ``||delta||``, the result's ``step_norm``,
@@ -142,6 +145,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
     """
     tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
+    Z = cs.null_basis(ev.K.shape)
 
     trace = SolveTrace()
     start = time.perf_counter()
@@ -152,8 +156,8 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     for it in range(max_iters + 1):
         gp = gradient(plant, costspec, ev)
-        pg = project_gradient(gp.grad, cs)
-        delta, kappa = direction(gp, pg)
+        pg = project_gradient(gp.grad, Z)
+        delta, kappa = direction(gp, pg, Z)
         measure = float(np.linalg.norm(vec(delta)))
         trace.append(TraceRecord(
             iteration=it, cost=ev.cost,
@@ -172,8 +176,8 @@ def _descend(plant, costspec, cs, K0, params, direction):
         if it == max_iters:
             break
         try:
-            ev, t, evals = line_search(plant, costspec, cs, ev, delta,
-                                       slope, params, curvature=kappa)
+            ev, t, evals = line_search(plant, costspec, ev, delta, slope,
+                                       params, curvature=kappa)
         except LineSearchStalled as exc:
             evals_total += exc.evals
             status, stop_reason = "stalled", exc.code
@@ -184,6 +188,10 @@ def _descend(plant, costspec, cs, K0, params, direction):
             )
             break
         evals_total += evals
+        if len(cs) and not check_feasible(cs, ev.K):
+            raise RuntimeError(
+                "accepted line-search iterate violates the constraint set; "
+                "the step direction was not in the constraint null space")
         last_step_norm = t * measure
         last_t = t
 
@@ -221,7 +229,7 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
         ``status == "stalled"`` means the line search hit the numerical
         precision floor of the cost before the tolerance was met.
     """
-    def direction(gp, pg):
+    def direction(gp, pg, Z):
         return -pg, curvature(plant, costspec, gp, -pg)
 
     return _descend(plant, costspec, cs, K0,

@@ -13,7 +13,9 @@ sufficient-decrease condition.
 The decrease is the exact cost change of :func:`evaluate_step`, not the
 difference of two rounded costs.  The caller supplies the direction, its
 slope ``s = <grad, delta>`` and the curvature ``kappa = <delta, H delta>``
-of the cost along it; the search evaluates trials and nothing else.
+of the cost along it; the search evaluates trials and nothing else.  It
+never sees the constraints: a direction in their null space keeps every
+trial feasible, and the descent loop checks the accepted gain.
 
 The cold search, for ``kappa <= 0``, tries ``1, beta, beta^2, ...`` and
 accepts the largest acceptable power.  A positive ``kappa`` instead
@@ -40,7 +42,7 @@ import math
 import numpy as np
 
 from .lyapunov import NotHurwitzError
-from .problem import check_feasible, evaluate_step
+from .problem import evaluate_step
 
 __all__ = ["LineSearchStalled", "line_search", "MIN_STEP"]
 
@@ -81,22 +83,21 @@ def _first_power(beta, bound):
     return k
 
 
-def line_search(plant, costspec, cs, current, delta, slope, params,
+def line_search(plant, costspec, current, delta, slope, params,
                 curvature=0.0):
     """Backtracking search along the direction ``delta``.
 
     Accepts a power ``t = beta ** k`` above the floor whose exact cost
     change ``dJ`` satisfies the Armijo condition
     ``dJ <= alpha * t * slope`` and leaves ``J(K) + dJ`` strictly below
-    ``J(K)`` in floating point.  Destabilizing trial points
+    ``J(K)`` in floating point.  It takes no constraints: feasibility of
+    ``K + t*delta`` is the caller's.  Destabilizing trial points
     (:class:`NotHurwitzError`), and those whose factorization or
     Lyapunov solve LAPACK refused (``numpy.linalg.LinAlgError``), count
     as rejections; any other error propagates.
 
     Parameters
     ----------
-    cs : ConstraintSet
-        Used to verify the accepted iterate stays feasible.
     current : Evaluation
         Evaluation at the current gain ``K``; its cost is ``J(K)``.
     slope : float
@@ -181,10 +182,4 @@ def line_search(plant, costspec, cs, current, delta, slope, params,
             if higher is None:
                 break
             accepted, k = higher, k - 1
-    trial = accepted[0]
-    if len(cs) and not check_feasible(cs, trial.K):
-        raise RuntimeError(
-            "accepted line-search iterate violates the constraint set; "
-            "the step direction was not in the constraint null space"
-        )
-    return trial, beta ** k, evals
+    return accepted[0], beta ** k, evals

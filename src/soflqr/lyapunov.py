@@ -10,12 +10,12 @@ factorization of ``Ac`` plus a quasi-triangular Sylvester solve).  The
 factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
 ``SchurSolver`` calls the LAPACK routines ``dgees`` (factorization) and
-``dtrsyl`` (Sylvester solve) directly.  They are bound at import from
-SciPy's compiled wrapper by :mod:`soflqr._lapack`, which does not import
-``scipy.linalg``.  Each failure has one type: a matrix that fails the
-Hurwitz test raises :class:`NotHurwitzError`, a factorization or solve
-LAPACK could not do accurately raises ``numpy.linalg.LinAlgError``, and
-an illegal LAPACK argument raises ``ValueError``.
+``dtrsyl`` (Sylvester solve) through :func:`soflqr._lapack.lapack`, which
+does not import ``scipy.linalg``.  Each failure has one type: a matrix
+that fails the Hurwitz test raises :class:`NotHurwitzError`, a
+factorization or solve LAPACK could not do accurately raises
+``numpy.linalg.LinAlgError``, and an illegal LAPACK argument raises
+``ValueError``.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
@@ -23,7 +23,7 @@ Kronecker identities in the package assume column-major ordering.
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import lapack
 
 __all__ = [
     "HURWITZ_MARGIN",
@@ -38,8 +38,6 @@ __all__ = [
 # accepted as Hurwitz; near-marginal closed loops make the Lyapunov solve
 # ill-conditioned.
 HURWITZ_MARGIN = -1e-10
-
-_gees, _trsyl = flapack.dgees, flapack.dtrsyl
 
 
 def _no_sort(wr, wi):
@@ -122,9 +120,7 @@ class SchurSolver:
             )
         if not np.all(np.isfinite(Ac)):
             raise ValueError("matrix contains non-finite entries")
-        self.T, _, _, _, self.U, _, info = _gees(_no_sort, Ac)
-        if info < 0:
-            raise ValueError(f"gees: illegal value in argument {-info}")
+        self.T, _, _, _, self.U, _, info = lapack("dgees", _no_sort, Ac)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"gees: Schur form not found (info {info})"
@@ -145,10 +141,8 @@ class SchurSolver:
         ``trsyl`` had to perturb the solve.
         """
         trana, tranb = ("N", "T") if adjoint else ("T", "N")
-        x, scale, info = _trsyl(self.T, self.T, -Wt, isgn=1,
-                                trana=trana, tranb=tranb)
-        if info < 0:
-            raise ValueError(f"trsyl: illegal value in argument {-info}")
+        # trana, tranb and isgn = 1 by position, cheaper than keywords.
+        x, scale, info = lapack("dtrsyl", self.T, self.T, -Wt, trana, tranb, 1)
         if info == 1:
             # trsyl perturbed the solve.  Hurwitz T keeps Re(la + lb) < 0;
             # the equation is singular to working precision only if some

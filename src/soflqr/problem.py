@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import lapack
 from .lyapunov import NotHurwitzError, SchurSolver, vec
 
 __all__ = [
@@ -299,20 +299,6 @@ def _check_shapes(plant, costspec, cs, K0):
     _check_term_shapes(cs, (m, q))
 
 
-def _check_info(routine, info):
-    if info < 0:
-        raise ValueError(
-            f"{routine.__name__}: illegal value in argument {-info}")
-
-
-def _queried(routine, *args, **kwargs):
-    # One call after LAPACK's workspace query, as scipy.linalg makes it.
-    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-    *out, _, info = routine(*args, lwork=lwork, **kwargs)
-    _check_info(routine, info)
-    return out
-
-
 def _pivoted_qr(a):
     """``a[:, pivots] = Q R`` for an M x N matrix ``a``, with ``Q``
     orthogonal of order M; ``R`` is the upper triangle of the returned
@@ -321,12 +307,12 @@ def _pivoted_qr(a):
     M, N = a.shape
     if not a.size:
         return np.eye(M), np.zeros((M, N)), np.arange(N)
-    qr, jpvt, tau = _queried(flapack.dgeqp3, a)
+    qr, jpvt, tau, _, _ = lapack("dgeqp3", a, query=True)
     # dorgqr reads the min(M, N) reflectors and fills in the rest of Q.
     k = min(M, N)
     q = np.empty((M, M), order="F")
     q[:, :k] = qr[:, :k]
-    Q, = _queried(flapack.dorgqr, q, tau, overwrite_a=1)
+    Q, _, _ = lapack("dorgqr", q, tau, overwrite_a=1, query=True)
     return Q, qr, jpvt - 1
 
 
@@ -374,9 +360,9 @@ def flatten_constraints(cs, gain_shape):
     # differs in the last bits.
     y = np.zeros(0)
     if rank:
-        y, info = flapack.dtrtrs(r[:rank, :rank].T, cbar[pivots[:rank]],
-                                 lower=1)
-        _check_info(flapack.dtrtrs, info)
+        # The rank test keeps no zero pivot, so trtrs has no info > 0.
+        y, _ = lapack("dtrtrs", r[:rank, :rank].T, cbar[pivots[:rank]],
+                      lower=1)
     misfit = float(np.linalg.norm(Abar @ (Qf[:, :rank] @ y) - cbar))
     if misfit > 1e-8 * max(1.0, np.linalg.norm(cbar)):
         raise InfeasibleConstraintsError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import lapack
 from .first_order import _descend
 from .lyapunov import unvec, vec
 from .problems import SolverParams
@@ -157,25 +157,26 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     ``kappa_1(W) ||T||_1 / min |lambda_a + lambda_b|`` must be at most
     ``EIGEN_GUARD``, with ``kappa_1(W)`` estimated by LAPACK ``gecon`` on
     the LU factors that also apply ``W^-1``.  Otherwise, as for a
-    defective closed loop, it returns None.
+    defective closed loop or an exactly singular ``W`` (``getrf``'s
+    ``info > 0``), it returns None.  An illegal argument to ``getrf``,
+    ``gecon`` or ``getrs`` raises ``ValueError``.
     """
     m, q = plant.gain_shape()
     T = gp.evaluation.solver.T
     lam, W = np.linalg.eig(T)
     # W is real when every eigenvalue of T is, complex otherwise.
     prefix = "z" if np.iscomplexobj(W) else "d"
-    getrf, gecon, getrs = (getattr(flapack, prefix + name)
-                           for name in ("getrf", "gecon", "getrs"))
-    lu, piv, info = getrf(W)
-    if info != 0:
+    lu, piv, info = lapack(prefix + "getrf", W)
+    if info > 0:
         return None
-    rcond, _ = gecon(lu, np.linalg.norm(W, 1), norm="1")
+    rcond, _ = lapack(prefix + "gecon", lu, np.linalg.norm(W, 1), norm="1")
     sums = lam[:, None] + lam[None, :]
     if not np.linalg.norm(T, 1) <= EIGEN_GUARD * rcond * np.abs(sums).min():
         return None
     L = 1.0 / sums
     Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
-    BG, _ = getrs(lu, piv, np.hstack([Bs, GCs]).astype(W.dtype))
+    BG, _ = lapack(prefix + "getrs", lu, piv,
+                   np.hstack([Bs, GCs]).astype(W.dtype))
     Bv, Gv = BG[:, :m], BG[:, m:]
     Mv, Cv = W.T @ Ms, W.T @ Cs
     F1 = (_khatri_rao(Bv, Mv).T @ (L @ _khatri_rao(Cv, Gv))).real
@@ -206,23 +207,23 @@ def pt_matrix(H, eps):
     return PTMatrix(eigvals=truncated, eigvecs=V, modified_count=modified)
 
 
-def newton_step(Heps, grad, cs):
+def newton_step(Heps, grad, Z):
     """Constrained Newton step from the reduced curvature model.
 
     ``Heps`` is the :class:`PTMatrix` of ``Z^T H Z``, a positive
-    definite model, for the null-space basis ``Z`` of the
-    constraints, and ``grad`` is the m x q gradient.  Solves
-    ``Heps theta = -Z^T vec(grad)`` in its eigenbasis, with no second
-    factorization to fail on a wide spectrum, and returns the m x q step
-    ``unvec(Z theta)``, which satisfies ``Abar vec(dK) = 0``, so
-    iterates stay on the constraint set.  Without constraints ``Z`` is
-    the identity and this is the plain Newton system.
+    definite model, for the orthonormal null-space basis ``Z`` of the
+    constraints (:meth:`ConstraintSet.null_basis`), and ``grad`` is the
+    m x q gradient.  Solves ``Heps theta = -Z^T vec(grad)`` in its
+    eigenbasis, with no second factorization to fail on a wide spectrum,
+    and returns the m x q step ``unvec(Z theta)``, which satisfies
+    ``Abar vec(dK) = 0``, so iterates stay on the constraint set.
+    Without constraints ``Z`` is the identity and this is the plain
+    Newton system.
     """
     grad = np.asarray(grad, dtype=float)
-    m, q = grad.shape
-    Z, V = cs.null_basis((m, q)), Heps.eigvecs
+    V = Heps.eigvecs
     theta = -(V @ ((V.T @ (Z.T @ vec(grad))) / Heps.eigvals))
-    return unvec(Z @ theta, m, q)
+    return unvec(Z @ theta, *grad.shape)
 
 
 def newton_solve(plant, costspec, cs, K0, **settings):
@@ -254,9 +255,8 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     """
     params = SolverParams(method="newton", **settings)
 
-    def direction(gp, pg):
-        K = gp.evaluation.K
-        H = hessian(plant, costspec, K, gp, cs.null_basis(K.shape))
-        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, cs), 0.0
+    def direction(gp, pg, Z):
+        H = hessian(plant, costspec, gp.evaluation.K, gp, Z)
+        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, Z), 0.0
 
     return _descend(plant, costspec, cs, K0, params, direction)

@@ -302,6 +302,20 @@ class TestSolve:
         assert main(["solve", "example2"]) == 5
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_not_hurwitz_is_not_a_numerical_failure(self, monkeypatch,
+                                                     capsys):
+        # Exit 5 means LinAlgError only.  The solvers turn a
+        # non-stabilizing K0 into BadStartError and reject destabilizing
+        # trials, so a NotHurwitzError reaching main is a programming
+        # error: it propagates instead of being reported as exit 5.
+        def unstable(*args, **kwargs):
+            raise NotHurwitzError(1.0)
+
+        monkeypatch.setattr(soflqr.cli, "newton_solve", unstable)
+        with pytest.raises(NotHurwitzError):
+            main(["solve", "example2"])
+        assert "numerical failure" not in capsys.readouterr().err
+
     def test_start_is_factored_once(self, tmp_path, monkeypatch):
         # The start check and the solve share one evaluation of K0.
         count = 0

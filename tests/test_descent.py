@@ -6,6 +6,7 @@ from scipy.linalg import solve_continuous_lyapunov
 
 import soflqr.first_order
 import soflqr.linesearch
+import soflqr.problem
 import soflqr.second_order
 from soflqr import (
     Constraint,
@@ -290,18 +291,36 @@ def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
     np.testing.assert_allclose(result.K, reference.K, atol=1e-6)
 
 
-def test_infeasible_accepted_step_is_refused():
+def test_infeasible_accepted_step_is_refused(monkeypatch):
     # The unprojected gradient of example2 moves the pinned off-diagonal
     # entries, so the step the search accepts along it leaves the
-    # constraint set.  The search raises instead of returning that gain.
+    # constraint set.  The loop raises instead of going on from that gain.
     prob = builtin_problem("example2")
     plant, costspec = prob.plant, prob.costspec
     gp = gradient(plant, costspec, prob.gain0)
     assert np.abs(gp.grad[[0, 1], [1, 0]]).min() > 0.0
-    slope = float(np.trace(gp.grad.T @ -gp.grad))
+    monkeypatch.setattr(soflqr.first_order, "project_gradient",
+                        lambda grad, Z: grad)
     with pytest.raises(RuntimeError, match="violates the constraint set"):
-        line_search(plant, costspec, prob.constraints, gp.evaluation,
-                    -gp.grad, slope, prob.params)
+        first_order_solve(plant, costspec, prob.constraints, prob.gain0)
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_constraints_flattened_once_per_solve(method, monkeypatch):
+    flatten = soflqr.problem.flatten_constraints
+    calls = []
+
+    def counting(cs, gain_shape):
+        calls.append(gain_shape)
+        return flatten(cs, gain_shape)
+
+    monkeypatch.setattr(soflqr.problem, "flatten_constraints", counting)
+    prob = builtin_problem("example2")
+    result = SOLVERS[method](prob.plant, prob.costspec, prob.constraints,
+                             prob.gain0)
+    assert result.converged
+    assert result.iterations > 0
+    assert calls == [(2, 2)]
 
 
 def test_gradient_reuses_evaluation():

@@ -73,16 +73,16 @@ class TestGradient:
 
 class TestProjectGradient:
     def test_sparsity_pattern_zeroes_pinned_entries(self):
-        cs = builtin_problem("example2").constraints
+        Z = builtin_problem("example2").constraints.null_basis((2, 2))
         G = np.array([[1.0, 2.0], [3.0, 4.0]])
-        Gp = project_gradient(G, cs)
+        Gp = project_gradient(G, Z)
         np.testing.assert_allclose(
             Gp, [[1.0, 0.0], [0.0, 4.0]], atol=1e-12)
 
     def test_empty_constraints_identity(self):
         G = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(
-            project_gradient(G, ConstraintSet.empty()), G)
+            project_gradient(G, ConstraintSet.empty().null_basis((2, 2))), G)
 
     def test_projection_properties(self):
         rng = np.random.default_rng(43)
@@ -95,7 +95,7 @@ class TestProjectGradient:
         Abar, _, _ = cs.flattened((m, q))
         assert np.linalg.matrix_rank(Abar) == Abar.shape[0]
         G = rng.standard_normal((m, q))
-        Gp = project_gradient(G, cs)
+        Gp = project_gradient(G, cs.null_basis((m, q)))
         # Projected direction lies in the constraint null space.
         np.testing.assert_allclose(Abar @ vec(Gp), 0.0, atol=1e-12)
         # Removed component lies in the row space.
@@ -106,20 +106,20 @@ class TestProjectGradient:
 
     def test_idempotent(self):
         rng = np.random.default_rng(47)
-        cs = builtin_problem("example2").constraints
+        Z = builtin_problem("example2").constraints.null_basis((2, 2))
         G = rng.standard_normal((2, 2))
-        once = project_gradient(G, cs)
-        twice = project_gradient(once, cs)
+        once = project_gradient(G, Z)
+        twice = project_gradient(once, Z)
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_closest_feasible_direction(self):
         rng = np.random.default_rng(53)
-        cs = builtin_problem("example2").constraints
+        Z = builtin_problem("example2").constraints.null_basis((2, 2))
         G = rng.standard_normal((2, 2))
-        Gp = project_gradient(G, cs)
+        Gp = project_gradient(G, Z)
         best = np.linalg.norm(G - Gp, "fro")
         for _ in range(20):
-            h = project_gradient(rng.standard_normal((2, 2)), cs)
+            h = project_gradient(rng.standard_normal((2, 2)), Z)
             assert best <= np.linalg.norm(G - h, "fro") + 1e-12
 
 

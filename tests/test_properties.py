@@ -262,7 +262,7 @@ def test_constrained_newton_step_and_solves(problem):
         return gp, pt_matrix(hessian(plant, costspec, K, gp, Z), 1e-6)
 
     gp, Heps = reduced_model(K0)
-    d, g = vec(newton_step(Heps, gp.grad, cs)), vec(gp.grad)
+    d, g = vec(newton_step(Heps, gp.grad, Z)), vec(gp.grad)
     # The step lies in null(Abar) and is stationary for the reduced model.
     assert np.abs(Abar @ d).max(initial=0.0) <= 1e-12 * max(
         1.0, np.linalg.norm(Abar, 2) * np.linalg.norm(d))

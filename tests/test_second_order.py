@@ -1,5 +1,6 @@
 """Tests for the Hessian, PT truncation, Newton step, and Newton solver."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from soflqr import (
     spectral_abscissa,
     vec,
 )
+from soflqr.linesearch import _first_power
 from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
@@ -290,8 +292,7 @@ class TestPTMatrix:
 class TestNewtonStep:
     def test_scalar_unconstrained(self):
         step = newton_step(pt_matrix(np.array([[2.0]]), 1e-9),
-                           np.array([[0.5]]),
-                           ConstraintSet.empty())
+                           np.array([[0.5]]), np.eye(1))
         assert step[0, 0] == pytest.approx(-0.25, abs=1e-14)
         # The slope -<g, step> along the step.
         assert -np.vdot([[0.5]], step) == pytest.approx(0.125, abs=1e-14)
@@ -313,7 +314,7 @@ class TestNewtonStep:
         Z = cs.null_basis((2, 2))
         assert Z.shape == (4, 0)
         H = pt_matrix(Z.T @ np.diag([3.0, 1.0, 2.0, 5.0]) @ Z, 1e-9)
-        step = newton_step(H, np.ones((2, 2)), cs)
+        step = newton_step(H, np.ones((2, 2)), Z)
         np.testing.assert_array_equal(step, np.zeros((2, 2)))
         assert -np.vdot(np.ones((2, 2)), step) == 0.0
 
@@ -334,7 +335,7 @@ class TestNewtonStep:
         assert Z.shape == (m * q, m * q - p)
         H = pt_matrix(Z.T @ (M + M.T) @ Z, 1e-6)
         G = rng.standard_normal((m, q))
-        step = newton_step(H, G, cs)
+        step = newton_step(H, G, Z)
         d = vec(step)
         np.testing.assert_allclose(Abar @ d, 0.0, atol=1e-10)
         residual = H.matrix @ (Z.T @ d) + Z.T @ vec(G)
@@ -350,8 +351,7 @@ class TestLineSearch:
         K = np.array([[0.0]])
         gp = gradient(plant, costspec, K)
         delta = np.array([[-0.25]])
-        trial, t, evals = line_search(plant, costspec,
-                                      ConstraintSet.empty(), gp.evaluation,
+        trial, t, evals = line_search(plant, costspec, gp.evaluation,
                                       delta, slope(gp, delta), SEARCH)
         assert t == 1.0
         assert evals == 1
@@ -366,8 +366,7 @@ class TestLineSearch:
         gp = gradient(plant, costspec, K)
         assert gp.grad[0, 0] == pytest.approx(-0.25, abs=1e-12)
         delta = np.array([[2.5]])
-        trial, t, evals = line_search(plant, costspec,
-                                      ConstraintSet.empty(), gp.evaluation,
+        trial, t, evals = line_search(plant, costspec, gp.evaluation,
                                       delta, slope(gp, delta), SEARCH)
         assert t == pytest.approx(0.1)
         assert evals == 2
@@ -385,8 +384,7 @@ class TestLineSearch:
                             lambda self, Ac: built.append(Ac))
         for s in (slope(gp, delta), 0.0):
             with pytest.raises(LineSearchStalled, match="descent") as info:
-                line_search(plant, costspec, ConstraintSet.empty(),
-                            gp.evaluation, delta, s, SEARCH)
+                line_search(plant, costspec, gp.evaluation, delta, s, SEARCH)
             assert info.value.evals == 0
         assert built == []
 
@@ -396,13 +394,11 @@ class TestLineSearch:
         gp = gradient(plant, costspec, [[0.0]])
         delta = np.array([[-0.1]])
         with pytest.raises(ProblemFormatError, match="alpha"):
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, delta, slope(gp, delta),
-                        SolverParams(alpha=0.7, beta=0.1))
+            line_search(plant, costspec, gp.evaluation, delta,
+                        slope(gp, delta), SolverParams(alpha=0.7, beta=0.1))
         with pytest.raises(ProblemFormatError, match="beta"):
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, delta, slope(gp, delta),
-                        SolverParams(alpha=0.2, beta=1.5))
+            line_search(plant, costspec, gp.evaluation, delta,
+                        slope(gp, delta), SolverParams(alpha=0.2, beta=1.5))
 
     def test_ill_conditioned_trial_is_rejected(self, monkeypatch):
         # A trial whose Lyapunov solve LAPACK had to perturb (trsyl
@@ -429,8 +425,7 @@ class TestLineSearch:
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         delta = np.array([[-0.25]])
-        trial, t, evals = line_search(plant, costspec,
-                                      ConstraintSet.empty(), gp.evaluation,
+        trial, t, evals = line_search(plant, costspec, gp.evaluation,
                                       delta, slope(gp, delta), SEARCH)
         assert (t, evals) == (0.1, 2)
         assert trial.K[0, 0] == pytest.approx(-0.025)
@@ -441,7 +436,7 @@ class TestLineSearch:
         # info < 0 from trsyl is a programming error: it leaves the
         # search as ValueError at the first trial instead of being
         # counted as a rejected trial.
-        import soflqr.lyapunov
+        import soflqr._lapack
 
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
@@ -452,10 +447,10 @@ class TestLineSearch:
             calls.append(T)
             return np.zeros_like(T), 1.0, -3
 
-        monkeypatch.setattr(soflqr.lyapunov, "_trsyl", illegal)
+        monkeypatch.setattr(soflqr._lapack.flapack, "dtrsyl", illegal)
         with pytest.raises(ValueError, match="illegal value") as info:
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, delta, slope(gp, delta), SEARCH)
+            line_search(plant, costspec, gp.evaluation, delta,
+                        slope(gp, delta), SEARCH)
         assert type(info.value) is ValueError
         assert len(calls) == 1
 
@@ -466,8 +461,25 @@ class TestLineSearch:
         gp = gradient(plant, costspec, [[0.0]])
         delta = np.array([[-1e-300]])
         with pytest.raises(LineSearchStalled):
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, delta, slope(gp, delta), SEARCH)
+            line_search(plant, costspec, gp.evaluation, delta,
+                        slope(gp, delta), SEARCH)
+
+
+class TestFirstPower:
+    @pytest.mark.parametrize("bound, estimate, power", [
+        # 0.1 ** 2 rounds above 0.01: the estimate is raised.
+        (0.01, 2, 3),
+        # The bound is 0.1 ** 5 itself, but the logarithms give 6: the
+        # estimate is lowered.
+        (1.0000000000000003e-05, 6, 5),
+    ])
+    def test_corrects_the_logarithm(self, bound, estimate, power):
+        beta = 0.1
+        assert math.ceil(math.log(bound) / math.log(beta)) == estimate
+        k = _first_power(beta, bound)
+        assert k == power
+        # The least k with beta ** k <= bound.
+        assert beta ** k <= bound < beta ** (k - 1)
 
 
 def steep_scalar_problem():
@@ -509,8 +521,8 @@ class TestWarmStart:
         steps = self.trial_steps(monkeypatch, -1.0)
         slope = -0.5
         assert np.vdot(gp.grad, [[-1.0]]) == slope
-        line_search(plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                    np.array([[-1.0]]), slope, SEARCH,
+        line_search(plant, costspec, gp.evaluation, np.array([[-1.0]]),
+                    slope, SEARCH,
                     curvature=1.6 * -slope / (5.0 * 0.1 ** k))
         assert steps[0] == 0.1 ** k
 
@@ -525,9 +537,8 @@ class TestWarmStart:
         delta = np.array([[-0.25]])
         # None passes no curvature: the default.
         given = {} if curvature is None else {"curvature": curvature}
-        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
-                                  gp.evaluation, delta, slope(gp, delta),
-                                  SEARCH, **given)
+        _, t, evals = line_search(plant, costspec, gp.evaluation, delta,
+                                  slope(gp, delta), SEARCH, **given)
         assert steps == [1.0]
         assert (t, evals) == (1.0, 1)
 
@@ -541,8 +552,8 @@ class TestWarmStart:
         delta = np.array([[2.5]])
         kappa = curvature(plant, costspec, gp, delta)
         assert kappa == pytest.approx(1.5625, rel=1e-12)
-        args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                delta, slope(gp, delta), SEARCH)
+        args = (plant, costspec, gp.evaluation, delta, slope(gp, delta),
+                SEARCH)
         cold_trial, cold_t, cold_evals = line_search(*args)
         trial, t, evals = line_search(*args, curvature=kappa)
         assert (cold_t, cold_evals) == (0.1, 2)
@@ -560,8 +571,8 @@ class TestWarmStart:
         # is the cold search's.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
-        args = (plant, costspec, ConstraintSet.empty(), gp.evaluation,
-                np.array([[delta]]), slope(gp, [[delta]]), SEARCH)
+        args = (plant, costspec, gp.evaluation, np.array([[delta]]),
+                slope(gp, [[delta]]), SEARCH)
         cold_trial, cold_t, _ = line_search(*args)
         steps = self.trial_steps(monkeypatch, delta)
         kappa = curvature(plant, costspec, gp, np.array([[delta]]))
@@ -584,10 +595,9 @@ class TestWarmStart:
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, delta)
-        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
-                                  gp.evaluation, np.array([[delta]]),
-                                  slope(gp, [[delta]]), SEARCH,
-                                  curvature=curvature)
+        _, t, evals = line_search(plant, costspec, gp.evaluation,
+                                  np.array([[delta]]), slope(gp, [[delta]]),
+                                  SEARCH, curvature=curvature)
         assert t == 1.0
         assert evals == len(trials)
         np.testing.assert_allclose(steps, trials, rtol=1e-14)
@@ -602,8 +612,8 @@ class TestWarmStart:
         steps = self.trial_steps(monkeypatch, -0.25)
         delta = np.array([[-0.25]])
         given = {} if curvature is None else {"curvature": curvature}
-        _, t, evals = line_search(plant, costspec, ConstraintSet.empty(),
-                                  gp.evaluation, delta, slope(gp, delta),
+        _, t, evals = line_search(plant, costspec, gp.evaluation, delta,
+                                  slope(gp, delta),
                                   SolverParams(alpha=0.2, beta=1.0 - 1e-12),
                                   **given)
         assert steps == [1.0]
@@ -621,16 +631,15 @@ class TestWarmStart:
             "import sys\n"
             f"sys.path.insert(0, {root!r})\n"
             "import numpy as np\n"
-            "from soflqr import (ConstraintSet, CostSpec, Plant, SolverParams,\n"
-            "                    curvature, gradient, line_search)\n"
+            "from soflqr import (CostSpec, Plant, SolverParams, curvature,\n"
+            "                    gradient, line_search)\n"
             "plant = Plant(A=[[-1.0]], B=[[0.0]], C=[[1.0]])\n"
             "costspec = CostSpec(Q=[[1.0]], R=[[1.0]], X0=[[1.0]])\n"
             "gp = gradient(plant, costspec, [[1.0]])\n"
             "delta = np.array([[-2.0]])\n"
             "kappa = curvature(plant, costspec, gp, delta)\n"
-            "_, t, evals = line_search(plant, costspec, ConstraintSet.empty(),\n"
-            "                          gp.evaluation, delta,\n"
-            "                          float(np.vdot(gp.grad, delta)),\n"
+            "_, t, evals = line_search(plant, costspec, gp.evaluation,\n"
+            "                          delta, float(np.vdot(gp.grad, delta)),\n"
             "                          SolverParams(alpha=0.2, beta=1.0 - 1e-12),\n"
             "                          curvature=kappa)\n"
             "print(kappa, t, evals)\n"
@@ -652,9 +661,8 @@ class TestWarmStart:
         steps = self.trial_steps(monkeypatch, -1e-300)
         delta = np.array([[-1e-300]])
         with pytest.raises(LineSearchStalled):
-            line_search(plant, costspec, ConstraintSet.empty(),
-                        gp.evaluation, delta, slope(gp, delta), SEARCH,
-                        curvature=curvature)
+            line_search(plant, costspec, gp.evaluation, delta,
+                        slope(gp, delta), SEARCH, curvature=curvature)
         assert len(steps) == 17
 
 
