@@ -14,6 +14,7 @@ orthogonally onto the homogeneous constraint subspace.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -113,13 +114,21 @@ def project_gradient(grad, Z):
     return unvec(Z @ (Z.T @ vec(grad)), *grad.shape)
 
 
+def _norm(x):
+    # ||vec(x)||, summed in vec's column-major order, as
+    # np.linalg.norm(vec(x)) sums it.
+    return math.sqrt(np.vdot(x.T, x.T))
+
+
 def _descend(plant, costspec, cs, K0, params, direction):
     """Line-search descent shared by both solvers, with the settings of
     the :class:`SolverParams` ``params``.
 
     Only the loop reads the constraint set ``cs``: it looks up the
     null-space basis ``Z`` once, and raises ``RuntimeError`` if an
-    accepted gain violates ``cs``.  At each iterate the gradient ``gp``
+    accepted gain violates ``cs``.  An empty ``cs`` has the identity for
+    ``Z``; the loop passes None for it and forms no product with it, so
+    ``pg`` is the gradient itself.  At each iterate the gradient ``gp``
     and its projection ``pg`` are computed once, and
     ``direction(gp, pg, Z)`` returns the search direction ``delta`` and
     the curvature ``<delta, H delta>`` of the cost along it, or 0 for a
@@ -145,7 +154,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
     """
     tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
-    Z = cs.null_basis(ev.K.shape)
+    Z = cs.null_basis(ev.K.shape) if len(cs) else None
 
     trace = SolveTrace()
     start = time.perf_counter()
@@ -156,17 +165,16 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     for it in range(max_iters + 1):
         gp = gradient(plant, costspec, ev)
-        pg = project_gradient(gp.grad, Z)
+        pg = gp.grad if Z is None else project_gradient(gp.grad, Z)
         delta, kappa = direction(gp, pg, Z)
-        measure = float(np.linalg.norm(vec(delta)))
+        measure = _norm(delta)
         trace.append(TraceRecord(
-            iteration=it, cost=ev.cost,
-            grad_norm=float(np.linalg.norm(vec(pg))),
+            iteration=it, cost=ev.cost, grad_norm=_norm(pg),
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,
         ))
-        slope = float(np.trace(gp.grad.T @ delta))
+        slope = float(np.vdot(gp.grad, delta))
         if measure <= tol:
             status, stop_reason = "converged", "step_tol"
             break
@@ -230,7 +238,8 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
         precision floor of the cost before the tolerance was met.
     """
     def direction(gp, pg, Z):
-        return -pg, curvature(plant, costspec, gp, -pg)
+        delta = -pg
+        return delta, curvature(plant, costspec, gp, delta)
 
     return _descend(plant, costspec, cs, K0,
                     SolverParams(method="grad", **settings), direction)

@@ -118,7 +118,7 @@ class SchurSolver:
             raise ValueError(
                 f"expected a non-empty square matrix, got shape {Ac.shape}"
             )
-        if not np.all(np.isfinite(Ac)):
+        if not np.isfinite(Ac).all():
             raise ValueError("matrix contains non-finite entries")
         self.T, _, _, _, self.U, _, info = lapack("dgees", _no_sort, Ac)
         if info > 0:
@@ -127,7 +127,7 @@ class SchurSolver:
             )
         # A 2x2 block of LAPACK's real Schur form has equal diagonal
         # entries, the real part of its complex-conjugate eigenvalues.
-        self.abscissa = float(np.diag(self.T).max())
+        self.abscissa = float(self.T.diagonal().max())
         if self.abscissa >= HURWITZ_MARGIN:
             raise NotHurwitzError(self.abscissa)
 

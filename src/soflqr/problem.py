@@ -12,7 +12,6 @@ Lyapunov solve refused as ill-conditioned raises
 ``numpy.linalg.LinAlgError``.
 """
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -545,16 +544,21 @@ class SolveTrace:
         return [r.cost for r in self.records]
 
     def write_csv(self, path):
-        """Write the trace as comma-separated values with a header row."""
+        """Write the trace as comma-separated values with a header row.
+
+        The bytes are those of ``csv.writer`` (excel dialect, CRLF line
+        ends) on the rows ``[iteration, repr(cost), ..., repr(seconds)]``:
+        no field holds a comma, a quote or a line break, so none is
+        quoted.
+        """
+        lines = [",".join(self.CSV_HEADER)]
+        lines.extend(
+            f"{r.iteration},{r.cost!r},{r.grad_norm!r},{r.step_norm!r},"
+            f"{r.step_size!r},{r.spectral_abscissa!r},{r.seconds!r}"
+            for r in self.records)
+        lines.append("")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for r in self.records:
-                writer.writerow([
-                    r.iteration, repr(r.cost), repr(r.grad_norm),
-                    repr(r.step_norm), repr(r.step_size),
-                    repr(r.spectral_abscissa), repr(r.seconds),
-                ])
+            fh.write("\r\n".join(lines))
 
 
 @dataclass

@@ -70,7 +70,8 @@ def hessian(plant, costspec, K, gp, basis=None):
     follow the column-major ordering of the gain entries.  With
     ``basis`` (an ``m*q x N`` matrix ``Z``, such as
     :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
-    ``Z^T H Z``.  The column of entry ``E = E_ij`` is
+    ``Z^T H Z``; without it, ``H`` is formed with no product by the
+    identity.  The column of entry ``E = E_ij`` is
 
         2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
 
@@ -100,16 +101,32 @@ def _schur_factors(plant, gp):
     return U.T @ gp.M.T, U.T @ C.T, U.T @ plant.B, U.T @ (gp.gramian @ C.T)
 
 
-def _assemble(plant, costspec, gp, Z, ZSZ):
+def _kron_weight(plant, costspec, gp):
+    # kron(C G C^T, R), both factors symmetrized, from the products
+    # np.kron forms: weight[(a, b), (c, d)] = F[a, c] Rs[b, d].
     CGCt = plant.C @ gp.gramian @ plant.C.T
     R = costspec.R
-    weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
-    return ZSZ + ZSZ.T + 2.0 * (Z.T @ weight @ Z)
+    F, Rs = 0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T)
+    return (F[:, None, :, None] * Rs[None, :, None, :]).reshape(
+        F.shape[0] * Rs.shape[0], -1)
 
 
-def _basis(plant, basis):
-    m, q = plant.gain_shape()
-    return np.eye(m * q) if basis is None else np.asarray(basis, dtype=float)
+def _assemble(plant, costspec, gp, Z, ZSZ):
+    # The Hessian from ZSZ = Z^T S Z; Z is None for the identity basis,
+    # which is left out of every product.
+    weight = _kron_weight(plant, costspec, gp)
+    if Z is not None:
+        weight = Z.T @ weight @ Z
+    return ZSZ + ZSZ.T + 2.0 * weight
+
+
+def _basis(basis):
+    return None if basis is None else np.asarray(basis, dtype=float)
+
+
+def _norm1(X):
+    # ||X||_1, the largest column sum, as np.linalg.norm(X, 1) sums it.
+    return np.abs(X).sum(axis=0).max()
 
 
 def schur_hessian(plant, costspec, gp, basis=None):
@@ -123,14 +140,15 @@ def schur_hessian(plant, costspec, gp, basis=None):
     every Hurwitz closed loop, defective ones included.
     """
     m, q = plant.gain_shape()
-    Z = _basis(plant, basis)
+    Z = _basis(basis)
+    columns = np.eye(m * q) if Z is None else Z
     solver = gp.evaluation.solver
     Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
-    SZ = np.empty(Z.shape)
-    for col in range(Z.shape[1]):
-        Y = solver.solve_schur(Ms @ unvec(Z[:, col], m, q) @ Cs.T)
+    SZ = np.empty(columns.shape)
+    for col in range(columns.shape[1]):
+        Y = solver.solve_schur(Ms @ unvec(columns[:, col], m, q) @ Cs.T)
         SZ[:, col] = vec(2.0 * (Bs.T @ Y @ GCs + (GCs.T @ Y @ Bs).T))
-    return _assemble(plant, costspec, gp, Z, Z.T @ SZ)
+    return _assemble(plant, costspec, gp, Z, SZ if Z is None else Z.T @ SZ)
 
 
 def _khatri_rao(X, Y):
@@ -169,9 +187,9 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     lu, piv, info = lapack(prefix + "getrf", W)
     if info > 0:
         return None
-    rcond, _ = lapack(prefix + "gecon", lu, np.linalg.norm(W, 1), norm="1")
+    rcond, _ = lapack(prefix + "gecon", lu, _norm1(W), norm="1")
     sums = lam[:, None] + lam[None, :]
-    if not np.linalg.norm(T, 1) <= EIGEN_GUARD * rcond * np.abs(sums).min():
+    if not _norm1(T) <= EIGEN_GUARD * rcond * np.abs(sums).min():
         return None
     L = 1.0 / sums
     Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
@@ -186,8 +204,8 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     S = -2.0 * (F1.reshape(m, m, q, q).transpose(3, 0, 2, 1)
                 + F2.reshape(q, m, m, q).transpose(3, 1, 0, 2))
     S = S.reshape(m * q, m * q)
-    Z = _basis(plant, basis)
-    return _assemble(plant, costspec, gp, Z, Z.T @ S @ Z)
+    Z = _basis(basis)
+    return _assemble(plant, costspec, gp, Z, S if Z is None else Z.T @ S @ Z)
 
 
 def pt_matrix(H, eps):
@@ -217,13 +235,14 @@ def newton_step(Heps, grad, Z):
     eigenbasis, with no second factorization to fail on a wide spectrum,
     and returns the m x q step ``unvec(Z theta)``, which satisfies
     ``Abar vec(dK) = 0``, so iterates stay on the constraint set.
-    Without constraints ``Z`` is the identity and this is the plain
-    Newton system.
+    Without constraints ``Z`` is the identity, passed as None, and this
+    is the plain Newton system, with no product by ``Z``.
     """
     grad = np.asarray(grad, dtype=float)
     V = Heps.eigvecs
-    theta = -(V @ ((V.T @ (Z.T @ vec(grad))) / Heps.eigvals))
-    return unvec(Z @ theta, *grad.shape)
+    g = vec(grad) if Z is None else Z.T @ vec(grad)
+    theta = -(V @ ((V.T @ g) / Heps.eigvals))
+    return unvec(theta if Z is None else Z @ theta, *grad.shape)
 
 
 def newton_solve(plant, costspec, cs, K0, **settings):

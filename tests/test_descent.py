@@ -347,3 +347,43 @@ def test_accumulated_cost_matches_recomputation():
         P = solve_continuous_lyapunov(closed_loop(plant, K).T,
                                       -effective_weight(costspec, plant, K))
         assert J == pytest.approx(np.trace(P @ costspec.X0), rel=1e-8)
+
+
+@pytest.mark.parametrize("name, free", [("example1", None), ("example2", 2)])
+def test_identity_basis_only_without_constraints(name, free, monkeypatch):
+    # example1 has no constraints: the loop forms no projection and the
+    # Hessian and the step get no basis.  example2 pins two of its four
+    # gain entries: every iterate projects, and both get the 4 x 2 basis.
+    bases, projected = [], []
+    hessian = soflqr.second_order.hessian
+    newton_step = soflqr.second_order.newton_step
+    project = soflqr.first_order.project_gradient
+
+    def recording_hessian(plant, costspec, K, gp, basis=None):
+        bases.append(("hessian", basis))
+        return hessian(plant, costspec, K, gp, basis)
+
+    def recording_step(Heps, grad, Z):
+        bases.append(("step", Z))
+        return newton_step(Heps, grad, Z)
+
+    def recording_project(grad, Z):
+        projected.append(Z.shape)
+        return project(grad, Z)
+
+    monkeypatch.setattr(soflqr.second_order, "hessian", recording_hessian)
+    monkeypatch.setattr(soflqr.second_order, "newton_step", recording_step)
+    monkeypatch.setattr(soflqr.first_order, "project_gradient",
+                        recording_project)
+    prob = builtin_problem(name)
+    result = newton_solve(prob.plant, prob.costspec, prob.constraints,
+                          prob.gain0)
+    assert result.converged
+    visited = result.iterations + 1
+    assert [kind for kind, _ in bases] == ["hessian", "step"] * visited
+    if free is None:
+        assert all(Z is None for _, Z in bases)
+        assert projected == []
+    else:
+        assert all(Z.shape == (4, free) for _, Z in bases)
+        assert projected == [(4, free)] * visited

@@ -1,5 +1,6 @@
 """Tests for the problem data model, cost, and constraint handling."""
 
+import csv
 import dataclasses
 import re
 
@@ -16,6 +17,8 @@ from soflqr import (
     NotHurwitzError,
     Plant,
     ProblemFormatError,
+    SolveTrace,
+    TraceRecord,
     builtin_problem,
     check_feasible,
     closed_loop,
@@ -419,3 +422,41 @@ class TestWeightsFromPerformanceOutput:
         with pytest.raises(ValueError, match="Qw"):
             weights_from_performance_output(np.eye(2), np.eye(2),
                                             -np.eye(2))
+
+
+class TestTraceCSV:
+    """``SolveTrace.write_csv`` writes the bytes ``csv.writer`` writes."""
+
+    @staticmethod
+    def reference(trace, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SolveTrace.CSV_HEADER)
+            for r in trace.records:
+                writer.writerow([
+                    r.iteration, repr(r.cost), repr(r.grad_norm),
+                    repr(r.step_norm), repr(r.step_size),
+                    repr(r.spectral_abscissa), repr(r.seconds),
+                ])
+        return path.read_bytes()
+
+    def test_special_values(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        trace = SolveTrace()
+        for it, values in enumerate([
+                (159.0686, 3.2e-3, 0.0, 0.0, -0.0117, 1.5e-4),
+                (nan, inf, -inf, -0.0, 5e-324, 1e308),
+                (-1e308, -5e-324, 0.1, 1.0 / 3.0, -inf, 12.0)]):
+            trace.append(TraceRecord(it, *values))
+        trace.write_csv(tmp_path / "t.csv")
+        written = (tmp_path / "t.csv").read_bytes()
+        assert written == self.reference(trace, tmp_path / "ref.csv")
+        assert written.count(b"\r\n") == 4
+        assert b"nan,inf,-inf,-0.0,5e-324,1e+308\r\n" in written
+
+    def test_empty_trace_is_header_only(self, tmp_path):
+        SolveTrace().write_csv(tmp_path / "t.csv")
+        written = (tmp_path / "t.csv").read_bytes()
+        assert written == self.reference(SolveTrace(), tmp_path / "ref.csv")
+        assert written == (b"iter,J,grad_norm,step_norm,step_size_t,"
+                           b"spectral_abscissa,cumulative_seconds\r\n")

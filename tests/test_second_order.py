@@ -34,10 +34,11 @@ from soflqr import (
     vec,
 )
 from soflqr.linesearch import _first_power
-from soflqr.second_order import eigen_hessian, schur_hessian
+from soflqr.second_order import _kron_weight, eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
 from conftest import (
+    family_member,
     identity_cost,
     random_spd,
     recorded_iterates,
@@ -253,6 +254,61 @@ class TestHessian:
         full = schur_hessian(plant, costspec, gp)
         report = error_report(Z.T @ full @ Z, reduced)
         assert report.max_rel_error <= 1e-12
+
+
+def identity_basis_cases():
+    """``(name, plant, costspec, K)`` without constraints: example1, and
+    the n = 8 family member with a 2 x 3 gain (m q = 6) at a nonzero
+    gain, under random positive definite weights."""
+    prob = builtin_problem("example1")
+    rng = np.random.default_rng(113)
+    plant, _ = family_member(0, 0.5)
+    costspec = CostSpec(Q=random_spd(rng, 8), R=random_spd(rng, 2),
+                        X0=random_spd(rng, 8))
+    return [("example1", prob.plant, prob.costspec, prob.gain0),
+            ("family", plant, costspec,
+             0.05 * rng.standard_normal((2, 3)))]
+
+
+class TestIdentityBasisShortcuts:
+    """Without a basis, the Hessian and the Newton step leave the identity
+    out of every product; the results are those with ``Z = I``, bit for
+    bit."""
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_hessian_paths_without_basis(self, case):
+        _, plant, costspec, K = identity_basis_cases()[case]
+        gp = gradient(plant, costspec, K)
+        eye = np.eye(K.size)
+        for path in (eigen_hessian, schur_hessian, hessian):
+            args = (plant, costspec, K, gp) if path is hessian else (
+                plant, costspec, gp)
+            H = path(*args)
+            assert H is not None, path.__name__
+            assert H.tobytes() == path(*args, eye).tobytes(), path.__name__
+        assert hessian(plant, costspec, K, gp).tobytes() == eigen_hessian(
+            plant, costspec, gp).tobytes()
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_kron_weight_is_numpy_kron(self, case):
+        _, plant, costspec, K = identity_basis_cases()[case]
+        gp = gradient(plant, costspec, K)
+        CGCt = plant.C @ gp.gramian @ plant.C.T
+        R = costspec.R
+        expected = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
+        weight = _kron_weight(plant, costspec, gp)
+        assert weight.shape == expected.shape
+        assert weight.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_newton_step_without_basis(self, case):
+        _, plant, costspec, K = identity_basis_cases()[case]
+        gp = gradient(plant, costspec, K)
+        Heps = pt_matrix(hessian(plant, costspec, K, gp), 1e-9)
+        step = newton_step(Heps, gp.grad, None)
+        assert step.shape == K.shape
+        assert step.tobytes() == newton_step(
+            Heps, gp.grad, np.eye(K.size)).tobytes()
 
 
 class TestPTMatrix:
