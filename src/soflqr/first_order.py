@@ -127,9 +127,9 @@ def _descend(plant, costspec, cs, K0, params, direction):
     Only the loop reads the constraint set ``cs``: it looks up the
     null-space basis ``Z`` once, and raises ``RuntimeError`` if an
     accepted gain violates ``cs``.  An empty ``cs`` has the identity for
-    ``Z``; the loop passes None for it and forms no product with it, so
-    ``pg`` is the gradient itself.  At each iterate the gradient ``gp``
-    and its projection ``pg`` are computed once, and
+    ``Z``; the loop forms no projection for it, so ``pg`` is the gradient
+    itself.  At each iterate the gradient ``gp`` and its projection
+    ``pg`` are computed once, and
     ``direction(gp, pg, Z)`` returns the search direction ``delta`` and
     the curvature ``<delta, H delta>`` of the cost along it, or 0 for a
     search from ``t = 1``.  The loop forms the slope
@@ -143,7 +143,9 @@ def _descend(plant, costspec, cs, K0, params, direction):
     without descent or a search that certifies no decrease, ends the run
     as stalled, with its trials counted, its reason logged and its code
     as the stop reason.  A run that uses up ``max_iters`` stops with
-    reason ``max_iters``.
+    reason ``max_iters``.  A gradient whose norm is not finite, as an
+    overflowing closed loop gives, raises ``numpy.linalg.LinAlgError``:
+    no stop decision can be read from it.
 
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
     called once per visited gain.  The trace's costs are the certified
@@ -154,7 +156,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
     """
     tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
-    Z = cs.null_basis(ev.K.shape) if len(cs) else None
+    Z = cs.null_basis(ev.K.shape)
 
     trace = SolveTrace()
     start = time.perf_counter()
@@ -165,11 +167,15 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     for it in range(max_iters + 1):
         gp = gradient(plant, costspec, ev)
-        pg = gp.grad if Z is None else project_gradient(gp.grad, Z)
+        pg = project_gradient(gp.grad, Z) if len(cs) else gp.grad
+        grad_norm = _norm(pg)
+        if not math.isfinite(grad_norm):
+            raise np.linalg.LinAlgError(
+                f"gradient norm is {grad_norm} at iteration {it}")
         delta, kappa = direction(gp, pg, Z)
         measure = _norm(delta)
         trace.append(TraceRecord(
-            iteration=it, cost=ev.cost, grad_norm=_norm(pg),
+            iteration=it, cost=ev.cost, grad_norm=grad_norm,
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,

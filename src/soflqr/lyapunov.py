@@ -13,9 +13,9 @@ right-hand sides can be solved against the same closed-loop matrix.
 ``dtrsyl`` (Sylvester solve) through :func:`soflqr._lapack.lapack`, which
 does not import ``scipy.linalg``.  Each failure has one type: a matrix
 that fails the Hurwitz test raises :class:`NotHurwitzError`, a
-factorization or solve LAPACK could not do accurately raises
-``numpy.linalg.LinAlgError``, and an illegal LAPACK argument raises
-``ValueError``.
+non-finite matrix or a factorization or solve LAPACK could not do
+accurately raises ``numpy.linalg.LinAlgError``, and an illegal LAPACK
+argument raises ``ValueError``.
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
@@ -109,7 +109,11 @@ class SchurSolver:
     NotHurwitzError
         If the spectral abscissa of ``Ac`` is not below ``HURWITZ_MARGIN``.
     numpy.linalg.LinAlgError
-        If ``gees`` does not converge.
+        If ``Ac`` has a non-finite entry, as an overflowing closed loop
+        does, or if ``gees`` does not converge.  ``LinAlgError`` is a
+        ``ValueError``.
+    ValueError
+        If ``Ac`` is not a non-empty square matrix.
     """
 
     def __init__(self, Ac):
@@ -119,7 +123,7 @@ class SchurSolver:
                 f"expected a non-empty square matrix, got shape {Ac.shape}"
             )
         if not np.isfinite(Ac).all():
-            raise ValueError("matrix contains non-finite entries")
+            raise np.linalg.LinAlgError("matrix contains non-finite entries")
         self.T, _, _, _, self.U, _, info = lapack("dgees", _no_sort, Ac)
         if info > 0:
             raise np.linalg.LinAlgError(

@@ -47,7 +47,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Infinity-norm tolerance for membership in the constraint set.
+# Tolerance for membership in the constraint set, relative to the norm of
+# each flattened constraint row.
 FEASIBILITY_TOL = 1e-9
 
 
@@ -381,11 +382,16 @@ def flatten_constraints(cs, gain_shape):
 
 
 def check_feasible(cs, K):
-    """True iff ``K`` satisfies every constraint to within
-    ``FEASIBILITY_TOL`` in the infinity norm of the flattened system."""
+    """True iff ``K`` satisfies every row ``a^T vec(K) = c`` of the
+    flattened system to within ``FEASIBILITY_TOL * ||a||``.
+
+    The bound scales with the row, so a constraint multiplied by any
+    factor holds for the same gains; a unit row, such as a pinned
+    entry, has the absolute bound ``FEASIBILITY_TOL``."""
     K = np.asarray(K, dtype=float)
     Abar, cbar, _ = cs.flattened(K.shape)
-    return bool(np.all(np.abs(Abar @ vec(K) - cbar) <= FEASIBILITY_TOL))
+    return bool(np.all(np.abs(Abar @ vec(K) - cbar)
+                       <= FEASIBILITY_TOL * np.linalg.norm(Abar, axis=1)))
 
 
 def closed_loop(plant, K):

@@ -52,6 +52,7 @@ class OracleReport:
     ``max_rel_error`` is the largest absolute error normalized by the
     largest reference magnitude, so near-zero entries are compared on
     the scale of the reference rather than against themselves.
+    ``location`` is the index of the worst entry, a tuple of ints.
     """
 
     max_abs_error: float
@@ -69,7 +70,8 @@ def error_report(reference, candidate):
             f"{candidate.shape}"
         )
     err = np.abs(candidate - reference)
-    location = np.unravel_index(int(np.argmax(err)), err.shape)
+    location = tuple(int(i) for i in
+                     np.unravel_index(int(np.argmax(err)), err.shape))
     max_abs = float(err[location])
     scale = float(np.abs(reference).max()) if reference.size else 0.0
     max_rel = max_abs / max(scale, np.finfo(float).tiny)

@@ -6,7 +6,15 @@ from contextlib import contextmanager
 import numpy as np
 
 import soflqr.first_order
-from soflqr import CostSpec, Plant, spectral_abscissa
+from soflqr import (
+    Constraint,
+    ConstraintSet,
+    ConstraintTerm,
+    CostSpec,
+    Plant,
+    Problem,
+    spectral_abscissa,
+)
 
 
 def stable_plant(rng, n, m, q, margin=0.7, normalized=False):
@@ -71,6 +79,38 @@ def unobservable_psd_problem():
                   C=[[1.0, 0.0, 0.0]])
     costspec = CostSpec(Q=np.diag([1.0, 0.0, 0.0]), R=[[1.0]], X0=np.eye(3))
     return plant, costspec
+
+
+def scaled_row_constraint(scale):
+    """``scale (K00 + K12 - 0.3 K01) = 0`` on a 2 x 3 gain, such as
+    example1's: one flattened row, of norm ``1.446 scale``."""
+    terms = [ConstraintTerm(left=scale * c * np.eye(2)[[i]],
+                            right=np.eye(3)[:, [j]])
+             for i, j, c in ((0, 0, 1.0), (1, 2, 1.0), (0, 1, -0.3))]
+    return ConstraintSet((Constraint(terms=terms, rhs=[[0.0]]),))
+
+
+def overflow_problem(case):
+    """Problem whose closed loop overflows, with ``A = diag(-1, -2)``,
+    ``C = [1 0]`` and ``R = 1``.
+
+    1. ``B = [1e160; 0]``, ``Q = X0 = I``, ``K0 = 0``: the gradient at
+       ``K0`` is infinite.
+    2. As 1, with ``Q = X0 = 1e-5 I``: the gradient is finite, the
+       Hessian is not, and every gradient trial overflows.
+    3. ``B = [1e10; 0]``, ``Q = X0 = I``, ``K0 = -1e300``: the closed
+       loop at ``K0`` is infinite.
+    """
+    weight = 1e-5 if case == 2 else 1.0
+    plant = Plant(A=np.diag([-1.0, -2.0]),
+                  B=[[1e10 if case == 3 else 1e160], [0.0]],
+                  C=[[1.0, 0.0]])
+    costspec = CostSpec(Q=weight * np.eye(2), R=[[1.0]],
+                        X0=weight * np.eye(2))
+    return Problem(plant=plant, costspec=costspec,
+                   constraints=ConstraintSet.empty(),
+                   gain0=np.array([[-1e300 if case == 3 else 0.0]]),
+                   name=f"overflow{case}")
 
 
 def random_spd(rng, n, floor=0.1):

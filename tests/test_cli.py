@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ import soflqr.cli
 from soflqr.cli import main
 from soflqr.lyapunov import HURWITZ_MARGIN
 
-from conftest import rescaled_states
+from conftest import overflow_problem, rescaled_states, scaled_row_constraint
 
 
 @pytest.fixture(autouse=True)
@@ -360,6 +361,34 @@ class TestSolve:
         assert str(path) in capsys.readouterr().err
 
 
+def scaled_row_problem():
+    return dataclasses.replace(builtin_problem("example1"),
+                               constraints=scaled_row_constraint(1e9))
+
+
+# Problem files that once ended in a traceback (exit 1) or in a false
+# "converged", with the exit codes of newton and grad.
+ADVERSARIAL = {
+    "overflow1": (lambda: overflow_problem(1), 5, 5),
+    "overflow2": (lambda: overflow_problem(2), 5, 2),
+    "overflow3": (lambda: overflow_problem(3), 5, 5),
+    "scaled-row": (scaled_row_problem, 0, 0),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["newton", "grad"])
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_file_exits_with_a_documented_code(tmp_path, name,
+                                                       method):
+    build, *codes = ADVERSARIAL[name]
+    path = tmp_path / f"{name}.json"
+    save_problem(build(), path)
+    code = main(["solve", str(path), "--method", method])
+    assert code in (0, 2, 4, 5)
+    assert code == codes[method == "grad"]
+
+
 class TestSolverFields:
     @pytest.mark.parametrize("flag, value, field", [
         ("--alpha", "0.7", "alpha"),
@@ -559,6 +588,12 @@ class TestChecks:
         err = capsys.readouterr().err
         assert "ill-conditioned" in err
         assert "share an eigenvalue" not in err
+
+    @pytest.mark.parametrize("which", ["gradient", "hessian"])
+    def test_entry_index_is_printed_plain(self, capsys, which):
+        assert main([f"check-{which}", "example2"]) == 0
+        assert re.search(r"at entry \(\d+, \d+\)$",
+                         capsys.readouterr().out, re.MULTILINE)
 
     def test_check_requires_stabilizing_gain(self, tmp_path):
         path = write_problem(tmp_path / "p.json",

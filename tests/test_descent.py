@@ -1,5 +1,7 @@
 """Tests for the line-search descent loop shared by both solvers."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_lyapunov
@@ -28,8 +30,10 @@ from soflqr import (
 )
 
 from conftest import (
+    overflow_problem,
     recorded_iterates,
     rescaled_states,
+    scaled_row_constraint,
     unobservable_psd_problem,
 )
 
@@ -351,9 +355,10 @@ def test_accumulated_cost_matches_recomputation():
 
 @pytest.mark.parametrize("name, free", [("example1", None), ("example2", 2)])
 def test_identity_basis_only_without_constraints(name, free, monkeypatch):
-    # example1 has no constraints: the loop forms no projection and the
-    # Hessian and the step get no basis.  example2 pins two of its four
-    # gain entries: every iterate projects, and both get the 4 x 2 basis.
+    # example1 has no constraints: the loop forms no projection, and the
+    # Hessian and the step get the identity basis.  example2 pins two of
+    # its four gain entries: every iterate projects, and both get the
+    # 4 x 2 basis.
     bases, projected = [], []
     hessian = soflqr.second_order.hessian
     newton_step = soflqr.second_order.newton_step
@@ -382,8 +387,53 @@ def test_identity_basis_only_without_constraints(name, free, monkeypatch):
     visited = result.iterations + 1
     assert [kind for kind, _ in bases] == ["hessian", "step"] * visited
     if free is None:
-        assert all(Z is None for _, Z in bases)
+        eye = np.eye(prob.gain0.size)
+        assert all(np.array_equal(Z, eye) for _, Z in bases)
         assert projected == []
     else:
         assert all(Z.shape == (4, free) for _, Z in bases)
         assert projected == [(4, free)] * visited
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_row_solve(method, scale):
+    prob = builtin_problem("example1")
+    return SOLVERS[method](prob.plant, prob.costspec,
+                           scaled_row_constraint(scale), prob.gain0)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("method", ["newton", "grad"])
+def test_scaled_constraint_row_solves_as_the_unit_row(method, scale):
+    # An absolute feasibility tolerance rejected accepted iterates of the
+    # scaled row from s = 1e6 on, with a RuntimeError.
+    reference = scaled_row_solve(method, 1.0)
+    result = scaled_row_solve(method, scale)
+    assert result.converged
+    assert result.iterations == reference.iterations
+    assert result.line_search_evals == reference.line_search_evals
+    np.testing.assert_allclose(result.K, reference.K, rtol=1e-11)
+    assert result.cost == pytest.approx(reference.cost, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("method", ["newton", "grad"])
+def test_overflow_is_never_convergence(method, case):
+    # An infinite gradient once gave Newton the step 0, which read as
+    # convergence, and an infinite trial ended grad with a ValueError.
+    prob = overflow_problem(case)
+
+    def solve():
+        return SOLVERS[method](prob.plant, prob.costspec, prob.constraints,
+                               prob.gain0)
+
+    if (method, case) == ("grad", 2):
+        # The gradient is finite, and every trial overflows and is
+        # rejected.
+        result = solve()
+        assert (result.status, result.stop_reason) == (
+            "stalled", "line_search_floor")
+    else:
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite|norm"):
+            solve()

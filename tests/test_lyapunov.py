@@ -251,6 +251,13 @@ class TestSchurSolver:
         with pytest.raises(error):
             SchurSolver(Ac)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_a_numerical_failure(self, entry):
+        # An overflowing closed loop: a refused trial in the line search
+        # and exit 5 at the CLI, not the ValueError of a malformed input.
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            SchurSolver(np.array([[-1.0, entry], [0.0, -2.0]]))
+
 
 class TestVecUnvec:
     def test_column_major(self):

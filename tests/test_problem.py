@@ -34,7 +34,7 @@ from soflqr import (
 
 from soflqr.lyapunov import HURWITZ_MARGIN
 
-from conftest import identity_cost, stable_plant
+from conftest import identity_cost, scaled_row_constraint, stable_plant
 
 
 def scalar_problem():
@@ -311,6 +311,18 @@ class TestCheckFeasible:
         K = prob.gain0.copy()
         K[0, 1] = 0.1
         assert not check_feasible(prob.constraints, K)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_tolerance_is_relative_to_the_row(self, scale):
+        # The row's norm is 1.446 scale: a gain 0.5e-9 off holds at every
+        # scale, one 2e-9 off at none.
+        cs = scaled_row_constraint(scale)
+        K = np.array([[0.3, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert check_feasible(cs, K)
+        K[1, 2] = 0.5e-9
+        assert check_feasible(cs, K)
+        K[1, 2] = 2e-9
+        assert not check_feasible(cs, K)
 
     def test_empty_set_always_feasible(self):
         assert check_feasible(ConstraintSet.empty(), np.ones((3, 3)))

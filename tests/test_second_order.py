@@ -34,7 +34,7 @@ from soflqr import (
     vec,
 )
 from soflqr.linesearch import _first_power
-from soflqr.second_order import _kron_weight, eigen_hessian, schur_hessian
+from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
 from conftest import (
@@ -271,9 +271,8 @@ def identity_basis_cases():
 
 
 class TestIdentityBasisShortcuts:
-    """Without a basis, the Hessian and the Newton step leave the identity
-    out of every product; the results are those with ``Z = I``, bit for
-    bit."""
+    """Without a basis, each Hessian path forms the full Hessian, that of
+    the basis ``Z = I``, bit for bit."""
 
     @pytest.mark.parametrize("case", [0, 1])
     def test_hessian_paths_without_basis(self, case):
@@ -288,27 +287,6 @@ class TestIdentityBasisShortcuts:
             assert H.tobytes() == path(*args, eye).tobytes(), path.__name__
         assert hessian(plant, costspec, K, gp).tobytes() == eigen_hessian(
             plant, costspec, gp).tobytes()
-
-    @pytest.mark.parametrize("case", [0, 1])
-    def test_kron_weight_is_numpy_kron(self, case):
-        _, plant, costspec, K = identity_basis_cases()[case]
-        gp = gradient(plant, costspec, K)
-        CGCt = plant.C @ gp.gramian @ plant.C.T
-        R = costspec.R
-        expected = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
-        weight = _kron_weight(plant, costspec, gp)
-        assert weight.shape == expected.shape
-        assert weight.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("case", [0, 1])
-    def test_newton_step_without_basis(self, case):
-        _, plant, costspec, K = identity_basis_cases()[case]
-        gp = gradient(plant, costspec, K)
-        Heps = pt_matrix(hessian(plant, costspec, K, gp), 1e-9)
-        step = newton_step(Heps, gp.grad, None)
-        assert step.shape == K.shape
-        assert step.tobytes() == newton_step(
-            Heps, gp.grad, np.eye(K.size)).tobytes()
 
 
 class TestPTMatrix:
@@ -343,6 +321,15 @@ class TestPTMatrix:
     def test_rejects_nonpositive_floor(self):
         with pytest.raises(ValueError, match="positive"):
             pt_matrix(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_hessian_is_a_numerical_failure(self, entry):
+        # eigh gives an infinite Hessian an infinite eigenvalue and the
+        # step 0, which would read as convergence.
+        H = np.eye(2)
+        H[0, 0] = entry
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            pt_matrix(H, 1e-6)
 
 
 class TestNewtonStep:

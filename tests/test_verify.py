@@ -39,6 +39,13 @@ class TestErrorReport:
         assert report.max_abs_error == pytest.approx(0.5)
         assert report.max_rel_error == pytest.approx(0.5 / 4.0)
 
+    def test_location_is_plain_ints(self):
+        # The CLI prints the location: (0, 1), not (np.int64(0), ...).
+        report = error_report(np.zeros((2, 3)), np.eye(2, 3, 1))
+        assert report.location == (0, 1)
+        assert [type(i) for i in report.location] == [int, int]
+        assert repr(report.location) == "(0, 1)"
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             error_report(np.eye(2), np.eye(3))
