@@ -12,10 +12,8 @@ Subcommands::
 PROBLEM is a JSON problem file or the name of a bundled benchmark
 (``example1``, ``example2``).  Exit codes: 0 converged or check passed,
 1 check failed, 2 not converged, 3 parse or usage error (an unwritable
-``--out`` or ``--trace`` path too), 4 bad initial gain K0 (the solvers'
-own start check, :func:`evaluate_start`, or, for the checks, K0 within
-the finite-difference step of the stability margin), 5 internal
-numerical failure.
+``--out`` or ``--trace`` path too), 4 bad initial gain K0
+(:class:`BadStartError` or a subclass), 5 internal numerical failure.
 """
 
 import argparse
@@ -29,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .first_order import first_order_solve, gradient
-from .problem import BadStartError, InfeasibleConstraintsError, evaluate_start
+from .problem import BadStartError, evaluate_start
 from .problems import (
     _METHODS,
     BUILTIN_NAMES,
@@ -39,7 +37,7 @@ from .problems import (
     save_problem,
 )
 from .second_order import hessian, newton_solve
-from .verify import NearMarginError, error_report, fd_gradient, fd_hessian
+from .verify import error_report, fd_gradient, fd_hessian
 
 __all__ = ["main"]
 
@@ -219,8 +217,6 @@ def _cmd_check(args, which):
     K0 = ev.K
     gp = gradient(plant, costspec, ev)
     step = {} if args.step is None else {"h": args.step}
-    # A K0 within the finite-difference step of the stability margin
-    # raises NearMarginError, which main maps to exit 4.
     if which == "gradient":
         analytic = gp.grad
         reference = fd_gradient(plant, costspec, K0, **step)
@@ -274,7 +270,7 @@ def main(argv=None):
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BadStartError, InfeasibleConstraintsError, NearMarginError) as exc:
+    except BadStartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_START
     except np.linalg.LinAlgError as exc:

@@ -116,8 +116,10 @@ def project_gradient(grad, Z):
 
 def _norm(x):
     # ||vec(x)||, summed in vec's column-major order, as
-    # np.linalg.norm(vec(x)) sums it.
-    return math.sqrt(np.vdot(x.T, x.T))
+    # np.linalg.norm(vec(x)) sums it; where the squares overflow, hypot
+    # over the same entries, which does not.
+    norm = math.sqrt(np.vdot(x.T, x.T))
+    return norm if math.isfinite(norm) else math.hypot(*x.T.flat)
 
 
 def _descend(plant, costspec, cs, K0, params, direction):
@@ -125,34 +127,28 @@ def _descend(plant, costspec, cs, K0, params, direction):
     the :class:`SolverParams` ``params``.
 
     Only the loop reads the constraint set ``cs``: it looks up the
-    null-space basis ``Z`` once, and raises ``RuntimeError`` if an
-    accepted gain violates ``cs``.  An empty ``cs`` has the identity for
-    ``Z``; the loop forms no projection for it, so ``pg`` is the gradient
-    itself.  At each iterate the gradient ``gp`` and its projection
-    ``pg`` are computed once, and
-    ``direction(gp, pg, Z)`` returns the search direction ``delta`` and
-    the curvature ``<delta, H delta>`` of the cost along it, or 0 for a
-    search from ``t = 1``.  The loop forms the slope
-    ``s = <grad, delta>`` and makes every stop decision; the line search
-    is handed ``s`` and only searches.  The trace records ``||pg||``, and
-    the run has converged when ``||delta||``, the result's ``step_norm``,
-    falls to ``tol``, or when ``-s`` is positive but at most four ulps of
-    the cost, so that no step along ``delta`` can lower the cost by a
-    representable amount (stop reasons ``step_tol`` and
-    ``cost_resolution``).  :class:`LineSearchStalled`, for a direction
-    without descent or a search that certifies no decrease, ends the run
-    as stalled, with its trials counted, its reason logged and its code
-    as the stop reason.  A run that uses up ``max_iters`` stops with
-    reason ``max_iters``.  A gradient whose norm is not finite, as an
-    overflowing closed loop gives, raises ``numpy.linalg.LinAlgError``:
-    no stop decision can be read from it.
+    null-space basis ``Z`` once (the identity for an empty ``cs``, which
+    it does not project on), and raises ``RuntimeError`` if an accepted
+    gain violates ``cs``.  At each iterate, ``direction(gp, pg, Z)``
+    maps the gradient ``gp`` and its projection ``pg`` to the search
+    direction ``delta`` and the curvature ``<delta, H delta>`` along it,
+    or 0 for a search from ``t = 1``.  The loop forms the slope
+    ``s = <grad, delta>`` and makes every stop decision, which it
+    records as the result's ``stop_reason`` alone: ``step_tol`` when
+    ``||delta||``, the result's ``step_norm``, falls to ``tol``;
+    ``cost_resolution`` when ``-s`` is positive but at most four ulps of
+    the cost, so no step can lower it by a representable amount; the
+    code of :class:`LineSearchStalled`, whose trials are counted and
+    reason logged; or ``max_iters``.  A gradient whose norm (by
+    ``hypot`` where the squares overflow) is not finite, as an
+    overflowing closed loop gives, raises ``numpy.linalg.LinAlgError``.
 
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
-    called once per visited gain.  The trace's costs are the certified
-    running sum ``J(K0) + sum dJ``, which decreases strictly; the result's
-    cost is ``<Q + (K C)^T R (K C), G>`` with the Gramian ``G`` of the
-    last gradient, at the returned gain.  By the adjoint identity it is
-    ``trace(P X0)``, without the rounding the running sum has gathered.
+    called once per visited gain.  The trace records ``||pg||`` and the
+    certified running sum ``J(K0) + sum dJ``, which decreases strictly;
+    the result's cost is ``<Q + (K C)^T R (K C), G>`` with the last
+    gradient's Gramian ``G``, by the adjoint identity ``trace(P X0)``
+    without the rounding the running sum has gathered.
     """
     tol, max_iters = params.resolved_tol(), params.resolved_max_iters()
     ev = evaluate_start(plant, costspec, cs, K0)
@@ -160,7 +156,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
 
     trace = SolveTrace()
     start = time.perf_counter()
-    status = stop_reason = "max_iters"
+    stop_reason = "max_iters"
     evals_total = 0
     last_step_norm = 0.0
     last_t = 0.0
@@ -182,10 +178,10 @@ def _descend(plant, costspec, cs, K0, params, direction):
         ))
         slope = float(np.vdot(gp.grad, delta))
         if measure <= tol:
-            status, stop_reason = "converged", "step_tol"
+            stop_reason = "step_tol"
             break
         if 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
-            status, stop_reason = "converged", "cost_resolution"
+            stop_reason = "cost_resolution"
             break
         if it == max_iters:
             break
@@ -194,7 +190,7 @@ def _descend(plant, costspec, cs, K0, params, direction):
                                        params, curvature=kappa)
         except LineSearchStalled as exc:
             evals_total += exc.evals
-            status, stop_reason = "stalled", exc.code
+            stop_reason = exc.code
             logger.info(
                 "%s solve stalled after %d iterations at stopping measure "
                 "%.3e (tol %.1e): %s", params.method, it, measure, tol,
@@ -209,13 +205,10 @@ def _descend(plant, costspec, cs, K0, params, direction):
         last_step_norm = t * measure
         last_t = t
 
-    final = trace.records[-1]
     J = float(np.vdot(effective_weight(costspec, plant, ev.K), gp.gramian))
-    return SolveResult(
-        K=ev.K, cost=J, status=status, stop_reason=stop_reason,
-        iterations=final.iteration, grad_norm=final.grad_norm,
-        step_norm=measure, line_search_evals=evals_total, trace=trace,
-    )
+    return SolveResult(K=ev.K, cost=J, stop_reason=stop_reason,
+                       step_norm=measure, line_search_evals=evals_total,
+                       trace=trace)
 
 
 def first_order_solve(plant, costspec, cs, K0, **settings):
@@ -239,9 +232,7 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
     Returns
     -------
     SolveResult
-        Final gain, cost, convergence status, and per-iteration trace.
-        ``status == "stalled"`` means the line search hit the numerical
-        precision floor of the cost before the tolerance was met.
+        Final gain, cost, stop reason, and per-iteration trace.
     """
     def direction(gp, pg, Z):
         delta = -pg

@@ -11,11 +11,8 @@ factorization is computed once per ``SchurSolver`` instance so that many
 right-hand sides can be solved against the same closed-loop matrix.
 ``SchurSolver`` calls the LAPACK routines ``dgees`` (factorization) and
 ``dtrsyl`` (Sylvester solve) through :func:`soflqr._lapack.lapack`, which
-does not import ``scipy.linalg``.  Each failure has one type: a matrix
-that fails the Hurwitz test raises :class:`NotHurwitzError`, a
-non-finite matrix or a factorization or solve LAPACK could not do
-accurately raises ``numpy.linalg.LinAlgError``, and an illegal LAPACK
-argument raises ``ValueError``.
+does not import ``scipy.linalg``.  ``SchurSolver`` owns the package's
+one Hurwitz test, and each of its failures has one type (see there).
 
 Also provides the column-major vectorization pair ``vec``/``unvec``; all
 Kronecker identities in the package assume column-major ordering.
@@ -62,19 +59,17 @@ class NotHurwitzError(ValueError):
 
 
 def spectral_abscissa(M):
-    """Largest real part over the eigenvalues of the square matrix ``M``."""
+    """Largest real part over the eigenvalues of the square matrix ``M``.
+
+    A diagnostic: :class:`SchurSolver` alone decides what is Hurwitz.
+    A non-finite ``M`` raises ``numpy.linalg.LinAlgError``, as there.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        eigs = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigenvalue computation failed for {M.shape} matrix: {exc}"
-        ) from exc
-    return float(np.max(eigs.real))
+        raise np.linalg.LinAlgError("matrix contains non-finite entries")
+    return float(np.max(np.linalg.eigvals(M).real))
 
 
 def vec(M):

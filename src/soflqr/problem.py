@@ -6,10 +6,8 @@ basic evaluations built on them: closed loop, effective state weight,
 the evaluation of the cost at a gain and of its exact change to a
 nearby gain, stability and feasibility checks, the check of a solve's
 initial gain, and constraint flattening to the vectorized form
-``Abar vec(K) = cbar``.  An evaluation at a gain that does not stabilize
-the plant, whose cost is infinite, raises :class:`NotHurwitzError`; a
-Lyapunov solve refused as ill-conditioned raises
-``numpy.linalg.LinAlgError``.
+``Abar vec(K) = cbar``.  An evaluation fails as :class:`SchurSolver`
+does, with :class:`NotHurwitzError` at a gain it refuses.
 """
 
 import logging
@@ -52,14 +50,16 @@ logger = logging.getLogger(__name__)
 FEASIBILITY_TOL = 1e-9
 
 
-class InfeasibleConstraintsError(ValueError):
-    """Constraint rows that are dependent at the rank tolerance of
-    :func:`flatten_constraints` have right-hand sides that disagree."""
-
-
 class BadStartError(ValueError):
     """The initial gain of a solve does not stabilize the plant or does
-    not satisfy the constraints."""
+    not satisfy the constraints: the one exception of CLI exit 4, with
+    its subclasses :class:`InfeasibleConstraintsError` and
+    :class:`~soflqr.verify.NearMarginError`."""
+
+
+class InfeasibleConstraintsError(BadStartError):
+    """Rows dependent at the rank tolerance of :func:`flatten_constraints`
+    have right-hand sides that disagree, so no ``K0`` is feasible."""
 
 
 def _as_matrix(value, name):
@@ -567,35 +567,48 @@ class SolveTrace:
             fh.write("\r\n".join(lines))
 
 
+# The status of a run for each stop reason, the rule that ended it.
+_STATUS = {
+    "step_tol": "converged",         # step_norm <= tol
+    "cost_resolution": "converged",  # predicted decrease <= 4 ulps of J
+    "not_descent": "stalled",        # the codes of LineSearchStalled
+    "line_search_floor": "stalled",
+    "max_iters": "max_iters",
+}
+
+
 @dataclass
 class SolveResult:
     """Outcome of a solver run.
 
-    ``status`` is one of ``"converged"``, ``"stalled"`` (the line search
-    could not certify further decrease in floating point, or rounding
-    left the search direction without descent), or ``"max_iters"``.
-    ``stop_reason`` names the rule that ended the run: ``"step_tol"``
-    (``step_norm <= tol``) or ``"cost_resolution"`` (the predicted
-    decrease is at most four ulps of the cost) for ``converged``,
-    ``"not_descent"`` or ``"line_search_floor"`` (the codes of
-    :class:`LineSearchStalled`) for ``stalled``, and ``"max_iters"``.
-    ``iterations`` counts accepted steps.  ``cost`` is the cost of ``K``
-    from its Gramian, whereas the trace's costs are the running sum the
-    line search certified.  ``step_norm`` is the norm of the search
-    direction at ``K``, the stopping measure, and the last accepted step
-    is in the trace's last row.
+    ``stop_reason`` names the rule that ended the run; ``status`` and
+    ``converged`` follow from it by the table ``_STATUS``, and
+    ``iterations`` (accepted steps) and ``grad_norm`` are read from the
+    trace's last row.  ``cost`` is the cost of ``K`` from its Gramian,
+    whereas the trace's costs are the running sum the line search
+    certified.  ``step_norm`` is the norm of the search direction at
+    ``K``, the stopping measure.
     """
 
     K: np.ndarray
     cost: float
-    status: str
     stop_reason: str
-    iterations: int
-    grad_norm: float
     step_norm: float
     line_search_evals: int
     trace: SolveTrace
 
     @property
+    def status(self):
+        return _STATUS[self.stop_reason]
+
+    @property
     def converged(self):
         return self.status == "converged"
+
+    @property
+    def iterations(self):
+        return self.trace.records[-1].iteration
+
+    @property
+    def grad_norm(self):
+        return self.trace.records[-1].grad_norm

@@ -261,7 +261,7 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     Returns
     -------
     SolveResult
-        Final gain, cost, convergence status, and per-iteration trace.
+        Final gain, cost, stop reason, and per-iteration trace.
     """
     params = SolverParams(method="newton", **settings)
 

@@ -7,9 +7,11 @@ Lyapunov equations without a Schur factorization, the optimal
 full-information gain comes from a Riccati fixed-point iteration on
 ``SchurSolver`` solves, and the cost integral is evaluated by quadrature
 on matrix exponentials.  These routines back the test suite and the CLI
-``check-gradient`` / ``check-hessian`` commands.  A gain that does not
-stabilize the plant raises :class:`NotHurwitzError`, and a refused
-Lyapunov solve ``numpy.linalg.LinAlgError``, as in the solvers.
+``check-gradient`` / ``check-hessian`` commands.  Every oracle admits a
+gain by the solvers' own Hurwitz test, the construction of
+:class:`SchurSolver` on its closed loop, so a gain that the solvers
+refuse raises :class:`NotHurwitzError` here too, and a non-finite
+closed loop or a refused Lyapunov solve ``numpy.linalg.LinAlgError``.
 
 Importing this module loads no SciPy subpackage: ``quadrature_cost``
 imports ``scipy.linalg`` and ``scipy.integrate`` (with ``scipy.optimize``
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .first_order import gradient
-from .lyapunov import (NotHurwitzError, SchurSolver, spectral_abscissa,
-                       unvec, vec)
-from .problem import closed_loop, cost, effective_weight
+from .lyapunov import NotHurwitzError, SchurSolver, unvec, vec
+from .problem import BadStartError, closed_loop, cost, effective_weight
 
 __all__ = [
     "FD_SHRINKS",
@@ -79,10 +80,11 @@ def error_report(reference, candidate):
                         location=location)
 
 
-class NearMarginError(ArithmeticError):
+class NearMarginError(BadStartError):
     """The gain lies within the finite-difference step of the stability
-    margin: a shifted gain fails the Hurwitz test at every step down to
-    the floor ``h / 10**FD_SHRINKS``."""
+    margin: a shifted gain fails the Hurwitz test, or its Lyapunov solve
+    is refused, at every step down to the floor ``h / 10**FD_SHRINKS``.
+    A :class:`BadStartError`, so the CLI checks exit 4 for it."""
 
     def __init__(self, floor):
         super().__init__(
@@ -199,12 +201,15 @@ def kron_hessian(plant, costspec, K, max_order=8):
     ``Ac G1 + G1 Ac^T + G BEC^T = 0`` and
     ``Ac^T R1 + R1 Ac + (K C)^T R E C = 0``.  ``P``, ``G`` and every
     term are Kronecker solves, so the state order is limited to
-    ``max_order``.  Symmetrized like :func:`fd_hessian`.
+    ``max_order``.  Symmetrized like :func:`fd_hessian`.  Raises
+    :class:`NotHurwitzError` for a gain that :class:`SchurSolver`
+    refuses, which the Kronecker solves alone cannot tell.
     """
     K = np.asarray(K, dtype=float)
     m, q = K.shape
     B, C, R = plant.B, plant.C, costspec.R
     Ac = closed_loop(plant, K)
+    SchurSolver(Ac)
     P = kron_lyapunov(Ac, effective_weight(costspec, plant, K), max_order)
     G = kron_lyapunov(Ac.T, costspec.X0, max_order)
     M = B.T @ P + R @ K @ C
@@ -273,7 +278,8 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
     ``expm(Ac * dt)``.  ``horizon`` must be long enough for the
     integrand tail to be negligible.
 
-    Raises :class:`NotHurwitzError` for non-stabilizing gains.
+    Raises :class:`NotHurwitzError` for a gain that :class:`SchurSolver`
+    refuses, even one whose integral is finite.
     """
     from scipy.integrate import simpson
     from scipy.linalg import expm
@@ -282,9 +288,7 @@ def quadrature_cost(plant, costspec, K, horizon=40.0, steps=2000):
         raise ValueError("horizon must be positive and steps at least 2")
     K = np.asarray(K, dtype=float)
     Ac = closed_loop(plant, K)
-    abscissa = spectral_abscissa(Ac)
-    if abscissa >= 0.0:
-        raise NotHurwitzError(abscissa)
+    SchurSolver(Ac)
     Qc = effective_weight(costspec, plant, K)
     X0 = costspec.X0
     dt = horizon / steps

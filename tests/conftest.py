@@ -95,9 +95,9 @@ def overflow_problem(case):
     ``C = [1 0]`` and ``R = 1``.
 
     1. ``B = [1e160; 0]``, ``Q = X0 = I``, ``K0 = 0``: the gradient at
-       ``K0`` is infinite.
-    2. As 1, with ``Q = X0 = 1e-5 I``: the gradient is finite, the
-       Hessian is not, and every gradient trial overflows.
+       ``K0`` is 5e159, finite although its square overflows; the
+       Hessian is not finite, and every gradient trial overflows.
+    2. As 1, with ``Q = X0 = 1e-5 I``: the gradient is 5e149.
     3. ``B = [1e10; 0]``, ``Q = X0 = I``, ``K0 = -1e300``: the closed
        loop at ``K0`` is infinite.
     """

@@ -369,7 +369,7 @@ def scaled_row_problem():
 # Problem files that once ended in a traceback (exit 1) or in a false
 # "converged", with the exit codes of newton and grad.
 ADVERSARIAL = {
-    "overflow1": (lambda: overflow_problem(1), 5, 5),
+    "overflow1": (lambda: overflow_problem(1), 5, 2),
     "overflow2": (lambda: overflow_problem(2), 5, 2),
     "overflow3": (lambda: overflow_problem(3), 5, 5),
     "scaled-row": (scaled_row_problem, 0, 0),
@@ -387,6 +387,19 @@ def test_adversarial_file_exits_with_a_documented_code(tmp_path, name,
     code = main(["solve", str(path), "--method", method])
     assert code in (0, 2, 4, 5)
     assert code == codes[method == "grad"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("which", ["gradient", "hessian"])
+@pytest.mark.parametrize("case", [1, 2])
+def test_overflow_checks_exit_near_margin(tmp_path, capsys, case, which):
+    # With B = [1e160; 0] the margin in gain space lies 1e-160 from
+    # K0 = 0: every +h shift down to the floor is not Hurwitz (abscissa
+    # 1e152 to 1e155), so exit 4 is the near-margin verdict.
+    path = tmp_path / f"overflow{case}.json"
+    save_problem(overflow_problem(case), path)
+    assert main([f"check-{which}", str(path)]) == 4
+    assert "stability margin" in capsys.readouterr().err
 
 
 class TestSolverFields:

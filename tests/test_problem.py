@@ -17,6 +17,7 @@ from soflqr import (
     NotHurwitzError,
     Plant,
     ProblemFormatError,
+    SolveResult,
     SolveTrace,
     TraceRecord,
     builtin_problem,
@@ -408,6 +409,9 @@ class TestEvaluateStart:
             evaluate_start(prob.plant, prob.costspec, inconsistent,
                            prob.gain0)
 
+    def test_inconsistent_constraints_are_a_bad_start(self):
+        assert issubclass(InfeasibleConstraintsError, BadStartError)
+
 
 class TestWeightsFromPerformanceOutput:
     def test_stacked_identity(self):
@@ -472,3 +476,26 @@ class TestTraceCSV:
         assert written == self.reference(SolveTrace(), tmp_path / "ref.csv")
         assert written == (b"iter,J,grad_norm,step_norm,step_size_t,"
                            b"spectral_abscissa,cumulative_seconds\r\n")
+
+
+class TestSolveResult:
+    """A result stores its stop reason; status and converged follow."""
+
+    @pytest.mark.parametrize("stop_reason, status", [
+        ("step_tol", "converged"),
+        ("cost_resolution", "converged"),
+        ("not_descent", "stalled"),
+        ("line_search_floor", "stalled"),
+        ("max_iters", "max_iters"),
+    ])
+    def test_status_follows_from_stop_reason(self, stop_reason, status):
+        trace = SolveTrace()
+        for it in range(3):
+            trace.append(TraceRecord(it, 10.0 - it, 0.5 ** it, 0.1, 1.0,
+                                     -1.0, 0.01 * it))
+        result = SolveResult(K=np.zeros((1, 1)), cost=8.0,
+                             stop_reason=stop_reason, step_norm=0.2,
+                             line_search_evals=4, trace=trace)
+        assert result.status == status
+        assert result.converged == (status == "converged")
+        assert (result.iterations, result.grad_norm) == (2, 0.25)

@@ -16,10 +16,13 @@ from soflqr.verify import (
     are_gain,
     error_report,
     fd_gradient,
+    NearMarginError,
     fd_hessian,
+    kron_hessian,
     kron_lyapunov,
     quadrature_cost,
 )
+from soflqr.problem import BadStartError
 
 from conftest import identity_cost, stable_plant
 
@@ -122,6 +125,20 @@ class TestKronLyapunov:
             kron_lyapunov(-np.eye(9), np.eye(9))
 
 
+class TestKronHessian:
+    def test_unstable_gain_raises(self):
+        # The Kronecker systems solve here, but the closed loop has
+        # abscissa +7.09.
+        prob = builtin_problem("example2")
+        with pytest.raises(NotHurwitzError) as info:
+            kron_hessian(prob.plant, prob.costspec, np.diag([5.0, 5.0]))
+        assert info.value.abscissa == pytest.approx(7.09, abs=5e-3)
+
+
+def test_near_margin_is_a_bad_start():
+    assert issubclass(NearMarginError, BadStartError)
+
+
 class TestAreGain:
     def test_scalar_integrator(self):
         # A = 0, B = 1, Q = R = 1: the Riccati solution is P = 1,
@@ -190,6 +207,15 @@ class TestQuadratureCost:
         with pytest.raises(NotHurwitzError) as info:
             quadrature_cost(plant, costspec, [[2.0]])
         assert info.value.abscissa == pytest.approx(1.0)
+
+    def test_admits_by_the_solvers_margin(self):
+        # Stable, but inside HURWITZ_MARGIN: the solvers give it no cost,
+        # so neither may the oracle.
+        plant = Plant(A=[[-5e-11]], B=[[1.0]], C=[[1.0]])
+        with pytest.raises(NotHurwitzError):
+            SchurSolver(plant.A)
+        with pytest.raises(NotHurwitzError):
+            quadrature_cost(plant, identity_cost(1, 1), [[0.0]])
 
     def test_agrees_with_lyapunov_cost(self):
         rng = np.random.default_rng(137)
