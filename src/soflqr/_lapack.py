@@ -1,4 +1,4 @@
-"""SciPy's compiled LAPACK wrapper, loaded without ``scipy.linalg``.
+"""SciPy's compiled LAPACK wrapper, loaded without running SciPy.
 
 The package calls a handful of LAPACK routines directly.  Reaching them
 through ``scipy.linalg`` runs its ``__init__``, which loads SciPy's
@@ -9,7 +9,11 @@ instead.  Its routines are the same compiled objects that
 ``scipy.linalg.get_lapack_funcs`` returns, so every result is unchanged.
 The module is registered in ``sys.modules`` under its own name, so a
 later ``import scipy.linalg`` reuses it, and one loaded earlier is
-reused here.  The load depends on SciPy's install layout
+reused here.  SciPy's directory comes from
+``importlib.util.find_spec("scipy")``, which does not execute the
+``scipy`` package either; only on Windows is ``scipy`` imported, because
+its ``__init__`` registers the directory of the wheel's DLLs there.
+The load depends on SciPy's install layout
 (``scipy/linalg/_flapack.<extension suffix>``) and raises ``ImportError``
 naming the path if it changes.  The package calls every routine
 through :func:`lapack`, which reads every ``info`` the same way.
@@ -20,7 +24,8 @@ import importlib.util
 import os
 import sys
 
-import scipy  # Cheap; on Windows it also adds SciPy's DLL directories.
+if os.name == "nt":
+    import scipy  # noqa: F401  (adds SciPy's DLL directories)
 
 __all__ = ["flapack", "lapack"]
 
@@ -30,7 +35,11 @@ _NAME = "scipy.linalg._flapack"
 def _load():
     if _NAME in sys.modules:
         return sys.modules[_NAME]
-    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    stem = os.path.join(package.submodule_search_locations[0], "linalg",
+                        "_flapack")
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     path = next((stem + s for s in suffixes if os.path.exists(stem + s)),
                 None)

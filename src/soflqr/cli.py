@@ -37,7 +37,6 @@ from .problems import (
     save_problem,
 )
 from .second_order import hessian, newton_solve
-from .verify import error_report, fd_gradient, fd_hessian
 
 __all__ = ["main"]
 
@@ -211,19 +210,24 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args, which):
+    # The oracles are loaded by the check commands alone.
+    from .verify import error_report, fd_gradient, fd_hessian
+
     problem, _ = _resolve_problem(args.problem)
     plant, costspec = problem.plant, problem.costspec
     ev = evaluate_start(plant, costspec, problem.constraints, problem.gain0)
-    K0 = ev.K
-    gp = gradient(plant, costspec, ev)
     step = {} if args.step is None else {"h": args.step}
+    # The finite differences run first: a gain too near the stability
+    # margin raises NearMarginError before an analytic derivative is
+    # formed that could overflow.
     if which == "gradient":
-        analytic = gp.grad
-        reference = fd_gradient(plant, costspec, K0, **step)
+        reference = fd_gradient(plant, costspec, ev.K, **step)
+        analytic = gradient(plant, costspec, ev).grad
         threshold = GRADIENT_CHECK_TOL
     else:
-        analytic = hessian(plant, costspec, K0, gp)
-        reference = fd_hessian(plant, costspec, K0, **step)
+        reference = fd_hessian(plant, costspec, ev.K, **step)
+        analytic = hessian(plant, costspec, ev.K,
+                           gradient(plant, costspec, ev))
         threshold = HESSIAN_CHECK_TOL
 
     report = error_report(reference, analytic)

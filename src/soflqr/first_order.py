@@ -137,9 +137,13 @@ def _descend(plant, costspec, cs, K0, params, direction):
     records as the result's ``stop_reason`` alone: ``step_tol`` when
     ``||delta||``, the result's ``step_norm``, falls to ``tol``;
     ``cost_resolution`` when ``-s`` is positive but at most four ulps of
-    the cost, so no step can lower it by a representable amount; the
-    code of :class:`LineSearchStalled`, whose trials are counted and
-    reason logged; or ``max_iters``.  A gradient whose norm (by
+    the cost, so no step can lower it by a representable amount;
+    ``uncertified`` instead of either when the curvature ``kappa`` is
+    positive and the quadratic model's predicted decrease
+    ``s^2 / (2 kappa)`` exceeds ``1e-5`` of the cost ``J``, a bound that
+    scaling time does not change; the code of
+    :class:`LineSearchStalled`, whose trials are counted and reason
+    logged; or ``max_iters``.  A gradient whose norm (by
     ``hypot`` where the squares overflow) is not finite, as an
     overflowing closed loop gives, raises ``numpy.linalg.LinAlgError``.
 
@@ -170,18 +174,19 @@ def _descend(plant, costspec, cs, K0, params, direction):
                 f"gradient norm is {grad_norm} at iteration {it}")
         delta, kappa = direction(gp, pg, Z)
         measure = _norm(delta)
-        trace.append(TraceRecord(
+        trace.records.append(TraceRecord(
             iteration=it, cost=ev.cost, grad_norm=grad_norm,
             step_norm=last_step_norm, step_size=last_t,
             spectral_abscissa=ev.solver.abscissa,
             seconds=time.perf_counter() - start,
         ))
         slope = float(np.vdot(gp.grad, delta))
-        if measure <= tol:
-            stop_reason = "step_tol"
-            break
-        if 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
-            stop_reason = "cost_resolution"
+        if measure <= tol or 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
+            stop_reason = "step_tol" if measure <= tol else "cost_resolution"
+            # A positive curvature certifies the exit only where the
+            # model's relative decrease s^2 / (2 kappa J) is at most 1e-5.
+            if kappa > 0.0 and slope * slope > 2e-5 * kappa * ev.cost:
+                stop_reason = "uncertified"
             break
         if it == max_iters:
             break
@@ -216,7 +221,9 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
 
     Iterates ``K <- K - t * Gp`` where ``Gp`` is the projected gradient
     and ``t`` comes from the stability-guarded backtracking line search,
-    until ``||vec(Gp)|| <= tol``.  Every iterate is feasible and
+    until ``||vec(Gp)|| <= tol``.  That stop is ``uncertified``, not
+    converged, where the curvature along ``-Gp`` still predicts a
+    relative decrease above 1e-5.  Every iterate is feasible and
     stabilizing.
 
     Parameters

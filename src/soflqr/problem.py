@@ -71,9 +71,9 @@ def _as_matrix(value, name):
     return M
 
 
-def _check_symmetric(M, name, tol=1e-12):
+def _check_symmetric(M, name):
     scale = max(1.0, np.abs(M).max()) if M.size else 1.0
-    if np.abs(M - M.T).max() > tol * scale:
+    if np.abs(M - M.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -147,13 +147,6 @@ class CostSpec:
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "X0", X0)
-
-    @classmethod
-    def identity_moment(cls, Q, R):
-        """Cost spec with ``X0 = I``, the expected second moment of an
-        initial state drawn with identity covariance."""
-        Q = _as_matrix(Q, "Q")
-        return cls(Q=Q, R=R, X0=np.eye(Q.shape[0]))
 
 
 def weights_from_performance_output(C1, D1, Qw):
@@ -248,10 +241,6 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-
-    @classmethod
-    def empty(cls):
-        return cls()
 
     def __len__(self):
         return len(self.constraints)
@@ -455,11 +444,14 @@ def evaluate(plant, costspec, K):
 def evaluate_start(plant, costspec, cs, K0):
     """Evaluation at a solve's initial gain ``K0``.
 
-    Raises :class:`BadStartError` unless ``K0`` stabilizes the plant, by
-    the Hurwitz test of :class:`SchurSolver`, and satisfies ``cs``; an
-    inconsistent ``cs`` raises :class:`InfeasibleConstraintsError`, and a
-    refused Lyapunov solve at ``K0`` ``numpy.linalg.LinAlgError``.
+    Raises ValueError, naming the field as :class:`~soflqr.Problem`
+    does, for data that do not fit the plant, and :class:`BadStartError`
+    unless ``K0`` stabilizes the plant, by the Hurwitz test of
+    :class:`SchurSolver`, and satisfies ``cs``; an inconsistent ``cs``
+    raises :class:`InfeasibleConstraintsError`, and a refused Lyapunov
+    solve at ``K0`` ``numpy.linalg.LinAlgError``.
     """
+    _check_shapes(plant, costspec, cs, K0)
     try:
         ev = evaluate(plant, costspec, np.array(K0, dtype=float))
     except NotHurwitzError as exc:
@@ -539,12 +531,6 @@ class SolveTrace:
         "spectral_abscissa", "cumulative_seconds",
     )
 
-    def append(self, record):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
     @property
     def costs(self):
         return [r.cost for r in self.records]
@@ -571,6 +557,7 @@ class SolveTrace:
 _STATUS = {
     "step_tol": "converged",         # step_norm <= tol
     "cost_resolution": "converged",  # predicted decrease <= 4 ulps of J
+    "uncertified": "stalled",        # either, but model decrease > 1e-5 J
     "not_descent": "stalled",        # the codes of LineSearchStalled
     "line_search_floor": "stalled",
     "max_iters": "max_iters",

@@ -314,8 +314,8 @@ def _example1():
     )
     return Problem(
         plant=plant,
-        costspec=CostSpec.identity_moment(np.eye(4), np.eye(2)),
-        constraints=ConstraintSet.empty(),
+        costspec=CostSpec(Q=np.eye(4), R=np.eye(2), X0=np.eye(4)),
+        constraints=ConstraintSet(),
         gain0=np.zeros((2, 3)),
         params=SolverParams(pt_eps=1e-9),
         name="example1",
@@ -356,7 +356,7 @@ def _example2():
     ])
     return Problem(
         plant=plant,
-        costspec=CostSpec.identity_moment(np.eye(3), np.eye(2)),
+        costspec=CostSpec(Q=np.eye(3), R=np.eye(2), X0=np.eye(3)),
         constraints=constraints,
         gain0=np.diag([-2.0, -3.0]),
         name="example2",

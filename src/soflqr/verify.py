@@ -227,13 +227,13 @@ def kron_hessian(plant, costspec, K, max_order=8):
     return 0.5 * (H + H.T)
 
 
-def are_gain(plant, costspec, K_init=None, tol=1e-12, max_iters=500):
+def are_gain(plant, costspec, K_init=None):
     """Optimal full-information gain by Riccati fixed-point iteration.
 
     Requires ``C = I``.  Alternates the closed-loop Lyapunov solve with
-    the gain update ``K <- -inv(R) B^T P`` (Kleinman iteration) until
-    the gain change drops below ``tol``; each iterate is stabilizing, so
-    divergence surfaces as a stability failure or iteration overrun.
+    the gain update ``K <- -inv(R) B^T P`` (Kleinman iteration), at most
+    500 times, until no entry moves by more than 1e-12; each iterate is
+    stabilizing, so divergence surfaces as a stability failure or overrun.
 
     Parameters
     ----------
@@ -252,7 +252,7 @@ def are_gain(plant, costspec, K_init=None, tol=1e-12, max_iters=500):
     else:
         K = np.asarray(K_init, dtype=float).copy()
 
-    for _ in range(max_iters):
+    for _ in range(500):
         try:
             P = SchurSolver(A + B @ K).solve_primal(Q + K.T @ R @ K)
         except NotHurwitzError as exc:
@@ -261,12 +261,12 @@ def are_gain(plant, costspec, K_init=None, tol=1e-12, max_iters=500):
                 "gain must stabilize A + B K"
             ) from exc
         K_next = -Rinv @ B.T @ (0.5 * (P + P.T))
-        if np.abs(K_next - K).max() <= tol:
+        if np.abs(K_next - K).max() <= 1e-12:
             return K_next
         K = K_next
     raise RuntimeError(
-        f"Riccati iteration did not converge within {max_iters} steps; "
-        f"the pair (A, B) may not be stabilizable"
+        "Riccati iteration did not converge within 500 steps; "
+        "the pair (A, B) may not be stabilizable"
     )
 
 

@@ -69,6 +69,13 @@ def rescaled_states(plant, costspec, span, reverse=False):
     return scaled, scaled_cost
 
 
+def time_scaled(plant, c):
+    """``plant`` with time scaled by ``c``: ``A -> c A`` and ``B -> c B``
+    divide the cost, its gradient and its curvature by ``c``, and leave
+    the optimal gain where it is."""
+    return Plant(A=c * plant.A, B=c * plant.B, C=plant.C)
+
+
 def unobservable_psd_problem():
     """PSD state weight that leaves two stable modes unobserved.
 
@@ -108,7 +115,7 @@ def overflow_problem(case):
     costspec = CostSpec(Q=weight * np.eye(2), R=[[1.0]],
                         X0=weight * np.eye(2))
     return Problem(plant=plant, costspec=costspec,
-                   constraints=ConstraintSet.empty(),
+                   constraints=ConstraintSet(),
                    gain0=np.array([[-1e300 if case == 3 else 0.0]]),
                    name=f"overflow{case}")
 

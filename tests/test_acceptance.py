@@ -112,7 +112,7 @@ def full_information_runs():
         plant = Plant(A=plant.A, B=plant.B, C=np.eye(n))
         costspec = identity_cost(n, m)
         runs.append((plant, costspec, solve_recorded(
-            newton_solve, plant, costspec, ConstraintSet.empty(),
+            newton_solve, plant, costspec, ConstraintSet(),
             np.zeros((m, n)), tol=1e-9, pt_eps=1e-9)))
     return runs
 
@@ -124,12 +124,12 @@ def newton_rate_runs(aircraft_newton, decentralized_newton):
     runs = {"aircraft": aircraft_newton[0],
             "decentralized": decentralized_newton[0]}
     plant, costspec = unobservable_psd_problem()
-    runs["psd_q"] = newton_solve(plant, costspec, ConstraintSet.empty(),
+    runs["psd_q"] = newton_solve(plant, costspec, ConstraintSet(),
                                  np.zeros((1, 1)), tol=1e-9)
     for member in range(3):
         plant, costspec = family_member(member, 0.5, n=60, m=4, q=6)
         runs[f"rand60m{member}"] = newton_solve(
-            plant, costspec, ConstraintSet.empty(), np.zeros((4, 6)),
+            plant, costspec, ConstraintSet(), np.zeros((4, 6)),
             tol=1e-9)
     return runs
 

@@ -26,7 +26,12 @@ import soflqr.cli
 from soflqr.cli import main
 from soflqr.lyapunov import HURWITZ_MARGIN
 
-from conftest import overflow_problem, rescaled_states, scaled_row_constraint
+from conftest import (
+    overflow_problem,
+    rescaled_states,
+    scaled_row_constraint,
+    time_scaled,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -389,17 +394,36 @@ def test_adversarial_file_exits_with_a_documented_code(tmp_path, name,
     assert code == codes[method == "grad"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("which", ["gradient", "hessian"])
 @pytest.mark.parametrize("case", [1, 2])
 def test_overflow_checks_exit_near_margin(tmp_path, capsys, case, which):
     # With B = [1e160; 0] the margin in gain space lies 1e-160 from
     # K0 = 0: every +h shift down to the floor is not Hurwitz (abscissa
-    # 1e152 to 1e155), so exit 4 is the near-margin verdict.
+    # 1e152 to 1e155), so exit 4 is the near-margin verdict, reached
+    # before the analytic derivative, whose Hessian would overflow.
     path = tmp_path / f"overflow{case}.json"
     save_problem(overflow_problem(case), path)
     assert main([f"check-{which}", str(path)]) == 4
-    assert "stability margin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stability margin" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_uncertified_grad_exits_not_converged(tmp_path, name):
+    # Time-scaled by 1e9, grad meets tol where its model still predicts
+    # a relative decrease above 1e-5, which is not convergence.
+    prob = builtin_problem(name)
+    path = tmp_path / f"{name}.json"
+    save_problem(dataclasses.replace(
+        prob, plant=time_scaled(prob.plant, 1e9)), path)
+    out = tmp_path / "r.json"
+    assert main(["solve", str(path), "--method", "grad",
+                 "--out", str(out)]) == 2
+    result = json.loads(out.read_text())
+    assert (result["status"], result["stop_reason"]) == (
+        "stalled", "uncertified")
+    assert result["converged"] is False
 
 
 class TestSolverFields:

@@ -34,6 +34,7 @@ from conftest import (
     recorded_iterates,
     rescaled_states,
     scaled_row_constraint,
+    time_scaled,
     unobservable_psd_problem,
 )
 
@@ -45,7 +46,7 @@ SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
 def test_psd_weight_with_singular_certificate_converges(method, tol,
                                                         iterations):
     plant, costspec = unobservable_psd_problem()
-    result = SOLVERS[method](plant, costspec, ConstraintSet.empty(),
+    result = SOLVERS[method](plant, costspec, ConstraintSet(),
                              np.zeros((1, 1)), tol=tol)
     assert result.status == "converged"
     assert result.iterations == iterations
@@ -60,7 +61,7 @@ def test_scalar_plant(method, tol, iterations):
     # K = 1 - sqrt(2), where J = sqrt(2) - 1.
     plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
     costspec = CostSpec(Q=[[1.0]], R=[[1.0]], X0=[[1.0]])
-    result = SOLVERS[method](plant, costspec, ConstraintSet.empty(),
+    result = SOLVERS[method](plant, costspec, ConstraintSet(),
                              np.zeros((1, 1)), tol=tol)
     assert result.status == "converged"
     assert result.iterations == iterations
@@ -93,7 +94,7 @@ def singular_moment_problem():
 @pytest.mark.parametrize("method", sorted(SOLVERS))
 def test_singular_initial_state_moment(method):
     plant, costspec, K0 = singular_moment_problem()
-    cs = ConstraintSet.empty()
+    cs = ConstraintSet()
     with recorded_iterates() as iterates:
         result = SOLVERS[method](plant, costspec, cs, K0)
     assert result.status == "converged"
@@ -195,6 +196,51 @@ def test_stop_reason_names_the_rule(reason, method, settings, status,
                              prob.gain0, **settings)
     assert result.stop_reason == reason
     assert result.status == status
+
+
+@pytest.mark.parametrize("name, iterations",
+                         [("example1", 639), ("example2", 97)])
+def test_grad_converges_only_where_its_model_certifies(name, iterations):
+    # Time scaling by c divides the projected gradient by c, so at
+    # c = 1e9 tol is met far from the optimum (c J = 1770.7 and 22.20
+    # against 159.07 and 12.83), while the model's predicted relative
+    # decrease s^2 / (2 kappa J) does not change.
+    prob = builtin_problem(name)
+    args = (prob.costspec, prob.constraints, prob.gain0)
+    result = first_order_solve(prob.plant, *args)
+    assert (result.status, result.stop_reason) == ("converged", "step_tol")
+    assert result.iterations == iterations
+    scaled = first_order_solve(time_scaled(prob.plant, 1e9), *args)
+    assert (scaled.status, scaled.stop_reason) == ("stalled", "uncertified")
+    assert 1e9 * scaled.cost > 1.5 * result.cost
+
+
+MISFITS = [
+    pytest.param({"Q": np.eye(3), "X0": np.eye(3)}, None,
+                 r"field 'Q': expected shape \(4, 4\), got \(3, 3\)", id="Q"),
+    pytest.param({"R": np.eye(3)}, None,
+                 r"field 'R': expected shape \(2, 2\), got \(3, 3\)", id="R"),
+    # CostSpec ties the order of X0 to that of Q.
+    pytest.param({"X0": np.eye(3)}, None,
+                 "Q and X0 must have the same order", id="X0"),
+    pytest.param({}, np.zeros((3, 2)),
+                 r"field 'K0': expected shape \(2, 3\), got \(3, 2\)",
+                 id="K0"),
+]
+
+
+@pytest.mark.parametrize("weights, K0, message", MISFITS)
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_misfit_field_is_named(method, weights, K0, message):
+    # On example1's plant (4 states, 2 inputs, 3 outputs) a library solve
+    # checks the shapes as a problem file does, instead of failing inside
+    # numpy with a broadcast or matmul error.
+    prob = builtin_problem("example1")
+    with pytest.raises(ValueError, match=message):
+        costspec = CostSpec(**{"Q": np.eye(4), "R": np.eye(2),
+                               "X0": np.eye(4), **weights})
+        SOLVERS[method](prob.plant, costspec, prob.constraints,
+                        prob.gain0 if K0 is None else K0)
 
 
 @pytest.mark.parametrize("method", sorted(SOLVERS))

@@ -82,7 +82,7 @@ class TestProjectGradient:
     def test_empty_constraints_identity(self):
         G = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(
-            project_gradient(G, ConstraintSet.empty().null_basis((2, 2))), G)
+            project_gradient(G, ConstraintSet().null_basis((2, 2))), G)
 
     def test_projection_properties(self):
         rng = np.random.default_rng(43)
@@ -130,7 +130,7 @@ class TestFirstOrderSolve:
         plant = Plant(A=plant.A, B=plant.B, C=np.eye(3))
         costspec = identity_cost(3, 2)
         K_opt = are_gain(plant, costspec)
-        result = first_order_solve(plant, costspec, ConstraintSet.empty(),
+        result = first_order_solve(plant, costspec, ConstraintSet(),
                                    K_opt, tol=1e-6)
         assert result.iterations == 0
         assert result.converged
@@ -140,7 +140,7 @@ class TestFirstOrderSolve:
         plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError, match="stabilize"):
             first_order_solve(plant, identity_cost(1, 1),
-                              ConstraintSet.empty(), [[0.0]])
+                              ConstraintSet(), [[0.0]])
 
     def test_rejects_infeasible_start(self):
         prob = builtin_problem("example2")
@@ -170,7 +170,7 @@ class TestFirstOrderSolve:
         result = first_order_solve(prob.plant, prob.costspec,
                                    prob.constraints, prob.gain0, tol=1e-4)
         assert result.converged
-        assert len(result.trace) == result.iterations + 1
+        assert len(result.trace.records) == result.iterations + 1
         # The trace ends at the certified running sum, and the result
         # reports the cost of the returned gain.
         J = cost(prob.plant, prob.costspec, result.K)

@@ -1,18 +1,30 @@
 """Importing the package and its CLI loads no SciPy subpackage, not even
-``scipy.linalg``, and the LAPACK wrapper the package loads by itself is
-the one ``scipy.linalg`` uses, whichever is imported first."""
+``scipy.linalg``, off Windows runs no SciPy package code at all, and
+leaves the oracles of ``soflqr.verify`` to the check commands.  The
+LAPACK wrapper the package loads by itself is the one ``scipy.linalg``
+uses, whichever is imported first."""
 
+import importlib.machinery
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import soflqr
+import soflqr._lapack
 
 # Loaded by scipy.integrate, which only verify.quadrature_cost uses.
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special",
          "scipy.sparse", "scipy.stats")
 # Loaded by scipy.linalg's __init__, which the package does not run.
 LINALG = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py")
+# The scipy package, which the package imports only on Windows, and the
+# oracles, which only the check commands load.
+PACKAGE = ("soflqr.verify",) + (() if os.name == "nt"
+                                else ("scipy", "scipy._lib"))
 
 
 def _run(body):
@@ -28,7 +40,8 @@ def _run(body):
 def test_import_loads_no_heavy_scipy_subpackage():
     loaded = _run(
         "import soflqr, soflqr.cli\n"
-        f"print(' '.join(m for m in {HEAVY + LINALG!r} if m in sys.modules))\n"
+        f"print(' '.join(m for m in {HEAVY + LINALG + PACKAGE!r}\n"
+        f"               if m in sys.modules))\n"
     )
     assert loaded == []
 
@@ -45,3 +58,17 @@ def test_lapack_wrapper_is_shared_with_scipy_linalg():
     )
     assert _run("import soflqr\n" + check) == ["True"] * 3
     assert _run("import scipy.linalg\n" + check) == ["True"] * 3
+
+
+def test_loader_names_what_is_missing(monkeypatch, tmp_path):
+    # The loader reads SciPy's directory from its spec: without SciPy,
+    # or without the wrapper in that directory, it raises ImportError.
+    monkeypatch.delitem(sys.modules, soflqr._lapack._NAME)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="'scipy'"):
+        soflqr._lapack._load()
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+    with pytest.raises(ImportError, match="LAPACK wrapper not found"):
+        soflqr._lapack._load()

@@ -49,7 +49,7 @@ def check_descent(plant, costspec, cs, result, iterates):
 @pytest.mark.parametrize("member, margin", CASES, ids=IDS)
 def test_newton_converges(member, margin):
     plant, costspec = family_member(member, margin)
-    cs = ConstraintSet.empty()
+    cs = ConstraintSet()
     with recorded_iterates() as iterates:
         result = newton_solve(plant, costspec, cs, np.zeros((2, 3)))
     assert result.status == "converged"
@@ -61,7 +61,7 @@ def test_gradient_leaves_the_start(member, margin):
     # Every member needs more than 50 iterations, so the run ends at
     # max_iters, having descended from K0.
     plant, costspec = family_member(member, margin)
-    cs = ConstraintSet.empty()
+    cs = ConstraintSet()
     with recorded_iterates() as iterates:
         result = first_order_solve(plant, costspec, cs, np.zeros((2, 3)),
                                    max_iters=50)

@@ -268,12 +268,12 @@ class TestFlattenConstraints:
             flatten_constraints(prob.constraints, gain_shape)
 
     def test_empty_set(self):
-        Abar, cbar, Z = flatten_constraints(ConstraintSet.empty(), (2, 3))
+        Abar, cbar, Z = flatten_constraints(ConstraintSet(), (2, 3))
         assert Abar.shape == (0, 6)
         assert cbar.shape == (0,)
         np.testing.assert_array_equal(Z, np.eye(6))
         np.testing.assert_array_equal(
-            ConstraintSet.empty().null_basis((2, 3)), np.eye(6))
+            ConstraintSet().null_basis((2, 3)), np.eye(6))
 
     def test_null_basis_selects_free_entries_exactly(self):
         # example2 pins K[1, 0] and K[0, 1]; the basis spans the
@@ -326,7 +326,7 @@ class TestCheckFeasible:
         assert not check_feasible(cs, K)
 
     def test_empty_set_always_feasible(self):
-        assert check_feasible(ConstraintSet.empty(), np.ones((3, 3)))
+        assert check_feasible(ConstraintSet(), np.ones((3, 3)))
 
     def test_set_cannot_change_after_use(self):
         # The flattened system is cached on first use, so a set that
@@ -355,8 +355,8 @@ class TestProblemShapeContract:
         ("K0", {"gain0": [-2.0, -3.0]}),
         ("K0", {"plant": Plant(A=-np.eye(3), B=np.ones((3, 2)),
                                C=np.eye(3))}),
-        ("Q", {"costspec": CostSpec.identity_moment(np.eye(2), np.eye(2))}),
-        ("R", {"costspec": CostSpec.identity_moment(np.eye(3), np.eye(3))}),
+        ("Q", {"costspec": CostSpec(Q=np.eye(2), R=np.eye(2), X0=np.eye(2))}),
+        ("R", {"costspec": CostSpec(Q=np.eye(3), R=np.eye(3), X0=np.eye(3))}),
         ("constraints[1].terms[0].right", {"constraints": ConstraintSet(
             constraints=[
                 Constraint(terms=((np.eye(2), np.eye(2)),),
@@ -463,7 +463,7 @@ class TestTraceCSV:
                 (159.0686, 3.2e-3, 0.0, 0.0, -0.0117, 1.5e-4),
                 (nan, inf, -inf, -0.0, 5e-324, 1e308),
                 (-1e308, -5e-324, 0.1, 1.0 / 3.0, -inf, 12.0)]):
-            trace.append(TraceRecord(it, *values))
+            trace.records.append(TraceRecord(it, *values))
         trace.write_csv(tmp_path / "t.csv")
         written = (tmp_path / "t.csv").read_bytes()
         assert written == self.reference(trace, tmp_path / "ref.csv")
@@ -484,6 +484,7 @@ class TestSolveResult:
     @pytest.mark.parametrize("stop_reason, status", [
         ("step_tol", "converged"),
         ("cost_resolution", "converged"),
+        ("uncertified", "stalled"),
         ("not_descent", "stalled"),
         ("line_search_floor", "stalled"),
         ("max_iters", "max_iters"),
@@ -491,8 +492,8 @@ class TestSolveResult:
     def test_status_follows_from_stop_reason(self, stop_reason, status):
         trace = SolveTrace()
         for it in range(3):
-            trace.append(TraceRecord(it, 10.0 - it, 0.5 ** it, 0.1, 1.0,
-                                     -1.0, 0.01 * it))
+            trace.records.append(TraceRecord(it, 10.0 - it, 0.5 ** it, 0.1,
+                                             1.0, -1.0, 0.01 * it))
         result = SolveResult(K=np.zeros((1, 1)), cost=8.0,
                              stop_reason=stop_reason, step_norm=0.2,
                              line_search_evals=4, trace=trace)

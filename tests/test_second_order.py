@@ -741,7 +741,7 @@ class TestNewtonSolve:
         plant = stable_plant(rng, 3, 2, 3)
         plant = Plant(A=plant.A, B=plant.B, C=np.eye(3))
         costspec = identity_cost(3, 2)
-        result = newton_solve(plant, costspec, ConstraintSet.empty(),
+        result = newton_solve(plant, costspec, ConstraintSet(),
                               np.zeros((2, 3)), tol=1e-9, pt_eps=1e-9)
         np.testing.assert_allclose(result.K, are_gain(plant, costspec),
                                    atol=1e-6)
@@ -784,7 +784,7 @@ class TestNewtonSolve:
     def test_rejects_unstable_start(self):
         plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError, match="stabilize"):
-            newton_solve(plant, identity_cost(1, 1), ConstraintSet.empty(),
+            newton_solve(plant, identity_cost(1, 1), ConstraintSet(),
                          [[0.0]])
 
     def test_monotone_descent_with_stability(self):
