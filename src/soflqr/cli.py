@@ -12,7 +12,8 @@ Subcommands::
 PROBLEM is a JSON problem file or the name of a bundled benchmark
 (``example1``, ``example2``).  Exit codes: 0 converged or check passed,
 1 check failed, 2 not converged, 3 parse or usage error (an unwritable
-``--out`` or ``--trace`` path too), 4 bad initial gain K0
+``--out`` or ``--trace`` path too, or two of ``--out``, ``--trace`` and
+the problem file on one path), 4 bad initial gain K0
 (:class:`BadStartError` or a subclass), 5 internal numerical failure.
 """
 
@@ -154,8 +155,28 @@ def _format_gain(K):
                            separator=", ")
 
 
+def _collision(spec, out_path, trace_path):
+    """Why the solve's output paths would overwrite each other or the
+    problem file ``spec``, or None when they are distinct."""
+    named = {"--out": out_path, "--trace": trace_path}
+    if Path(spec).exists():
+        named["PROBLEM"] = Path(spec)
+    seen = {}
+    for flag, path in named.items():
+        other = seen.setdefault(path.resolve(), flag)
+        if other != flag:
+            return f"{other} and {flag} both resolve to {str(path)!r}"
+    return None
+
+
 def _cmd_solve(args):
     problem, stem = _resolve_problem(args.problem)
+    out_path = args.out or Path(f"{stem}.result.json")
+    trace_path = args.trace or Path(f"{stem}.trace.csv")
+    collision = _collision(args.problem, out_path, trace_path)
+    if collision is not None:
+        print(f"error: {collision}; nothing was written", file=sys.stderr)
+        return EXIT_PARSE
     problem = problem.with_params(
         method=args.method, tol=args.tol, pt_eps=args.pt_eps,
         alpha=args.alpha, beta=args.beta, max_iters=args.max_iters,
@@ -169,8 +190,6 @@ def _cmd_solve(args):
     result = solve(problem.plant, problem.costspec, problem.constraints,
                    problem.gain0, **settings)
 
-    out_path = args.out or Path(f"{stem}.result.json")
-    trace_path = args.trace or Path(f"{stem}.trace.csv")
     payload = {
         "problem": problem.name or args.problem,
         "method": params.method,

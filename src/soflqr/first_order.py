@@ -131,17 +131,18 @@ def _descend(plant, costspec, cs, K0, params, direction):
     it does not project on), and raises ``RuntimeError`` if an accepted
     gain violates ``cs``.  At each iterate, ``direction(gp, pg, Z)``
     maps the gradient ``gp`` and its projection ``pg`` to the search
-    direction ``delta`` and the curvature ``<delta, H delta>`` along it,
-    or 0 for a search from ``t = 1``.  The loop forms the slope
+    direction ``delta`` and the curvature ``kappa = <delta, H delta>``
+    of the cost along it.  The loop forms the slope
     ``s = <grad, delta>`` and makes every stop decision, which it
     records as the result's ``stop_reason`` alone: ``step_tol`` when
     ``||delta||``, the result's ``step_norm``, falls to ``tol``;
     ``cost_resolution`` when ``-s`` is positive but at most four ulps of
     the cost, so no step can lower it by a representable amount;
-    ``uncertified`` instead of either when the curvature ``kappa`` is
-    positive and the quadratic model's predicted decrease
-    ``s^2 / (2 kappa)`` exceeds ``1e-5`` of the cost ``J``, a bound that
-    scaling time does not change; the code of
+    ``uncertified`` instead of either when ``s^2 > 2e-5 kappa J`` for
+    the cost ``J``: the quadratic model's predicted decrease
+    ``s^2 / (2 kappa)`` exceeds ``1e-5`` of ``J``, a bound that no change
+    of units moves, or ``kappa`` is not positive and ``s`` is nonzero, so
+    nothing certifies the exit; the code of
     :class:`LineSearchStalled`, whose trials are counted and reason
     logged; or ``max_iters``.  A gradient whose norm (by
     ``hypot`` where the squares overflow) is not finite, as an
@@ -183,9 +184,10 @@ def _descend(plant, costspec, cs, K0, params, direction):
         slope = float(np.vdot(gp.grad, delta))
         if measure <= tol or 0.0 < -slope <= 4.0 * np.spacing(ev.cost):
             stop_reason = "step_tol" if measure <= tol else "cost_resolution"
-            # A positive curvature certifies the exit only where the
-            # model's relative decrease s^2 / (2 kappa J) is at most 1e-5.
-            if kappa > 0.0 and slope * slope > 2e-5 * kappa * ev.cost:
+            # The curvature certifies the exit only where the model's
+            # relative decrease s^2 / (2 kappa J) is at most 1e-5; a
+            # nonpositive kappa certifies no nonzero slope.
+            if slope * slope > 2e-5 * kappa * ev.cost:
                 stop_reason = "uncertified"
             break
         if it == max_iters:
@@ -223,8 +225,8 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
     and ``t`` comes from the stability-guarded backtracking line search,
     until ``||vec(Gp)|| <= tol``.  That stop is ``uncertified``, not
     converged, where the curvature along ``-Gp`` still predicts a
-    relative decrease above 1e-5.  Every iterate is feasible and
-    stabilizing.
+    relative decrease above 1e-5 or is not positive.  Every iterate is
+    feasible and stabilizing.
 
     Parameters
     ----------

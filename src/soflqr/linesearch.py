@@ -108,8 +108,9 @@ def line_search(plant, costspec, current, delta, slope, params,
         ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.  A
         positive value starts the search at the power the quadratic model
         predicts (see the module docstring); zero, the default, or a
-        negative value starts a cold search at ``t = 1``.  Newton passes
-        0: for its PT-truncated step the prediction is never below 1.
+        negative value starts a cold search at ``t = 1``.  Along a
+        PT-truncated Newton step ``curvature <= -slope``, so the
+        prediction is never below 1.
 
     Returns
     -------

@@ -557,7 +557,7 @@ class SolveTrace:
 _STATUS = {
     "step_tol": "converged",         # step_norm <= tol
     "cost_resolution": "converged",  # predicted decrease <= 4 ulps of J
-    "uncertified": "stalled",        # either, but model decrease > 1e-5 J
+    "uncertified": "stalled",        # either, but s^2 > 2e-5 kappa J
     "not_descent": "stalled",        # the codes of LineSearchStalled
     "line_search_floor": "stalled",
     "max_iters": "max_iters",

@@ -242,10 +242,14 @@ def newton_solve(plant, costspec, cs, K0, **settings):
     Per iteration: evaluate the gradient, assemble the Hessian reduced to
     the constraint null space (:func:`hessian`), truncate its spectrum to
     the positive definite model, solve it for the step, and accept a step
-    size with the stability-guarded backtracking search, from ``t = 1``
-    since the step comes with curvature 0.  Terminates when
-    ``||vec(dK)|| <= tol``, or when the step's predicted decrease falls
-    below the resolution of the cost; a stalled search stalls the run.
+    size with the stability-guarded backtracking search.  The step
+    ``Z theta`` comes with the curvature ``theta^T (Z^T H Z) theta`` of
+    the cost along it, read from the reduced Hessian already built.  PT
+    only raises eigenvalues, so that curvature is at most the descent
+    ``-<grad, dK>`` and every search starts from ``t = 1``.  Terminates
+    when ``||vec(dK)|| <= tol``, or when the step's predicted decrease
+    falls below the resolution of the cost, each only where the
+    curvature certifies it; a stalled search stalls the run.
 
     Parameters
     ----------
@@ -267,6 +271,8 @@ def newton_solve(plant, costspec, cs, K0, **settings):
 
     def direction(gp, pg, Z):
         H = hessian(plant, costspec, gp.evaluation.K, gp, Z)
-        return newton_step(pt_matrix(H, params.pt_eps), gp.grad, Z), 0.0
+        delta = newton_step(pt_matrix(H, params.pt_eps), gp.grad, Z)
+        theta = Z.T @ vec(delta)
+        return delta, float(theta @ (H @ theta))
 
     return _descend(plant, costspec, cs, K0, params, direction)

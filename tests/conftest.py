@@ -1,6 +1,7 @@
 """Shared helpers for building random test instances and recording
 solver iterates."""
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -74,6 +75,35 @@ def time_scaled(plant, c):
     divide the cost, its gradient and its curvature by ``c``, and leave
     the optimal gain where it is."""
     return Plant(A=c * plant.A, B=c * plant.B, C=plant.C)
+
+
+def unit_scaled(problem, unit, c):
+    """``problem`` in units scaled by ``c``, and the factor ``f`` that
+    takes its optimal cost to the new units' optimum ``f J*``.
+
+    ``"time"``: ``A -> c A`` and ``B -> c B``, ``f = 1 / c``.
+    ``"input"``: ``B -> c B``, ``R -> c^2 R`` and ``K0 -> K0 / c``,
+    ``f = 1``.  ``"output"``: ``C -> C / c`` and ``K0 -> c K0``, ``f = 1``.
+    ``"cost"``: ``Q -> c Q`` and ``R -> c R``, ``f = c``.  Input and
+    output scaling move the gain, so the constraints must have zero
+    right-hand sides, as the bundled examples' do.
+    """
+    plant, costspec, K0 = problem.plant, problem.costspec, problem.gain0
+    A, B, C, Q, R, f = plant.A, plant.B, plant.C, costspec.Q, costspec.R, 1.0
+    if unit == "time":
+        A, B, f = c * A, c * B, 1.0 / c
+    elif unit == "input":
+        B, R, K0 = c * B, c * c * R, K0 / c
+    elif unit == "output":
+        C, K0 = C / c, c * K0
+    elif unit == "cost":
+        Q, R, f = c * Q, c * R, c
+    else:
+        raise ValueError(f"unknown unit {unit!r}")
+    scaled = dataclasses.replace(
+        problem, plant=Plant(A=A, B=B, C=C),
+        costspec=CostSpec(Q=Q, R=R, X0=costspec.X0), gain0=K0)
+    return scaled, f
 
 
 def unobservable_psd_problem():

@@ -31,6 +31,7 @@ from conftest import (
     rescaled_states,
     scaled_row_constraint,
     time_scaled,
+    unit_scaled,
 )
 
 
@@ -424,6 +425,45 @@ def test_uncertified_grad_exits_not_converged(tmp_path, name):
     assert (result["status"], result["stop_reason"]) == (
         "stalled", "uncertified")
     assert result["converged"] is False
+
+
+@pytest.mark.parametrize("name, unit, c", [
+    ("example1", "input", 1e9), ("example1", "output", 1e-9),
+    ("example2", "input", 1e9), ("example2", "output", 1e-9)])
+def test_uncertified_newton_exits_not_converged(tmp_path, name, unit, c):
+    # In these units Newton's step meets tol far from the optimum, where
+    # the step's curvature still predicts a relative decrease above 1e-5.
+    prob, _ = unit_scaled(builtin_problem(name), unit, c)
+    path = tmp_path / f"{name}.json"
+    save_problem(prob, path)
+    out = tmp_path / "r.json"
+    assert main(["solve", str(path), "--method", "newton",
+                 "--out", str(out)]) == 2
+    result = json.loads(out.read_text())
+    assert (result["status"], result["stop_reason"]) == (
+        "stalled", "uncertified")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--out", "x", "--trace", "x"],
+    ["--out", "p.json"],
+    ["--trace", "./p.json"],
+], ids=["out-trace", "out-problem", "trace-problem"])
+def test_colliding_paths_are_refused(tmp_path, monkeypatch, capsys, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("solved despite colliding paths")
+
+    monkeypatch.setattr(soflqr.cli, "newton_solve", never)
+    problem = tmp_path / "p.json"
+    save_problem(builtin_problem("example2"), problem)
+    (tmp_path / "x").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["solve", "p.json", *flags]) == 3
+    err = capsys.readouterr().err
+    named = [f for f in flags if f.startswith("--")]
+    assert all(flag in err for flag in named)
+    assert ("PROBLEM" in err) == (len(named) == 1)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestSolverFields:

@@ -17,6 +17,7 @@ from soflqr import (
     Plant,
     ProblemFormatError,
     SchurSolver,
+    SolverParams,
     builtin_problem,
     check_feasible,
     closed_loop,
@@ -35,6 +36,7 @@ from conftest import (
     rescaled_states,
     scaled_row_constraint,
     time_scaled,
+    unit_scaled,
     unobservable_psd_problem,
 )
 
@@ -213,6 +215,60 @@ def test_grad_converges_only_where_its_model_certifies(name, iterations):
     scaled = first_order_solve(time_scaled(prob.plant, 1e9), *args)
     assert (scaled.status, scaled.stop_reason) == ("stalled", "uncertified")
     assert 1e9 * scaled.cost > 1.5 * result.cost
+
+
+# In these units, Newton's step meets tol far from the optimum:
+# example1 at J = 9940.53 against 159.07, example2 at its start, 22.20
+# against 12.83.
+MISCERTIFIED = [("example1", "input", 1e9, 2), ("example1", "output", 1e-9, 2),
+                ("example2", "input", 1e9, 0), ("example2", "output", 1e-9, 0)]
+
+
+@pytest.mark.parametrize("name, unit, c, iterations", MISCERTIFIED)
+def test_newton_converges_only_where_its_model_certifies(name, unit, c,
+                                                         iterations):
+    prob, _ = unit_scaled(builtin_problem(name), unit, c)
+    result = newton_solve(prob.plant, prob.costspec, prob.constraints,
+                          prob.gain0)
+    assert (result.status, result.stop_reason) == ("stalled", "uncertified")
+    assert result.iterations == iterations
+    assert result.step_norm <= 1e-9
+
+
+def test_nonpositive_curvature_certifies_no_exit():
+    # A short step with a nonzero slope and curvature -1 meets tol, but
+    # no quadratic model bounds the decrease still to come.
+    def direction(gp, pg, Z):
+        return -1e-12 * pg / np.linalg.norm(pg), -1.0
+
+    prob = builtin_problem("example2")
+    result = soflqr.first_order._descend(
+        prob.plant, prob.costspec, prob.constraints, prob.gain0,
+        SolverParams(), direction)
+    assert result.stop_reason == "uncertified"
+    assert result.iterations == 0
+
+
+def test_newton_curvature_is_at_most_the_descent(monkeypatch):
+    # The step's curvature theta^T (Z^T H Z) theta is positive on
+    # example1, and PT only raises eigenvalues, so it is at most -s.
+    searched = []
+    search = soflqr.first_order.line_search
+
+    def recording(plant, costspec, current, delta, slope, params,
+                  curvature):
+        searched.append((slope, curvature))
+        return search(plant, costspec, current, delta, slope, params,
+                      curvature)
+
+    monkeypatch.setattr(soflqr.first_order, "line_search", recording)
+    prob = builtin_problem("example1")
+    result = newton_solve(prob.plant, prob.costspec, prob.constraints,
+                          prob.gain0)
+    assert result.converged
+    assert len(searched) == result.iterations
+    for slope, kappa in searched:
+        assert 0.0 < kappa <= -slope * (1.0 + 1e-12)
 
 
 MISFITS = [
