@@ -45,8 +45,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Tolerance for membership in the constraint set, relative to the norm of
-# each flattened constraint row.
+# Tolerance for membership in the constraint set: the largest residual of
+# a flattened constraint row, which flatten_constraints scales to unit norm.
 FEASIBILITY_TOL = 1e-9
 
 
@@ -121,7 +121,9 @@ class Plant:
 class CostSpec:
     """Quadratic cost data: state weight ``Q`` (PSD), input weight ``R``
     (PD), and the initial-state second moment ``X0`` (PSD), all
-    symmetric, with ``Q`` and ``X0`` of one order."""
+    symmetric, with ``Q`` and ``X0`` of one order.  A PSD matrix ``M``
+    may have eigenvalues down to ``-1e-10 * max|M|``, the rounding of a
+    singular one, so the check holds in any cost unit."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -138,11 +140,11 @@ class CostSpec:
         if X0.shape != Q.shape:
             raise ValueError(f"Q and X0 must have the same order, got "
                              f"{Q.shape[0]} and {X0.shape[0]}")
-        if np.linalg.eigvalsh(Q).min() < -1e-10:
+        if np.linalg.eigvalsh(Q).min() < -1e-10 * np.abs(Q).max():
             raise ValueError("Q must be positive semidefinite")
         if R.size == 0 or np.linalg.eigvalsh(R).min() <= 0.0:
             raise ValueError("R must be positive definite")
-        if np.linalg.eigvalsh(X0).min() < -1e-10:
+        if np.linalg.eigvalsh(X0).min() < -1e-10 * np.abs(X0).max():
             raise ValueError("X0 must be positive semidefinite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
@@ -153,7 +155,8 @@ def weights_from_performance_output(C1, D1, Qw):
     """Build ``(Q, R)`` from a performance output ``z = C1 x + D1 u``.
 
     The weights are ``Q = C1^T Qw C1`` and ``R = D1^T Qw D1`` for a
-    symmetric positive semidefinite output weight ``Qw``.  ``R`` must come
+    symmetric positive semidefinite output weight ``Qw``, checked as
+    :class:`CostSpec` checks ``Q``.  ``R`` must come
     out positive definite; otherwise the cost has flat input directions
     and a ValueError is raised.
     """
@@ -166,7 +169,7 @@ def weights_from_performance_output(C1, D1, Qw):
             f"C1 and D1 must have {Qw.shape[0]} rows to match Qw, got "
             f"{C1.shape} and {D1.shape}"
         )
-    if np.linalg.eigvalsh(Qw).min() < -1e-10:
+    if np.linalg.eigvalsh(Qw).min() < -1e-10 * np.abs(Qw).max():
         raise ValueError("Qw must be positive semidefinite")
     Q = C1.T @ Qw @ C1
     R = D1.T @ Qw @ D1
@@ -226,11 +229,12 @@ class Constraint:
 class ConstraintSet:
     """Collection of linear matrix-equality constraints on an m x q gain.
 
-    The flattened form ``Abar vec(K) = cbar`` and an orthonormal basis
-    ``Z`` of the null space of ``Abar`` are computed lazily by
-    :func:`flatten_constraints` and cached; rows dependent at its rank
-    tolerance are pruned there so ``Abar`` always has full row rank, and
-    must agree with the kept rows.  Feasible gains are
+    The flattened form ``Abar vec(K) = cbar``, with unit rows, and an
+    orthonormal basis ``Z`` of the null space of ``Abar`` are computed
+    lazily by :func:`flatten_constraints` and cached; rows dependent at
+    its rank tolerance are pruned there so ``Abar`` always has full row
+    rank, and must agree with the kept rows.  A constraint multiplied by
+    any factor flattens to the same rows.  Feasible gains are
     exactly ``vec(K) = vec(K0) + Z theta`` for any feasible ``K0``.
     The set is frozen and holds its constraints in a tuple, so the
     cache cannot go stale.
@@ -311,8 +315,11 @@ def flatten_constraints(cs, gain_shape):
     Each constraint ``sum_j L_j K R_j = C0`` contributes the block
     ``sum_j kron(R_j^T, L_j)`` and the stacked right-hand side
     ``vec(C0)``; a term that cannot multiply an m x q gain raises
-    ValueError.  One pivoted QR factorization ``Abar^T P = Q R`` decides
-    everything else.  Its rank is the number of pivots with
+    ValueError.  Each row and its right-hand side are then divided by
+    the row's 2-norm, a zero row is kept at zero, and everything below
+    reads these unit rows, so no scale of a constraint moves a decision.
+    One pivoted QR factorization ``Abar^T P = Q R`` decides everything
+    else.  Its rank is the number of pivots with
     ``|R_ii| > 1e-10 * |R_00|``, and the rows of the leading pivots are
     kept, so ``Abar`` has full row rank.  The kept rows' least-norm
     solution, from the leading triangle of ``R``, must meet every row
@@ -327,8 +334,9 @@ def flatten_constraints(cs, gain_shape):
     Returns
     -------
     (ndarray, ndarray, ndarray)
-        ``Abar`` with full row rank, shape ``(p, m*q)``, ``cbar`` of
-        length ``p``, and the basis ``Z`` of shape ``(m*q, m*q - p)``.
+        ``Abar`` with full row rank and unit rows, shape ``(p, m*q)``,
+        ``cbar`` of length ``p``, and the basis ``Z`` of shape
+        ``(m*q, m*q - p)``.
     """
     _check_term_shapes(cs, gain_shape)
     m, q = gain_shape
@@ -338,6 +346,12 @@ def flatten_constraints(cs, gain_shape):
         for con in cs.constraints])
     cbar = np.concatenate([np.zeros(0)]
                           + [vec(con.rhs) for con in cs.constraints])
+    # Unit rows, so that the rank, the misfit and check_feasible read one
+    # system; hypot, unlike a sum of squares, neither overflows nor
+    # underflows.  A zero row stays zero.
+    norms = np.hypot.reduce(Abar, axis=1)
+    norms[norms == 0.0] = 1.0
+    Abar, cbar = Abar / norms[:, None], cbar / norms
     # Abar^T[:, pivots] = Qf r, and |r_00| is the largest pivot.
     Qf, r, pivots = _pivoted_qr(Abar.T)
     diag = np.abs(np.diag(r))
@@ -372,15 +386,15 @@ def flatten_constraints(cs, gain_shape):
 
 def check_feasible(cs, K):
     """True iff ``K`` satisfies every row ``a^T vec(K) = c`` of the
-    flattened system to within ``FEASIBILITY_TOL * ||a||``.
+    flattened system to within ``FEASIBILITY_TOL``.
 
-    The bound scales with the row, so a constraint multiplied by any
-    factor holds for the same gains; a unit row, such as a pinned
-    entry, has the absolute bound ``FEASIBILITY_TOL``."""
+    The rows are unit rows, so the bound is relative to the row as the
+    constraint was written: a constraint multiplied by any factor holds
+    for the same gains, and a pinned entry has the absolute bound
+    ``FEASIBILITY_TOL``."""
     K = np.asarray(K, dtype=float)
     Abar, cbar, _ = cs.flattened(K.shape)
-    return bool(np.all(np.abs(Abar @ vec(K) - cbar)
-                       <= FEASIBILITY_TOL * np.linalg.norm(Abar, axis=1)))
+    return bool(np.all(np.abs(Abar @ vec(K) - cbar) <= FEASIBILITY_TOL))
 
 
 def closed_loop(plant, K):

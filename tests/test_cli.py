@@ -198,6 +198,21 @@ class TestSolve:
         assert main(["solve", str(path)]) == 4
         assert "constraints" in capsys.readouterr().err
 
+    def test_scaled_pin_still_pins(self, tmp_path):
+        # example2 with its K[0, 1] pin written 1e12 times over: the unit
+        # pin on K[1, 0] must hold as well.
+        path = write_problem(tmp_path / "p.json", constraints=[
+            {"terms": [{"left": [[1e12, 0.0]], "right": [[0.0], [1.0]]}],
+             "rhs": [[0.0]]},
+            {"terms": [{"left": [[0.0, 1.0]], "right": [[1.0], [0.0]]}],
+             "rhs": [[0.0]]}])
+        out = tmp_path / "r.json"
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["status"] == "converged"
+        assert result["cost"] == pytest.approx(12.82812808, abs=5e-9)
+        assert result["K"][0][1] == 0.0 and result["K"][1][0] == 0.0
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"A": [[1, 2')
@@ -614,6 +629,18 @@ class TestChecks:
                "rhs": [[0.0]]}
         path = write_problem(tmp_path / "p.json",
                              constraints=[pin, {**pin, "rhs": [[1.0]]}])
+        assert main([command, str(path)]) == 4
+        assert "inconsistent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "check-gradient",
+                                         "check-hessian"])
+    def test_scaled_inconsistent_constraints(self, tmp_path, capsys,
+                                             command):
+        # K[0, 1] = 0 and K[0, 1] = 1, each written 1e-9 times over.
+        pin = {"terms": [{"left": [[1e-9, 0.0]], "right": [[0.0], [1.0]]}],
+               "rhs": [[0.0]]}
+        path = write_problem(tmp_path / "p.json",
+                             constraints=[pin, {**pin, "rhs": [[1e-9]]}])
         assert main([command, str(path)]) == 4
         assert "inconsistent" in capsys.readouterr().err
 

@@ -77,6 +77,37 @@ class TestCostSpecValidation:
             CostSpec(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1),
                      X0=np.eye(2))
 
+    @pytest.mark.parametrize(
+        "c", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_singular_weights_in_any_unit(self, c):
+        # Rounding leaves the zero eigenvalues of c C1^T C1 near
+        # -eps ||M||, -2.9e-9 for the rank-one C1 at c = 1e6; the bound
+        # is relative to the matrix.
+        C1 = np.array([[1.0, 2.0, 3.0, 0.5], [0.0, 1.0, 0.0, 1.0]])
+        for M in (c * C1.T @ C1, c * C1[:1].T @ C1[:1]):
+            CostSpec(Q=M, R=c * np.eye(2), X0=np.eye(4))
+            CostSpec(Q=np.eye(4), R=np.eye(2), X0=M)
+            # z = [x; u] weighted by diag(M, c I).
+            Qw = np.block([[M, np.zeros((4, 2))],
+                           [np.zeros((2, 4)), c * np.eye(2)]])
+            Q, R = weights_from_performance_output(
+                np.eye(6, 4), np.eye(6, 2, -4), Qw)
+            np.testing.assert_allclose(Q, M, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(R, c * np.eye(2), rtol=1e-15,
+                                       atol=0.0)
+
+    @pytest.mark.parametrize(
+        "c", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_negative_eigenvalue_refused_in_any_unit(self, c):
+        # A minimum eigenvalue of -1e-6 max|M| is no rounding error.
+        M = c * np.diag([1.0, -1e-6])
+        with pytest.raises(ValueError, match="Q must be positive semi"):
+            CostSpec(Q=M, R=np.eye(1), X0=np.eye(2))
+        with pytest.raises(ValueError, match="X0 must be positive semi"):
+            CostSpec(Q=np.eye(2), R=np.eye(1), X0=M)
+        with pytest.raises(ValueError, match="Qw must be positive semi"):
+            weights_from_performance_output(np.eye(2), np.eye(2), M)
+
     def test_rejects_Q_and_X0_of_different_orders(self):
         # effective_weight would broadcast this Q to an all-ones 4x4
         # weight, and a solve would converge to the wrong cost.
@@ -207,6 +238,20 @@ class TestFlattenConstraints:
         np.testing.assert_array_equal(Abar, [[0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(cbar, [0.7])
 
+    @pytest.mark.parametrize("c", [2.0 ** -664, 2.0 ** -40, 2.0 ** 40,
+                                   2.0 ** 664])
+    def test_scaled_pin_is_the_unit_pin(self, c):
+        # The pin above written c times over.  The norm of a row of
+        # entries near 1e200 does not overflow, nor near 1e-200 underflow.
+        cs = ConstraintSet(constraints=[Constraint(
+            terms=(ConstraintTerm(left=[[c]],
+                                  right=[[0.0], [1.0], [0.0]]),),
+            rhs=[[0.7 * c]],
+        )])
+        Abar, cbar, _ = flatten_constraints(cs, (1, 3))
+        np.testing.assert_array_equal(Abar, [[0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(cbar, [0.7])
+
     def test_random_two_term_constraint_matches_direct_evaluation(self):
         rng = np.random.default_rng(6)
         m, q, r, c = 2, 3, 2, 2
@@ -219,9 +264,15 @@ class TestFlattenConstraints:
         )
         cs = ConstraintSet(constraints=[con])
         Abar, _, _ = flatten_constraints(cs, (m, q))
+        # The flattened rows come out divided by their norms.
+        norms = np.linalg.norm(
+            sum(np.kron(t.right.T, t.left) for t in con.terms), axis=1)
+        np.testing.assert_allclose(np.linalg.norm(Abar, axis=1), 1.0,
+                                   rtol=1e-15)
         for _ in range(20):
             K = rng.standard_normal((m, q))
-            np.testing.assert_allclose(Abar @ vec(K), vec(con.evaluate(K)),
+            np.testing.assert_allclose(Abar @ vec(K),
+                                       vec(con.evaluate(K)) / norms,
                                        atol=1e-12)
 
     def test_redundant_rows_pruned(self):
@@ -243,6 +294,17 @@ class TestFlattenConstraints:
         with pytest.raises(InfeasibleConstraintsError):
             flatten_constraints(cs, (2, 2))
 
+    def test_scaled_inconsistent_rhs_raises(self):
+        # The rows above written 1e-9 times over disagree by 1 on unit
+        # rows, not by 1e-9.
+        term = ConstraintTerm(left=[[1e-9, 0.0]], right=[[0.0], [1.0]])
+        cs = ConstraintSet(constraints=[
+            Constraint(terms=(term,), rhs=[[0.0]]),
+            Constraint(terms=(term,), rhs=[[1e-9]]),
+        ])
+        with pytest.raises(InfeasibleConstraintsError):
+            flatten_constraints(cs, (2, 2))
+
     def test_near_dependent_rows_must_agree(self):
         # K[0, 0] = 0 and K[0, 0] + 1e-12 K[1, 0] = 1e-3 on a 2x3 gain:
         # the second row is dependent at the rank tolerance and dropped,
@@ -257,6 +319,21 @@ class TestFlattenConstraints:
         with pytest.raises(InfeasibleConstraintsError,
                            match=r"disagree \(misfit 1\.000e-03\)"):
             flatten_constraints(cs, (2, 3))
+
+    @pytest.mark.parametrize("rhs", [0.0, 1.0])
+    def test_zero_row(self, rhs):
+        # 0 K[0, 0] = rhs: a zero row has no scale, and holds for every
+        # gain or for none.
+        cs = ConstraintSet(constraints=[Constraint(
+            terms=(ConstraintTerm(left=[[0.0]], right=[[1.0], [0.0]]),),
+            rhs=[[rhs]])])
+        if rhs:
+            with pytest.raises(InfeasibleConstraintsError):
+                flatten_constraints(cs, (1, 2))
+            return
+        Abar, cbar, Z = flatten_constraints(cs, (1, 2))
+        assert Abar.shape == (0, 2) and cbar.shape == (0,)
+        np.testing.assert_array_equal(Z, np.eye(2))
 
     @pytest.mark.parametrize("gain_shape, message", [
         ((3, 2), "'constraints[0].terms[0].left': expected 3 columns"),

@@ -174,10 +174,11 @@ def test_exact_cost_difference(problem, data):
 
 
 @st.composite
-def constrained_problems(draw):
+def constrained_problems(draw, pinned=st.booleans()):
     """Plant, positive definite weights, a feasible stabilizing start and
     equality constraints it satisfies: random pins, or general rows
-    ``L K R = L K0 R``, with a nonzero right-hand side."""
+    ``L K R = L K0 R``, with a nonzero right-hand side; ``pinned`` draws
+    which."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 3))
     q = draw(st.integers(1, 3))
@@ -190,7 +191,7 @@ def constrained_problems(draw):
     K0 = 0.1 * _matrix(draw, m, q)
     assume(spectral_abscissa(closed_loop(plant, K0)) < -0.1)
     constraints = []
-    if draw(st.booleans()):
+    if draw(pinned):
         pins = draw(arrays(np.bool_, (m, q)))
         for i, j in zip(*np.nonzero(pins)):
             left, right = np.zeros((1, m)), np.zeros((q, 1))
@@ -211,7 +212,8 @@ def constrained_problems(draw):
 def _scipy_flattened(cs, gain_shape):
     # flatten_constraints as it was written on scipy.linalg, the reference
     # its direct LAPACK calls must match bit for bit; None where that
-    # raised InfeasibleConstraintsError.
+    # raised InfeasibleConstraintsError.  Rows are divided by their norms
+    # before the factorization, as there.
     from scipy.linalg import qr, solve_triangular
     m, q = gain_shape
     Abar = np.vstack([np.zeros((0, m * q))] + [
@@ -219,6 +221,9 @@ def _scipy_flattened(cs, gain_shape):
         for con in cs.constraints])
     cbar = np.concatenate([np.zeros(0)]
                           + [vec(con.rhs) for con in cs.constraints])
+    norms = np.hypot.reduce(Abar, axis=1)
+    norms[norms == 0.0] = 1.0
+    Abar, cbar = Abar / norms[:, None], cbar / norms
     Qf, r, pivots = qr(Abar.T, pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > 1e-10 * diag.max(initial=0.0)))
@@ -282,6 +287,35 @@ def test_constrained_newton_step_and_solves(problem):
         grad = first_order_solve(plant, costspec, cs, K0, tol=1e-6)
     _check_descent(plant, costspec, cs, grad, iterates)
     assert newton.cost == pytest.approx(grad.cost, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(constrained_problems(pinned=st.just(False)), st.data())
+def test_row_scales_move_no_solve(problem, data):
+    # Each general row L_i K R = c_i multiplied by its own 10^k,
+    # k in [-12, 12], is the same constraint: the same null-space
+    # projector and the same Newton solve.
+    plant, costspec, cs, K0 = problem
+    scaled = []
+    for con in cs.constraints:
+        (term,) = con.terms
+        s = 10.0 ** np.array(data.draw(st.lists(
+            st.integers(-12, 12), min_size=term.left.shape[0],
+            max_size=term.left.shape[0])))[:, None]
+        scaled.append(Constraint(
+            terms=(ConstraintTerm(s * term.left, term.right),),
+            rhs=s * con.rhs))
+    scaled = ConstraintSet(constraints=scaled)
+    Z, Zs = cs.null_basis(K0.shape), scaled.null_basis(K0.shape)
+    assert Zs.shape == Z.shape
+    np.testing.assert_allclose(Zs @ Zs.T, Z @ Z.T, rtol=0.0, atol=1e-12)
+    expected = newton_solve(plant, costspec, cs, K0, tol=1e-9)
+    result = newton_solve(plant, costspec, scaled, K0, tol=1e-9)
+    assert result.stop_reason == expected.stop_reason
+    assert result.cost == pytest.approx(expected.cost, rel=1e-12)
+    np.testing.assert_allclose(result.K, expected.K, rtol=0.0, atol=1e-9)
 
 
 def _row_constraints(rows, rhs, m, q):
