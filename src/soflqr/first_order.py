@@ -116,10 +116,13 @@ def project_gradient(grad, Z):
 
 def _norm(x):
     # ||vec(x)||, summed in vec's column-major order, as
-    # np.linalg.norm(vec(x)) sums it; where the squares overflow, hypot
-    # over the same entries, which does not.
+    # np.linalg.norm(vec(x)) sums it; where the squares overflow, or
+    # underflow to 0 for a nonzero x, hypot over the same entries, which
+    # does neither.
     norm = math.sqrt(np.vdot(x.T, x.T))
-    return norm if math.isfinite(norm) else math.hypot(*x.T.flat)
+    if math.isfinite(norm) and (norm > 0.0 or not x.any()):
+        return norm
+    return math.hypot(*x.T.flat)
 
 
 def _descend(plant, costspec, cs, K0, params, direction):
@@ -142,11 +145,15 @@ def _descend(plant, costspec, cs, K0, params, direction):
     the cost ``J``: the quadratic model's predicted decrease
     ``s^2 / (2 kappa)`` exceeds ``1e-5`` of ``J``, a bound that no change
     of units moves, or ``kappa`` is not positive and ``s`` is nonzero, so
-    nothing certifies the exit; the code of
-    :class:`LineSearchStalled`, whose trials are counted and reason
-    logged; or ``max_iters``.  A gradient whose norm (by
-    ``hypot`` where the squares overflow) is not finite, as an
-    overflowing closed loop gives, raises ``numpy.linalg.LinAlgError``.
+    nothing certifies the exit.  The rule is tested per unit of step
+    length, on ``s / ||delta||`` and ``kappa / ||delta||^2`` for a
+    nonzero ``delta``, so it holds for any step length: a step so short
+    that ``kappa`` underflows to 0 certifies nothing.  The other stops
+    are the code of :class:`LineSearchStalled`, whose trials are counted
+    and reason logged, and ``max_iters``.  Norms are taken by ``hypot``
+    where the squares overflow or underflow to 0.  A gradient whose norm
+    is not finite, as an overflowing closed loop gives, raises
+    ``numpy.linalg.LinAlgError``.
 
     ``K0`` is checked by :func:`evaluate_start`, and :func:`gradient` is
     called once per visited gain.  The trace records ``||pg||`` and the
@@ -186,8 +193,11 @@ def _descend(plant, costspec, cs, K0, params, direction):
             stop_reason = "step_tol" if measure <= tol else "cost_resolution"
             # The curvature certifies the exit only where the model's
             # relative decrease s^2 / (2 kappa J) is at most 1e-5; a
-            # nonpositive kappa certifies no nonzero slope.
-            if slope * slope > 2e-5 * kappa * ev.cost:
+            # nonpositive kappa certifies no nonzero slope.  The sides are
+            # read per unit of step length: on a tiny step s^2 and kappa
+            # both underflow to 0, where s / ||delta|| does not.
+            unit = measure or 1.0
+            if (slope / unit) ** 2 > 2e-5 * (kappa / unit / unit) * ev.cost:
                 stop_reason = "uncertified"
             break
         if it == max_iters:

@@ -71,10 +71,23 @@ def _as_matrix(value, name):
     return M
 
 
-def _check_symmetric(M, name):
-    scale = max(1.0, np.abs(M).max()) if M.size else 1.0
-    if np.abs(M - M.T).max() > 1e-12 * scale:
+def _check_weight(M, name, definite=False):
+    # Every rule of a cost weight, each bound relative to max|M| so that
+    # no change of cost units moves a verdict; -1e-10 max|M| admits the
+    # rounding of a singular PSD weight.  Returns 0.5 (M + M^T), formed
+    # as 0.5 M + 0.5 M^T, which cannot overflow.
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
+    scale = np.abs(M).max(initial=0.0)
+    if np.abs(M - M.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
+    M = 0.5 * M + 0.5 * M.T
+    least = np.linalg.eigvalsh(M).min(initial=np.inf)
+    if definite and not (M.size and least > 0.0):
+        raise ValueError(f"{name} must be positive definite")
+    if least < -1e-10 * scale:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return M
 
 
 @dataclass(frozen=True)
@@ -120,32 +133,24 @@ class Plant:
 @dataclass(frozen=True)
 class CostSpec:
     """Quadratic cost data: state weight ``Q`` (PSD), input weight ``R``
-    (PD), and the initial-state second moment ``X0`` (PSD), all
-    symmetric, with ``Q`` and ``X0`` of one order.  A PSD matrix ``M``
-    may have eigenvalues down to ``-1e-10 * max|M|``, the rounding of a
-    singular one, so the check holds in any cost unit."""
+    (PD), and the initial-state second moment ``X0`` (PSD), with ``Q``
+    and ``X0`` of one order.  Each ``M`` must be symmetric to within
+    ``1e-12 * max|M|``, and a PSD one may have eigenvalues down to
+    ``-1e-10 * max|M|``, the rounding of a singular one: bounds relative
+    to ``M`` hold in any cost unit.  Each field holds the exactly
+    symmetric part ``0.5 * (M + M^T)`` of the matrix given."""
 
     Q: np.ndarray
     R: np.ndarray
     X0: np.ndarray
 
     def __post_init__(self):
-        Q = _as_matrix(self.Q, "Q")
-        R = _as_matrix(self.R, "R")
-        X0 = _as_matrix(self.X0, "X0")
-        for M, name in ((Q, "Q"), (R, "R"), (X0, "X0")):
-            if M.shape[0] != M.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {M.shape}")
-            _check_symmetric(M, name)
+        Q = _check_weight(_as_matrix(self.Q, "Q"), "Q")
+        R = _check_weight(_as_matrix(self.R, "R"), "R", definite=True)
+        X0 = _check_weight(_as_matrix(self.X0, "X0"), "X0")
         if X0.shape != Q.shape:
             raise ValueError(f"Q and X0 must have the same order, got "
                              f"{Q.shape[0]} and {X0.shape[0]}")
-        if np.linalg.eigvalsh(Q).min() < -1e-10 * np.abs(Q).max():
-            raise ValueError("Q must be positive semidefinite")
-        if R.size == 0 or np.linalg.eigvalsh(R).min() <= 0.0:
-            raise ValueError("R must be positive definite")
-        if np.linalg.eigvalsh(X0).min() < -1e-10 * np.abs(X0).max():
-            raise ValueError("X0 must be positive semidefinite")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "X0", X0)
@@ -154,30 +159,26 @@ class CostSpec:
 def weights_from_performance_output(C1, D1, Qw):
     """Build ``(Q, R)`` from a performance output ``z = C1 x + D1 u``.
 
-    The weights are ``Q = C1^T Qw C1`` and ``R = D1^T Qw D1`` for a
-    symmetric positive semidefinite output weight ``Qw``, checked as
-    :class:`CostSpec` checks ``Q``.  ``R`` must come
-    out positive definite; otherwise the cost has flat input directions
-    and a ValueError is raised.
+    The weights are the symmetric parts of ``Q = C1^T Qw C1`` and
+    ``R = D1^T Qw D1`` for a symmetric positive semidefinite output
+    weight ``Qw``, checked as :class:`CostSpec` checks ``Q``, in any
+    cost unit.  ``R`` must come out positive definite; otherwise the
+    cost has flat input directions and a ValueError is raised.
     """
     C1 = _as_matrix(C1, "C1")
     D1 = _as_matrix(D1, "D1")
-    Qw = _as_matrix(Qw, "Qw")
-    _check_symmetric(Qw, "Qw")
+    Qw = _check_weight(_as_matrix(Qw, "Qw"), "Qw")
     if C1.shape[0] != Qw.shape[0] or D1.shape[0] != Qw.shape[0]:
         raise ValueError(
             f"C1 and D1 must have {Qw.shape[0]} rows to match Qw, got "
             f"{C1.shape} and {D1.shape}"
         )
-    if np.linalg.eigvalsh(Qw).min() < -1e-10 * np.abs(Qw).max():
-        raise ValueError("Qw must be positive semidefinite")
+    # The products are symmetric but for rounding, which the symmetry
+    # bound need not admit where their entries cancel.
     Q = C1.T @ Qw @ C1
     R = D1.T @ Qw @ D1
-    Q = 0.5 * (Q + Q.T)
-    R = 0.5 * (R + R.T)
-    if R.size == 0 or np.linalg.eigvalsh(R).min() <= 0.0:
-        raise ValueError("D1^T Qw D1 is not positive definite")
-    return Q, R
+    R = _check_weight(0.5 * (R + R.T), "D1^T Qw D1", definite=True)
+    return 0.5 * (Q + Q.T), R
 
 
 @dataclass(frozen=True)

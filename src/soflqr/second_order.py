@@ -104,8 +104,7 @@ def _schur_factors(plant, gp):
 def _assemble(plant, costspec, gp, Z, ZSZ):
     # The reduced Hessian from ZSZ = Z^T S Z.
     CGCt = plant.C @ gp.gramian @ plant.C.T
-    R = costspec.R
-    weight = np.kron(0.5 * (CGCt + CGCt.T), 0.5 * (R + R.T))
+    weight = np.kron(0.5 * (CGCt + CGCt.T), costspec.R)
     return ZSZ + ZSZ.T + 2.0 * (Z.T @ weight @ Z)
 
 

@@ -459,6 +459,21 @@ def test_uncertified_newton_exits_not_converged(tmp_path, name, unit, c):
         "stalled", "uncertified")
 
 
+@pytest.mark.parametrize("pt_eps", ["1e10", "1e100", "1e150", "1e200",
+                                    "1e300"])
+def test_huge_pt_floor_exits_not_converged(tmp_path, pt_eps):
+    # The PT floor shrinks Newton's step on example2 to about 2/pt_eps,
+    # far from the optimum (J = 22.20 against 12.83).  At 1e200 and 1e300
+    # the squares of the step underflow: its norm, s^2 and kappa read 0,
+    # which met tol and certified the exit.
+    out = tmp_path / "r.json"
+    assert main(["solve", "example2", "--pt-eps", pt_eps,
+                 "--out", str(out)]) == 2
+    result = json.loads(out.read_text())
+    assert result["converged"] is False
+    assert result["cost"] > 22.2
+
+
 @pytest.mark.parametrize("flags", [
     ["--out", "x", "--trace", "x"],
     ["--out", "p.json"],

@@ -1,6 +1,7 @@
 """Tests for the line-search descent loop shared by both solvers."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -247,6 +248,30 @@ def test_nonpositive_curvature_certifies_no_exit():
         SolverParams(), direction)
     assert result.stop_reason == "uncertified"
     assert result.iterations == 0
+
+
+def test_short_step_certifies_as_a_long_one():
+    # Along a step 1e-300 long, s^2 and kappa underflow to 0; read per
+    # unit of step length, the rule still sees grad's model predict a
+    # large decrease at example2's start.
+    prob = builtin_problem("example2")
+
+    def direction(gp, pg, Z):
+        delta = -1e-300 * pg / np.linalg.norm(pg)
+        return delta, soflqr.first_order.curvature(prob.plant, prob.costspec,
+                                                   gp, delta)
+
+    result = soflqr.first_order._descend(
+        prob.plant, prob.costspec, prob.constraints, prob.gain0,
+        SolverParams(), direction)
+    assert result.stop_reason == "uncertified"
+    assert result.step_norm == pytest.approx(1e-300, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norm_neither_underflows_nor_overflows(scale):
+    x = scale * np.array([[3.0, 0.0], [-4.0, 12.0]])
+    assert soflqr.first_order._norm(x) == math.hypot(*x.T.flat)
 
 
 def test_newton_curvature_is_at_most_the_descent(monkeypatch):

@@ -38,6 +38,10 @@ from soflqr.lyapunov import HURWITZ_MARGIN
 from conftest import identity_cost, scaled_row_constraint, stable_plant
 
 
+# Cost units c = 10^k, k = -15 ... 15, for the weight checks.
+COST_UNITS = [10.0**k for k in range(-15, 16)]
+
+
 def scalar_problem():
     """A = -1, B = C = 1 with unit weights: J(K) = (1+K^2)/(2(1-K))."""
     plant = Plant(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
@@ -107,6 +111,55 @@ class TestCostSpecValidation:
             CostSpec(Q=np.eye(2), R=np.eye(1), X0=M)
         with pytest.raises(ValueError, match="Qw must be positive semi"):
             weights_from_performance_output(np.eye(2), np.eye(2), M)
+
+    @pytest.mark.parametrize("c", COST_UNITS)
+    def test_asymmetric_weight_refused_in_any_unit(self, c):
+        # The symmetric part of each M is positive definite, so only its
+        # asymmetry, 0.3 or 1e-10 of max|M|, can refuse it.  A symmetry
+        # bound with an absolute floor accepted both at c <= 1e-12.
+        for a in (0.3, 1e-10):
+            M = c * np.array([[1.0, a], [0.0, 1.0]])
+            with pytest.raises(ValueError, match="Q must be symmetric"):
+                CostSpec(Q=M, R=np.eye(1), X0=np.eye(2))
+            with pytest.raises(ValueError, match="R must be symmetric"):
+                CostSpec(Q=np.eye(2), R=M, X0=np.eye(2))
+            with pytest.raises(ValueError, match="X0 must be symmetric"):
+                CostSpec(Q=np.eye(2), R=np.eye(1), X0=M)
+            with pytest.raises(ValueError, match="Qw must be symmetric"):
+                weights_from_performance_output(np.eye(2), np.eye(2), M)
+
+    @pytest.mark.parametrize("c", COST_UNITS)
+    def test_singular_state_weight_accepted_in_any_unit(self, c):
+        C1 = np.array([[1.0, 2.0, 3.0, 0.5], [0.0, 1.0, 0.0, 1.0]])
+        CostSpec(Q=c * C1.T @ C1, R=np.eye(2), X0=np.eye(4))
+
+    def test_asymmetric_R_refused_in_small_cost_units(self):
+        # example1 in cost units of 1e-13 with R 30% asymmetric: an
+        # absolute floor on the symmetry bound accepted it, and Newton
+        # with example1's settings ran out its 200 iterations on it.
+        prob = builtin_problem("example1")
+        c = 1e-13
+        with pytest.raises(ValueError, match="R must be symmetric"):
+            CostSpec(Q=c * prob.costspec.Q,
+                     R=c * np.array([[1.0, 0.3], [0.0, 1.0]]),
+                     X0=prob.costspec.X0)
+
+    def test_fields_hold_the_exact_symmetric_part(self):
+        # Asymmetric by 1e-14 of max|M|, within the symmetry bound.
+        M = np.array([[2.0, 0.5], [0.5 * (1.0 + 1e-14), 1.0]])
+        cs = CostSpec(Q=M, R=M, X0=M)
+        for W in (cs.Q, cs.R, cs.X0):
+            assert np.array_equal(W, W.T)
+            np.testing.assert_array_equal(W, 0.5 * (M + M.T))
+
+    def test_weights_near_overflow(self):
+        # The symmetric part of a weight near the largest double stays
+        # finite, and an indefinite one is still refused.
+        big = 1.7e308
+        cs = CostSpec(Q=[[big]], R=[[big]], X0=[[big]])
+        assert cs.Q[0, 0] == cs.R[0, 0] == cs.X0[0, 0] == big
+        with pytest.raises(ValueError, match="Q must be positive semi"):
+            CostSpec(Q=[[1.0, big], [big, 1.0]], R=np.eye(1), X0=np.eye(2))
 
     def test_rejects_Q_and_X0_of_different_orders(self):
         # effective_weight would broadcast this Q to an all-ones 4x4
@@ -500,7 +553,8 @@ class TestWeightsFromPerformanceOutput:
         np.testing.assert_allclose(R, np.eye(m), atol=1e-14)
 
     def test_zero_direct_term_rejected(self):
-        with pytest.raises(ValueError, match="not positive definite"):
+        with pytest.raises(ValueError,
+                           match=r"D1\^T Qw D1 must be positive definite"):
             weights_from_performance_output(np.eye(2), np.zeros((2, 1)),
                                             np.eye(2))
 
