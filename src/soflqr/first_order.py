@@ -233,10 +233,11 @@ def first_order_solve(plant, costspec, cs, K0, **settings):
 
     Iterates ``K <- K - t * Gp`` where ``Gp`` is the projected gradient
     and ``t`` comes from the stability-guarded backtracking line search,
-    until ``||vec(Gp)|| <= tol``.  That stop is ``uncertified``, not
-    converged, where the curvature along ``-Gp`` still predicts a
-    relative decrease above 1e-5 or is not positive.  Every iterate is
-    feasible and stabilizing.
+    started at the minimizer of the quadratic model along ``-Gp`` where
+    that model refuses ``t = 1``, until ``||vec(Gp)|| <= tol``.  That
+    stop is ``uncertified``, not converged, where the curvature along
+    ``-Gp`` still predicts a relative decrease above 1e-5 or is not
+    positive.  Every iterate is feasible and stabilizing.
 
     Parameters
     ----------

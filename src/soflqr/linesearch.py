@@ -1,15 +1,15 @@
 """Backtracking line search with a closed-loop stability guard.
 
 Shared by the gradient-projection and Newton solvers: the trial steps
-are the powers ``beta^k`` above a floor, each computed as ``beta ** k``.
-The floor is ``MIN_STEP``, lowered to ``MIN_STEP max(1, ||K||) /
-||delta||`` for a direction longer than ``max(1, ||K||)`` (Frobenius
-norms).  So the smallest trial step ``t ||delta||`` is
-``MIN_STEP min(||delta||, max(1, ||K||))``: a long direction, such as a
-gradient of 1e12 near the stability margin, is not tried at steps that
-move ``K`` by order one and no further.  A trial is accepted when the
-trial gain keeps the closed loop Hurwitz and satisfies the Armijo
-sufficient-decrease condition.
+walk down from a start ``t0`` by factors of ``beta``, each computed as
+``t0 * beta ** j``, above a floor.  The floor is ``MIN_STEP``, lowered
+to ``MIN_STEP max(1, ||K||) / ||delta||`` for a direction longer than
+``max(1, ||K||)`` (Frobenius norms).  So the smallest trial step
+``t ||delta||`` is ``MIN_STEP min(||delta||, max(1, ||K||))``: a long
+direction, such as a gradient of 1e12 near the stability margin, is not
+tried at steps that move ``K`` by order one and no further.  A trial is
+accepted when the trial gain keeps the closed loop Hurwitz and
+satisfies the Armijo sufficient-decrease condition.
 The decrease is the exact cost change of :func:`evaluate_step`, not the
 difference of two rounded costs.  The caller supplies the direction, its
 slope ``s = <grad, delta>`` and the curvature ``kappa = <delta, H delta>``
@@ -17,26 +17,21 @@ of the cost along it; the search evaluates trials and nothing else.  It
 never sees the constraints: a direction in their null space keeps every
 trial feasible, and the descent loop checks the accepted gain.
 
-The cold search, for ``kappa <= 0``, tries ``1, beta, beta^2, ...`` and
-accepts the largest acceptable power.  A positive ``kappa`` instead
-starts the search where the model ``dJ(t) ~ t s + t^2 kappa / 2``
-predicts that power: at the largest ``beta^k <= 2 (1 - alpha) |s| /
-kappa``, or at 1 when that bound is at least 1.  Its exponent comes from
-logarithms, so the start costs O(1) for every ``beta``.  If that first
-trial is accepted below 1, the cubic through ``s``, ``kappa`` and the
-exact ``dJ`` of the trial decides whether to try the next larger power;
-the search climbs while the cubic predicts Armijo there and the trial
-confirms it.  A rejected start walks down as the cold search does, and
-if the powers run down to the floor, the skipped ones are tried next,
-largest first, before the search stalls.  So a search with a good
-prediction costs one trial, and accepts the cold search's step whenever
-acceptability is monotone in ``t`` and the cubic's verdict on the next
-larger power is right.  Climbing and walking move one power per trial,
-so a prediction off by a factor ``r`` costs about
-``log r / log(1 / beta)`` trials, as it would from ``t = 1``.
+The start is the minimizer ``|s| / kappa`` of the quadratic model
+``dJ(t) ~ t s + t^2 kappa / 2`` where the model refuses Armijo at
+``t = 1``, that is where ``kappa > 2 (1 - alpha) |s|``, and ``t = 1``
+otherwise: for ``kappa <= 0``, and along every PT-truncated Newton step,
+whose ``kappa <= |s|``.  The first accepted trial is taken; no larger
+step is tried (Nocedal and Wright, *Numerical Optimization*, 2nd ed.,
+section 3.5, initial step length).  If every step down to the floor is
+rejected, the cold powers ``1, beta, beta^2, ...`` above the start are
+tried, largest first, before the search stalls.  A start the model
+places well costs one trial at any ``beta``.  A rejected one walks down
+one factor of ``beta`` per trial, so with ``beta`` near 1 a start that
+is too long by a factor ``r`` costs about ``log r / (1 - beta)``
+trials.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -56,9 +51,9 @@ class LineSearchStalled(RuntimeError):
     """The search found no acceptable step.
 
     ``code`` says why: ``"not_descent"`` for a direction without descent,
-    or ``"line_search_floor"`` when no power above the floor certified a
-    decrease.  ``reason`` says it in words, with the numbers, and
-    ``evals`` is the number of trials the search evaluated before it
+    or ``"line_search_floor"`` when no trial step above the floor
+    certified a decrease.  ``reason`` says it in words, with the numbers,
+    and ``evals`` is the number of trials the search evaluated before it
     gave up.
     """
 
@@ -69,26 +64,12 @@ class LineSearchStalled(RuntimeError):
         self.evals = evals
 
 
-def _first_power(beta, bound):
-    """Least ``k >= 0`` with ``beta ** k <= bound``, for ``0 < bound``.
-
-    The logarithms give ``k`` to within rounding; the two loops settle
-    it against ``beta ** k`` itself, in a step or two for every ``beta``.
-    """
-    k = max(0, math.ceil(math.log(bound) / math.log(beta)))
-    while beta ** k > bound:
-        k += 1
-    while k and beta ** (k - 1) <= bound:
-        k -= 1
-    return k
-
-
 def line_search(plant, costspec, current, delta, slope, params,
                 curvature=0.0):
     """Backtracking search along the direction ``delta``.
 
-    Accepts a power ``t = beta ** k`` above the floor whose exact cost
-    change ``dJ`` satisfies the Armijo condition
+    Accepts the first trial step ``t`` (see the module docstring) whose
+    exact cost change ``dJ`` satisfies the Armijo condition
     ``dJ <= alpha * t * slope`` and leaves ``J(K) + dJ`` strictly below
     ``J(K)`` in floating point.  It takes no constraints: feasibility of
     ``K + t*delta`` is the caller's.  Destabilizing trial points
@@ -105,12 +86,11 @@ def line_search(plant, costspec, current, delta, slope, params,
     params : SolverParams
         Supplies ``alpha`` and ``beta``, whose ranges it has checked.
     curvature : float
-        ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.  A
-        positive value starts the search at the power the quadratic model
-        predicts (see the module docstring); zero, the default, or a
-        negative value starts a cold search at ``t = 1``.  Along a
-        PT-truncated Newton step ``curvature <= -slope``, so the
-        prediction is never below 1.
+        ``<delta, H delta>`` for the cost Hessian ``H`` at ``K``.  Above
+        ``2 (1 - alpha) |slope|`` it starts the search at the quadratic
+        model's minimizer ``|slope| / curvature``; zero, the default, or
+        any smaller value starts it at ``t = 1``.  Along a PT-truncated
+        Newton step ``curvature <= -slope``, so that search starts at 1.
 
     Returns
     -------
@@ -119,7 +99,8 @@ def line_search(plant, costspec, current, delta, slope, params,
         ``t``, and the number of trials evaluated.  Raises
         :class:`LineSearchStalled`, carrying its reason and trial count,
         before any trial if ``slope >= 0``, and after the last one if
-        every power above the floor is rejected.
+        every step down to the floor and every cold power above the
+        start is rejected.
     """
     alpha, beta = params.alpha, params.beta
     if slope >= 0.0:
@@ -128,9 +109,28 @@ def line_search(plant, costspec, current, delta, slope, params,
             f"delta is not a descent direction: <grad, delta> = "
             f"{slope:.3e}", 0)
 
-    def attempt(k):
-        # The accepted trial and its dJ at t = beta^k, or None.
-        t = beta ** k
+    # hypot neither underflows nor overflows where the sum of squares
+    # would.
+    floor = MIN_STEP * min(1.0, max(1.0, math.hypot(*current.K.flat))
+                           / math.hypot(*delta.flat))
+    t0 = 1.0
+    if curvature > 2.0 * (1.0 - alpha) * -slope:
+        # The model refuses Armijo at t = 1: start at its minimizer.
+        t0 = -slope / curvature
+
+    def steps():
+        # t0 beta^j down to the floor, then the cold powers above t0,
+        # largest first.
+        for top, bottom in ((t0, floor), (1.0, max(t0, floor))):
+            t, j = top, 0
+            while t > bottom:
+                yield t
+                j += 1
+                t = top * beta ** j
+
+    evals = 0
+    for t in steps():
+        evals += 1
         try:
             # The Hurwitz gate comes before the Lyapunov solve, so a
             # destabilizing trial is never solved.  LinAlgError means
@@ -139,48 +139,10 @@ def line_search(plant, costspec, current, delta, slope, params,
             trial, dJ = evaluate_step(plant, costspec, current,
                                       current.K + t * delta)
         except (NotHurwitzError, np.linalg.LinAlgError):
-            return None
+            continue
         if trial.cost < current.cost and dJ <= alpha * t * slope:
-            return trial, dJ
-        return None
-
-    # Powers k = 0 .. count - 1 lie above the floor.  hypot neither
-    # underflows nor overflows where the sum of squares would.
-    floor = MIN_STEP * min(1.0, max(1.0, math.hypot(*current.K.flat))
-                           / math.hypot(*delta.flat))
-    count = _first_power(beta, floor)
-    start = 0
-    if curvature > 0.0:
-        predicted = 2.0 * (1.0 - alpha) * -slope / curvature
-        if predicted < 1.0:
-            start = min(_first_power(beta, max(predicted, floor)),
-                        count - 1)
-
-    evals = 0
-    for k in itertools.chain(range(start, count), range(start)):
-        evals += 1
-        accepted = attempt(k)
-        if accepted is not None:
-            break
-    else:
-        raise LineSearchStalled(
-            "line_search_floor",
-            f"no trial step above {floor:.1e} produced a certified "
-            f"cost decrease", evals)
-    if k == start:
-        # The start was accepted: climb while the cubic through the
-        # slope, the curvature and the last accepted dJ predicts Armijo
-        # at the next larger power, and the trial there confirms it.
-        while k > 0:
-            t, up = beta ** k, beta ** (k - 1)
-            cubic = accepted[1] - t * slope - 0.5 * t * t * curvature
-            model = (up * slope + 0.5 * up * up * curvature
-                     + cubic * (up / t) ** 3)
-            if not model <= alpha * up * slope:
-                break
-            evals += 1
-            higher = attempt(k - 1)
-            if higher is None:
-                break
-            accepted, k = higher, k - 1
-    return accepted[0], beta ** k, evals
+            return trial, t, evals
+    raise LineSearchStalled(
+        "line_search_floor",
+        f"no trial step above {floor:.1e} produced a certified "
+        f"cost decrease", evals)

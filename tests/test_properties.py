@@ -22,6 +22,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import soflqr.first_order
+import soflqr.linesearch
 from soflqr import (
     Constraint,
     ConstraintSet,
@@ -29,6 +31,7 @@ from soflqr import (
     CostSpec,
     InfeasibleConstraintsError,
     Plant,
+    builtin_problem,
     check_feasible,
     closed_loop,
     curvature,
@@ -316,6 +319,62 @@ def test_row_scales_move_no_solve(problem, data):
     assert result.stop_reason == expected.stop_reason
     assert result.cost == pytest.approx(expected.cost, rel=1e-12)
     np.testing.assert_allclose(result.K, expected.K, rtol=0.0, atol=1e-9)
+
+
+def _newton_trials(plant, costspec, cs, K0, alpha):
+    """Newton solve at ``alpha``; its result and, per line search, the
+    gain ``K + delta`` of a unit step and the gains of the trials."""
+    searches = []
+    line_search = soflqr.first_order.line_search
+    evaluate_step = soflqr.linesearch.evaluate_step
+
+    def recording_search(plant, costspec, current, delta, *args, **kwargs):
+        searches.append([current.K + delta])
+        return line_search(plant, costspec, current, delta, *args, **kwargs)
+
+    def recording_step(plant, costspec, current, K):
+        searches[-1].append(K)
+        return evaluate_step(plant, costspec, current, K)
+
+    soflqr.first_order.line_search = recording_search
+    soflqr.linesearch.evaluate_step = recording_step
+    try:
+        result = newton_solve(plant, costspec, cs, K0, alpha=alpha)
+    finally:
+        soflqr.first_order.line_search = line_search
+        soflqr.linesearch.evaluate_step = evaluate_step
+    return result, searches
+
+
+def _assert_newton_starts_at_unit_step(plant, costspec, cs, K0):
+    # PT only raises eigenvalues, so Newton's curvature is at most -s,
+    # below the model's Armijo bound 2 (1 - alpha) |s| for every alpha
+    # in (0, 0.5): every search's first trial is t = 1.
+    for alpha in (0.01, 0.2, 0.49):
+        result, searches = _newton_trials(plant, costspec, cs, K0, alpha)
+        # A stalled search is one more than the accepted steps; one
+        # refused as not descent tries nothing.
+        assert len(searches) == result.iterations + (
+            result.stop_reason in ("line_search_floor", "not_descent"))
+        for unit, *trials in searches:
+            assert trials or result.stop_reason == "not_descent"
+            if trials:
+                np.testing.assert_array_equal(trials[0], unit)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(constrained_problems())
+def test_newton_search_starts_at_unit_step(problem):
+    _assert_newton_starts_at_unit_step(*problem)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_newton_search_starts_at_unit_step_on_examples(name):
+    prob = builtin_problem(name)
+    _assert_newton_starts_at_unit_step(prob.plant, prob.costspec,
+                                       prob.constraints, prob.gain0)
 
 
 def _row_constraints(rows, rhs, m, q):

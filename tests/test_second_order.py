@@ -1,6 +1,5 @@
 """Tests for the Hessian, PT truncation, Newton step, and Newton solver."""
 
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +32,6 @@ from soflqr import (
     spectral_abscissa,
     vec,
 )
-from soflqr.linesearch import _first_power
 from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import are_gain, error_report, fd_hessian, kron_hessian
 
@@ -508,23 +506,6 @@ class TestLineSearch:
                         slope(gp, delta), SEARCH)
 
 
-class TestFirstPower:
-    @pytest.mark.parametrize("bound, estimate, power", [
-        # 0.1 ** 2 rounds above 0.01: the estimate is raised.
-        (0.01, 2, 3),
-        # The bound is 0.1 ** 5 itself, but the logarithms give 6: the
-        # estimate is lowered.
-        (1.0000000000000003e-05, 6, 5),
-    ])
-    def test_corrects_the_logarithm(self, bound, estimate, power):
-        beta = 0.1
-        assert math.ceil(math.log(bound) / math.log(beta)) == estimate
-        k = _first_power(beta, bound)
-        assert k == power
-        # The least k with beta ** k <= bound.
-        assert beta ** k <= bound < beta ** (k - 1)
-
-
 def steep_scalar_problem():
     """:func:`scalar_problem` with ``X0 = 100``: along ``delta = -0.25``
     from ``K = 0`` the slope is -12.5 and the curvature 12.5, and the unit
@@ -534,22 +515,25 @@ def steep_scalar_problem():
 
 
 class TestWarmStart:
-    """``line_search`` started at the power the curvature predicts.
+    """``line_search`` started at the quadratic model's minimizer.
 
-    With slope ``s`` and curvature ``kappa`` the start is the largest
-    ``beta ** k <= 2 (1 - alpha) |s| / kappa``, or 1.
+    With slope ``s`` and curvature ``kappa`` the first trial is
+    ``|s| / kappa`` where ``kappa > 2 (1 - alpha) |s|``, so that the model
+    refuses Armijo at ``t = 1``, and ``t = 1`` otherwise.  The trials
+    walk down from there by factors of ``beta``; past the floor come the
+    cold powers above the start, largest first.
     """
 
     @staticmethod
-    def trial_steps(monkeypatch, delta):
-        """Record ``t`` of every trial at ``K = 0`` along ``delta``."""
+    def trial_steps(monkeypatch, delta, K0=0.0):
+        """Record ``t`` of every trial at ``K0`` along ``delta``."""
         import soflqr.linesearch
 
         steps = []
         evaluate_step = soflqr.linesearch.evaluate_step
 
         def recording(plant, costspec, current, K):
-            steps.append(float(K[0, 0] / delta))
+            steps.append(float((K[0, 0] - K0) / delta))
             return evaluate_step(plant, costspec, current, K)
 
         monkeypatch.setattr(soflqr.linesearch, "evaluate_step", recording)
@@ -557,23 +541,41 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("k", [0, 1, 3, 7, 16])
     def test_first_trial_is_cold_power(self, k, monkeypatch):
-        # A curvature that predicts 5 beta^k, between beta^k and
-        # beta^(k-1), starts at the cold sequence's k-th power.
+        # A curvature |s| / beta^k puts the model's minimizer on the
+        # cold power beta^k, and the search starts there.  At k = 0 the
+        # model does not refuse Armijo at 1, which is the start as well.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -1.0)
         slope = -0.5
         assert np.vdot(gp.grad, [[-1.0]]) == slope
         line_search(plant, costspec, gp.evaluation, np.array([[-1.0]]),
-                    slope, SEARCH,
-                    curvature=1.6 * -slope / (5.0 * 0.1 ** k))
+                    slope, SEARCH, curvature=-slope / 0.1 ** k)
         assert steps[0] == 0.1 ** k
 
-    @pytest.mark.parametrize("curvature", [None, 0.0, -1.0, 0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("factor", [1.0 + 1e-15, 2.0, 3.2, 1e6])
+    def test_first_trial_is_model_minimizer(self, factor, monkeypatch):
+        # kappa = factor * 2 (1 - alpha) |s| with 2 (1 - alpha) = 1.6:
+        # the model refuses Armijo at 1 and the first trial is |s| /
+        # kappa itself, not a power of beta.  It is accepted: the model
+        # underestimates J's curvature along -1 from K = 0.
+        plant, costspec = scalar_problem()
+        gp = gradient(plant, costspec, [[0.0]])
+        steps = self.trial_steps(monkeypatch, -1.0)
+        delta = np.array([[-1.0]])
+        s = slope(gp, delta)
+        kappa = factor * 1.6 * -s
+        _, t, evals = line_search(plant, costspec, gp.evaluation, delta, s,
+                                  SEARCH, curvature=kappa)
+        assert steps == [t] == [-s / kappa]
+        assert evals == 1
+
+    @pytest.mark.parametrize("curvature",
+                             [None, 0.0, -1.0, 0.5, 1.0, 4.0, 20.0])
     def test_cold_start(self, curvature, monkeypatch):
-        # No curvature, one that is not positive, or one below
-        # 2 (1 - alpha) |s| = 20, which predicts a step above 1: the
-        # search starts at t = 1.
+        # No curvature, one that is not positive, or one at most
+        # 2 (1 - alpha) |s| = 20, where the model does not refuse Armijo
+        # at 1: the search starts at t = 1.
         plant, costspec = steep_scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -0.25)
@@ -586,9 +588,30 @@ class TestWarmStart:
         assert (t, evals) == (1.0, 1)
 
     def test_skips_only_rejected_powers(self):
-        # The cold search rejects t = 1 (unstable) and accepts t = 0.1.
-        # The exact curvature predicts 0.64, so the search starts at 0.1,
-        # accepts it, and the cubic rules out t = 1 without a trial.
+        # A = 1, so gains above -1 destabilize.  From K = -2.8 along 2 the
+        # cold search rejects t = 1 (K = -0.8, unstable) and accepts 0.1.
+        # The exact curvature puts the model's minimizer at 0.279, which
+        # is accepted: the one power skipped is the rejected one, and the
+        # step is longer than the cold search's.
+        plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        costspec = identity_cost(1, 1)
+        gp = gradient(plant, costspec, [[-2.8]])
+        delta = np.array([[2.0]])
+        kappa = curvature(plant, costspec, gp, delta)
+        s = slope(gp, delta)
+        args = (plant, costspec, gp.evaluation, delta, s, SEARCH)
+        _, cold_t, cold_evals = line_search(*args)
+        _, t, evals = line_search(*args, curvature=kappa)
+        assert (cold_t, cold_evals) == (0.1, 2)
+        assert (t, evals) == (-s / kappa, 1)
+        assert t == pytest.approx(0.2790, abs=1e-4)
+
+    def test_rejected_start_walks_down_from_itself(self, monkeypatch):
+        # From K = -3 along 2.5 the model's minimizer 0.4 lands where J
+        # has come back up to J(-3) = J(-2) = 2.5: the pole at K = -1
+        # bends J away from its quadratic model.  The search walks down
+        # from the start, not from 1, and accepts 0.04, shorter than the
+        # cold search's 0.1, in as many trials.
         plant = Plant(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         costspec = identity_cost(1, 1)
         gp = gradient(plant, costspec, [[-3.0]])
@@ -597,41 +620,44 @@ class TestWarmStart:
         assert kappa == pytest.approx(1.5625, rel=1e-12)
         args = (plant, costspec, gp.evaluation, delta, slope(gp, delta),
                 SEARCH)
-        cold_trial, cold_t, cold_evals = line_search(*args)
-        trial, t, evals = line_search(*args, curvature=kappa)
+        _, cold_t, cold_evals = line_search(*args)
+        steps = self.trial_steps(monkeypatch, 2.5, -3.0)
+        _, t, evals = line_search(*args, curvature=kappa)
         assert (cold_t, cold_evals) == (0.1, 2)
-        assert (t, evals) == (cold_t, 1)
-        np.testing.assert_array_equal(trial.K, cold_trial.K)
-        assert trial.cost == cold_trial.cost
+        assert steps == pytest.approx([0.4, 0.04], rel=1e-12)
+        assert t == pytest.approx(0.04, rel=1e-12)
+        assert evals == 2
 
-    @pytest.mark.parametrize("delta, accepted", [(-0.5, 1.0), (-1.0, 0.1)],
+    @pytest.mark.parametrize("delta, cold", [(-0.5, 1.0), (-1.0, 0.1)],
                              ids=["confirmed", "refuted"])
-    def test_climb(self, delta, accepted, monkeypatch):
-        # The exact curvature predicts 0.8 and 0.4, so both searches
-        # start at 0.1, accept it, and the cubic predicts Armijo at 1.
-        # Along -0.5 the trial at 1 confirms it; along -1 it does not
-        # (J(-1) = J(0)), and the search keeps 0.1.  Either way the step
-        # is the cold search's.
+    def test_climb(self, delta, cold, monkeypatch):
+        # An accepted start is kept: the search tries no larger step.
+        # The model's minimizers are 0.5 and 0.25.  Along -0.5 the cold
+        # search's step is 1, which the search does not try; along -1
+        # the step 1 is refused (J(-1) = J(0)), and the cold search
+        # takes 0.1.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         args = (plant, costspec, gp.evaluation, np.array([[delta]]),
                 slope(gp, [[delta]]), SEARCH)
-        cold_trial, cold_t, _ = line_search(*args)
+        _, cold_t, _ = line_search(*args)
         steps = self.trial_steps(monkeypatch, delta)
         kappa = curvature(plant, costspec, gp, np.array([[delta]]))
         assert kappa == pytest.approx(2.0 * delta ** 2, rel=1e-12)
-        trial, t, evals = line_search(*args, curvature=kappa)
-        assert steps == [0.1, 1.0]
-        assert t == cold_t == accepted
-        assert evals == 2
-        np.testing.assert_array_equal(trial.K, cold_trial.K)
+        _, t, evals = line_search(*args, curvature=kappa)
+        assert cold_t == cold
+        assert steps == [t] == [-0.25 / delta]
+        assert evals == 1
 
     @pytest.mark.parametrize("curvature, delta, trials", [
-        # Predicted below MIN_STEP: the last power, then 1.
-        (1e300, -0.25, [1e-16, 1.0]),
-        # Predicted 5e-11 along a tiny direction: the cost change of
-        # every power from 1e-11 down rounds away, so the search wraps.
-        (160.0, -1e-8, [1e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1.0]),
+        # The minimizer, 1.25e-301, is below MIN_STEP: no trial from it,
+        # and the cold powers above it start at 1.
+        (1e300, -0.25, [1.0]),
+        # The minimizer is 3.125e-11 along a tiny direction: the cost
+        # change of every step from it down to the floor rounds away, so
+        # the search wraps to 1.
+        (160.0, -1e-8, [3.125e-11, 3.125e-12, 3.125e-13, 3.125e-14,
+                        3.125e-15, 3.125e-16, 1.0]),
     ], ids=["past-floor", "tiny-direction"])
     def test_wraps_to_skipped_powers(self, curvature, delta, trials,
                                      monkeypatch):
@@ -663,12 +689,12 @@ class TestWarmStart:
         assert (t, evals) == (1.0, 1)
 
     def test_beta_near_one_predicted_start(self):
-        # With beta = 1 - 1e-12 the predicted start 0.8 is about 2.2e11
-        # powers below 1; it is found from logarithms, not by walking
-        # down.  B = 0 makes J(K) = (1 + K^2) / 2 exactly quadratic, so
-        # the start is the largest acceptable power and the cubic stops
-        # the climb at once.  A fresh interpreter with a timeout, so that
-        # a walk over the powers fails instead of hanging the suite.
+        # With beta = 1 - 1e-12 the model's minimizer 0.5 is about
+        # 6.9e11 powers below 1; it is the first trial, not reached by
+        # walking down.  B = 0 makes J(K) = (1 + K^2) / 2 exactly
+        # quadratic, so the minimizer is accepted.  A fresh interpreter
+        # with a timeout, so that a walk over the powers fails instead of
+        # hanging the suite.
         root = str(Path(soflqr.__file__).resolve().parent.parent)
         probe = (
             "import sys\n"
@@ -692,21 +718,29 @@ class TestWarmStart:
                               timeout=60)
         kappa, t, evals = map(float, proc.stdout.split())
         assert kappa == pytest.approx(4.0, rel=1e-12)
-        assert 0.8 * (1.0 - 1e-11) <= t <= 0.8
+        assert t == pytest.approx(0.5, rel=1e-12)
         assert evals == 1
 
-    @pytest.mark.parametrize("curvature", [0.1, 1e-8, 1e-300])
-    def test_stalls_below_float_resolution(self, curvature, monkeypatch):
-        # Started at the floor (first two) or at 0.1 (last), the search
-        # still tries all 17 powers above MIN_STEP before it stalls.
+    @pytest.mark.parametrize("curvature, first", [
+        (0.1, 1.0), (1e-8, 1.0), (1e-300, 0.5)],
+        ids=["0.1", "1e-08", "1e-300"])
+    def test_stalls_below_float_resolution(self, curvature, first,
+                                           monkeypatch):
+        # The first two put the minimizer below the floor: the 17 cold
+        # powers above MIN_STEP, from 1.  The last puts it at 0.5: the 16
+        # steps 0.5 beta^j above MIN_STEP, then the cold power 1.  Every
+        # trial is tried before the search stalls.
         plant, costspec = scalar_problem()
         gp = gradient(plant, costspec, [[0.0]])
         steps = self.trial_steps(monkeypatch, -1e-300)
         delta = np.array([[-1e-300]])
-        with pytest.raises(LineSearchStalled):
+        with pytest.raises(LineSearchStalled) as info:
             line_search(plant, costspec, gp.evaluation, delta,
                         slope(gp, delta), SEARCH, curvature=curvature)
-        assert len(steps) == 17
+        assert len(steps) == info.value.evals == 17
+        assert steps[0] == first
+        assert steps[-1] == (1.0 if first == 0.5 else
+                             pytest.approx(1e-16, rel=1e-7))
 
 
 class TestNewtonSolve:
