@@ -321,7 +321,7 @@ def test_row_scales_move_no_solve(problem, data):
     np.testing.assert_allclose(result.K, expected.K, rtol=0.0, atol=1e-9)
 
 
-def _newton_trials(plant, costspec, cs, K0, alpha):
+def _newton_trials(monkeypatch, plant, costspec, cs, K0, alpha):
     """Newton solve at ``alpha``; its result and, per line search, the
     gain ``K + delta`` of a unit step and the gains of the trials."""
     searches = []
@@ -336,22 +336,21 @@ def _newton_trials(plant, costspec, cs, K0, alpha):
         searches[-1].append(K)
         return evaluate_step(plant, costspec, current, K)
 
-    soflqr.first_order.line_search = recording_search
-    soflqr.linesearch.evaluate_step = recording_step
-    try:
-        result = newton_solve(plant, costspec, cs, K0, alpha=alpha)
-    finally:
-        soflqr.first_order.line_search = line_search
-        soflqr.linesearch.evaluate_step = evaluate_step
+    monkeypatch.setattr(soflqr.first_order, "line_search", recording_search)
+    monkeypatch.setattr(soflqr.linesearch, "evaluate_step", recording_step)
+    result = newton_solve(plant, costspec, cs, K0, alpha=alpha)
+    monkeypatch.undo()
     return result, searches
 
 
-def _assert_newton_starts_at_unit_step(plant, costspec, cs, K0):
+def _assert_newton_starts_at_unit_step(monkeypatch, plant, costspec, cs,
+                                       K0):
     # PT only raises eigenvalues, so Newton's curvature is at most -s,
     # below the model's Armijo bound 2 (1 - alpha) |s| for every alpha
     # in (0, 0.5): every search's first trial is t = 1.
     for alpha in (0.01, 0.2, 0.49):
-        result, searches = _newton_trials(plant, costspec, cs, K0, alpha)
+        result, searches = _newton_trials(monkeypatch, plant, costspec, cs,
+                                          K0, alpha)
         # A stalled search is one more than the accepted steps; one
         # refused as not descent tries nothing.
         assert len(searches) == result.iterations + (
@@ -367,14 +366,16 @@ def _assert_newton_starts_at_unit_step(plant, costspec, cs, K0):
                                  HealthCheck.filter_too_much])
 @given(constrained_problems())
 def test_newton_search_starts_at_unit_step(problem):
-    _assert_newton_starts_at_unit_step(*problem)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_newton_starts_at_unit_step(monkeypatch, *problem)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
-def test_newton_search_starts_at_unit_step_on_examples(name):
+def test_newton_search_starts_at_unit_step_on_examples(name, monkeypatch):
     prob = builtin_problem(name)
-    _assert_newton_starts_at_unit_step(prob.plant, prob.costspec,
-                                       prob.constraints, prob.gain0)
+    _assert_newton_starts_at_unit_step(monkeypatch, prob.plant,
+                                       prob.costspec, prob.constraints,
+                                       prob.gain0)
 
 
 def _row_constraints(rows, rhs, m, q):
