@@ -49,7 +49,8 @@ class GradientPair:
     grad : ndarray
         m x q gradient ``2 M G C^T`` of the cost with respect to the gain.
     M : ndarray
-        ``B^T P + R K C``, which :func:`curvature` reads again.
+        ``B^T P + R K C``, a factor of the Hessian's solved terms (see
+        :func:`~soflqr.second_order.hessian`).
     gramian : ndarray
         Symmetric state-covariance Gramian ``G`` from the adjoint
         equation.
@@ -80,25 +81,33 @@ def gradient(plant, costspec, K):
     return GradientPair(grad=grad, M=M, gramian=G, evaluation=ev)
 
 
+def _schur_factors(plant, gp):
+    # M^T, C^T, B, G C^T and C G C^T in the Schur coordinates of the
+    # closed loop: the factors of S' (see second_order.hessian).
+    U = gp.evaluation.solver.U
+    Cs, GCs = U.T @ plant.C.T, U.T @ (gp.gramian @ plant.C.T)
+    return U.T @ gp.M.T, Cs, U.T @ plant.B, GCs, Cs.T @ GCs
+
+
+def _schur_product(costspec, gp, factors, E):
+    # S'E, half of H E (see second_order.hessian), by one Lyapunov solve
+    # in Schur coordinates; factors are _schur_factors(plant, gp).
+    Ms, Cs, Bs, GCs, CGC = factors
+    Y = gp.evaluation.solver.solve_schur(Ms @ E @ Cs.T)
+    return 2.0 * Bs.T @ (Y + Y.T) @ GCs + costspec.R @ E @ CGC
+
+
 def curvature(plant, costspec, gp, delta):
     """Second derivative ``<delta, H delta>`` of the cost along ``delta``.
 
-    ``gp`` is the :class:`GradientPair` at the gain; its Gramian ``G``,
-    its ``M = B^T P + R K C`` and its evaluation's Schur factorization are
-    reused, so this is one Lyapunov solve.  With ``W = (delta C)^T M``,
-    the change of ``P`` along ``delta`` solves
-    ``Ac^T P' + P' Ac + W + W^T = 0``, and
-
-        <delta, H delta> = 4 <P' B delta C, G> + 2 <(delta C)^T R delta C, G>,
-
-    the quadratic form of :func:`~soflqr.second_order.hessian`, whose two
-    solved terms are equal by the adjoint identity.
+    ``gp`` is the :class:`GradientPair` at the gain.  With the Hessian
+    ``H = S' + S'^T`` of :func:`~soflqr.second_order.hessian`, this is
+    ``2 <delta, S' delta>``: one Lyapunov solve against the gradient's
+    Schur factorization.
     """
-    dC = np.asarray(delta, dtype=float) @ plant.C
-    W = dC.T @ gp.M
-    dP = gp.evaluation.solver.solve_primal(W + W.T)
-    return float(np.vdot(4.0 * dP @ plant.B @ dC
-                         + 2.0 * dC.T @ costspec.R @ dC, gp.gramian))
+    delta = np.asarray(delta, dtype=float)
+    SD = _schur_product(costspec, gp, _schur_factors(plant, gp), delta)
+    return 2.0 * float(np.vdot(delta, SD))
 
 
 def project_gradient(grad, Z):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lapack
-from .first_order import _descend
+from .first_order import _descend, _schur_factors, _schur_product
 from .lyapunov import unvec, vec
 from .problems import SolverParams
 
@@ -71,41 +71,30 @@ def hessian(plant, costspec, K, gp, basis=None):
     ``basis`` (an ``m*q x N`` matrix ``Z``, such as
     :meth:`ConstraintSet.null_basis`) the result is the reduced Hessian
     ``Z^T H Z``; without it, ``Z`` is the identity and the result is
-    ``H`` itself.  The column of entry ``E = E_ij`` is
+    ``H`` itself.
 
-        2 B^T (X + X^T) G C^T + 2 M (Y + Y^T) C^T + 2 R E C G C^T,
+    This is the package's one statement of the Hessian.  In the Schur
+    coordinates ``Ms = U^T M^T``, ``Cs = U^T C^T``, ``Bs = U^T B`` and
+    ``GCs = U^T G C^T``, let ``S'`` map a gain direction ``E`` to
 
-    where ``Ac^T X + X Ac + M^T E C = 0`` and
-    ``Ac Y + Y Ac^T + B E C G = 0``.  The two Lyapunov operators are
-    adjoint to each other, so the matrix of ``Y`` terms is the transpose
-    of the matrix ``S`` of ``X`` terms, and
-    ``H = S + S^T + 2 kron(C G C^T, R)``.  The reduced Hessian is
-    ``Z^T S Z + (Z^T S Z)^T + 2 Z^T kron(C G C^T, R) Z``.  Both kron
-    factors are symmetrized, so the result is symmetric to the last bit;
-    a basis of coordinate vectors, such as the identity, selects its
-    entries exactly.
+        S' E = 2 Bs^T (Y + Y^T) GCs + R E (Cs^T GCs),
 
-    ``S`` comes from :func:`eigen_hessian` when the eigenvectors of
-    ``T`` are well enough conditioned for it, and otherwise from
+    where ``T^T Y + Y T + Ms E Cs^T = 0``: the terms of ``H E`` through
+    ``P``'s derivative, and half the ``R`` term.  The Lyapunov operators
+    of ``P``'s and ``G``'s derivatives are adjoint, so the terms through
+    ``G``'s are the transpose, and ``H = S' + S'^T``.  The result is
+    ``Z^T S' Z`` plus its transpose, symmetric to the last bit; a basis
+    of coordinate vectors, such as the identity, selects its entries
+    exactly.
+
+    ``Z^T S' Z`` comes from :func:`eigen_hessian` when the eigenvectors
+    of ``T`` are well enough conditioned for it, and otherwise from
     :func:`schur_hessian`.
     """
     # K stays the third argument: benchmarks/spans.py sizes the Hessian
     # span from it.
     H = eigen_hessian(plant, costspec, gp, basis)
     return schur_hessian(plant, costspec, gp, basis) if H is None else H
-
-
-def _schur_factors(plant, gp):
-    # M^T, C^T, B and G C^T in the Schur coordinates of the closed loop.
-    U, C = gp.evaluation.solver.U, plant.C
-    return U.T @ gp.M.T, U.T @ C.T, U.T @ plant.B, U.T @ (gp.gramian @ C.T)
-
-
-def _assemble(plant, costspec, gp, Z, ZSZ):
-    # The reduced Hessian from ZSZ = Z^T S Z.
-    CGCt = plant.C @ gp.gramian @ plant.C.T
-    weight = np.kron(0.5 * (CGCt + CGCt.T), costspec.R)
-    return ZSZ + ZSZ.T + 2.0 * (Z.T @ weight @ Z)
 
 
 def _basis(plant, basis):
@@ -120,21 +109,21 @@ def schur_hessian(plant, costspec, gp, basis=None):
     """:func:`hessian` from one Schur-coordinate Lyapunov solve per basis
     column.
 
-    By linearity, the solve with ``E = unvec(z)`` gives ``S z`` for a
-    basis column ``z``, so the reduced Hessian takes ``N`` solves.  Each
-    right-hand side is formed, solved and contracted in Schur
-    coordinates, with no n x n basis change.  This path is correct for
-    every Hurwitz closed loop, defective ones included.
+    By linearity, the solve with ``E = unvec(z)`` gives ``S' z`` for a
+    basis column ``z``, so the reduced Hessian takes ``N`` solves, each
+    formed and contracted in Schur coordinates with no n x n basis
+    change.  This path is correct for every Hurwitz closed loop,
+    defective ones included.
     """
     m, q = plant.gain_shape()
     Z = _basis(plant, basis)
-    solver = gp.evaluation.solver
-    Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
+    factors = _schur_factors(plant, gp)
     SZ = np.empty(Z.shape)
     for col in range(Z.shape[1]):
-        Y = solver.solve_schur(Ms @ unvec(Z[:, col], m, q) @ Cs.T)
-        SZ[:, col] = vec(2.0 * (Bs.T @ Y @ GCs + (GCs.T @ Y @ Bs).T))
-    return _assemble(plant, costspec, gp, Z, Z.T @ SZ)
+        SZ[:, col] = vec(_schur_product(costspec, gp, factors,
+                                        unvec(Z[:, col], m, q)))
+    ZSZ = Z.T @ SZ
+    return ZSZ + ZSZ.T
 
 
 def _khatri_rao(X, Y):
@@ -148,14 +137,15 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     With ``T = W Lambda W^-1``, the solve ``T^T Y + Y T + Ms E Cs^T = 0``
     is ``Y = -W^-T (L o (Mv E Cv^T)) W^-1`` for ``Mv = W^T Ms``,
     ``Cv = W^T Cs`` and ``L_ab = 1 / (lambda_a + lambda_b)``.  With
-    ``Bv = W^-1 Bs`` and ``Gv = W^-1 G Cs``, the entry of ``S`` that maps
-    ``E_ij`` to gain entry ``(k, l)`` is
+    ``Bv = W^-1 Bs`` and ``Gv = W^-1 GCs``, the solved term of ``S'``
+    that maps ``E_ij`` to gain entry ``(k, l)`` is
 
         -2 ((Bv o Mv)^T L (Cv o Gv))[(k, i), (j, l)]
         -2 ((Cv o Bv)^T L (Mv o Gv))[(j, k), (i, l)],
 
     where ``o`` is the row-wise Khatri-Rao product: one eigendecomposition
-    of ``T`` and two contractions, with no Lyapunov solve.
+    of ``T`` and two contractions, with no Lyapunov solve.  The ``R``
+    term is ``kron((Cs^T GCs)^T, R)``.
 
     The path is used only where it is accurate:
     ``kappa_1(W) ||T||_1 / min |lambda_a + lambda_b|`` must be at most
@@ -179,7 +169,7 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     if not np.linalg.norm(T, 1) <= EIGEN_GUARD * rcond * np.abs(sums).min():
         return None
     L = 1.0 / sums
-    Ms, Cs, Bs, GCs = _schur_factors(plant, gp)
+    Ms, Cs, Bs, GCs, CGC = _schur_factors(plant, gp)
     BG, _ = lapack(prefix + "getrs", lu, piv,
                    np.hstack([Bs, GCs]).astype(W.dtype))
     Bv, Gv = BG[:, :m], BG[:, m:]
@@ -190,9 +180,10 @@ def eigen_hessian(plant, costspec, gp, basis=None):
     # and column indices are column-major: k + m l and i + m j.
     S = -2.0 * (F1.reshape(m, m, q, q).transpose(3, 0, 2, 1)
                 + F2.reshape(q, m, m, q).transpose(3, 1, 0, 2))
-    S = S.reshape(m * q, m * q)
+    S = S.reshape(m * q, m * q) + np.kron(CGC.T, costspec.R)
     Z = _basis(plant, basis)
-    return _assemble(plant, costspec, gp, Z, Z.T @ S @ Z)
+    ZSZ = Z.T @ S @ Z
+    return ZSZ + ZSZ.T
 
 
 def pt_matrix(H, eps):

@@ -52,6 +52,21 @@ def family_member(member, margin, n=8, m=2, q=3):
     return plant, identity_cost(n, m)
 
 
+def drawn_member(member):
+    """Member of the benchmark family with drawn sizes and pins.
+
+    ``default_rng([member, 1])`` draws ``n`` in 2..8 and ``m``, ``q`` in
+    1..3, and pins each gain entry with probability 0.4; the plant is
+    :func:`family_member` ``member`` of those sizes at abscissa -0.5.
+    Returns ``(plant, costspec, pins)``, ``pins`` a boolean m x q mask.
+    """
+    rng = np.random.default_rng([member, 1])
+    n, m, q = (int(rng.integers(low, high))
+               for low, high in ((2, 9), (1, 4), (1, 4)))
+    pins = rng.random((m, q)) < 0.4
+    return (*family_member(member, 0.5, n, m, q), pins)
+
+
 def rescaled_states(plant, costspec, span, reverse=False):
     """The plant and cost in the state coordinates ``x = D x~``.
 

@@ -470,15 +470,14 @@ def test_model_start_counts(name, beta, warm_counts, cold_counts,
     assert warm.cost == pytest.approx(cold.cost, rel=1e-11)
 
 
-@pytest.mark.parametrize("search", ["predicted", "cold"])
+@pytest.mark.parametrize("search", ["model", "cold"])
 @pytest.mark.parametrize("span", [1e6, 1e8])
 def test_badly_scaled_trials_are_rejected(span, search, monkeypatch):
     # example1 in the state coordinates x = D x~, D = diag(1 .. span):
     # K and J are unchanged in exact arithmetic.  Searched from t = 1,
     # some trials of the gradient run meet a closed loop whose Schur
     # factor makes trsyl perturb the Lyapunov solve (LinAlgError);
-    # started at the predicted step, the model's minimizer, the run
-    # meets none.  Such trials are rejected, and either run reaches the
+    # started at the quadratic model's minimizer, the run meets none.  Such trials are rejected, and either run reaches the
     # unscaled optimum.
     prob = builtin_problem("example1")
     plant, costspec = prob.plant, prob.costspec

@@ -9,9 +9,11 @@ from soflqr import (
     ConstraintTerm,
     CostSpec,
     Plant,
+    SchurSolver,
     builtin_problem,
     check_feasible,
     cost,
+    curvature,
     first_order_solve,
     gradient,
     project_gradient,
@@ -69,6 +71,31 @@ class TestGradient:
         prob = builtin_problem("example2")
         gp = gradient(prob.plant, prob.costspec, prob.gain0)
         assert gp.evaluation.cost == pytest.approx(22.2010, abs=1e-3)
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_one_schur_solve_and_no_basis_change(self, monkeypatch, name):
+        # The curvature along grad's own direction is one solve in Schur
+        # coordinates against the gradient's factorization: no primal or
+        # adjoint solve, whose n x n basis changes it does not need.
+        prob = builtin_problem(name)
+        gp = gradient(prob.plant, prob.costspec, prob.gain0)
+        delta = -project_gradient(
+            gp.grad, prob.constraints.null_basis(prob.gain0.shape))
+        calls = dict.fromkeys(["solve_schur", "solve_primal",
+                               "solve_adjoint"], 0)
+        for method in calls:
+            def counted(*args, _name=method,
+                        _original=getattr(SchurSolver, method), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(SchurSolver, method, counted)
+        kappa = curvature(prob.plant, prob.costspec, gp, delta)
+        assert calls == {"solve_schur": 1, "solve_primal": 0,
+                         "solve_adjoint": 0}
+        assert kappa > 0.0
 
 
 class TestProjectGradient:

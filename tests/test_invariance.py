@@ -25,7 +25,7 @@ from soflqr import (
     newton_solve,
 )
 
-from conftest import unit_scaled
+from conftest import drawn_member, unit_scaled
 
 NAMES = ["example1", "example2"]
 SOLVERS = {"newton": newton_solve, "grad": first_order_solve}
@@ -153,6 +153,30 @@ def test_input_and_output_order_moves_no_result(name, method, seed):
                                atol=1e-9)
     assert abs(result.iterations - expected.iterations) \
         <= 0.1 * expected.iterations
+
+
+@pytest.mark.parametrize("member", range(40))
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_drawn_state_permutation_moves_no_result(method, member):
+    # A -> Pi A Pi^T, B -> Pi B and C -> C Pi^T on drawn family plants,
+    # with identity weights, K0 = 0 and no constraints: the same status,
+    # and where Newton converges, the same gain and cost.
+    plant, costspec, pins = drawn_member(member)
+    n = plant.nstates
+    Pi = np.eye(n)[np.random.default_rng([member, 2]).permutation(n)]
+    permuted = Plant(A=Pi @ plant.A @ Pi.T, B=Pi @ plant.B,
+                     C=plant.C @ Pi.T)
+    # A grad run that reaches its cap must reach it on both plants.
+    settings = {"max_iters": 3000} if method == "grad" else {}
+    original, moved = (SOLVERS[method](p, costspec, ConstraintSet([]),
+                                       np.zeros(pins.shape), **settings)
+                       for p in (plant, permuted))
+    assert moved.status == original.status
+    if method == "newton" and original.converged:
+        K = original.K
+        np.testing.assert_allclose(moved.K, K, rtol=0.0,
+                                   atol=1e-8 * max(1.0, np.abs(K).max()))
+        assert moved.cost == pytest.approx(original.cost, rel=1e-12)
 
 
 def singular_state_weight():

@@ -8,9 +8,12 @@ rank-deficient positive semidefinite one, X0 of rank at least one and
 singular for n > 1, and the gain small and stabilizing.  Constrained
 solves use positive definite weights, random pins or general rows
 ``L K R = c`` with a nonzero right-hand side, and a feasible stabilizing
-start.  Matrix entries are drawn on a grid of eighths, which keeps the
-Lyapunov solves well conditioned while still reaching zero rows,
-repeated eigenvalues and defective state matrices.  Flattening draws
+start.  The reduced Hessian is also checked on the benchmark's seeded
+plant family, with n in [2, 8] and random zero pins (see
+``conftest.drawn_member``).  Elsewhere matrix entries are drawn on a
+grid of eighths, which keeps the Lyapunov solves well conditioned while
+still reaching zero rows, repeated eigenvalues and defective state
+matrices.  Flattening draws
 Gaussian rows with exactly or nearly dependent rows appended, and its
 direct LAPACK calls are compared bit for bit with the ``scipy.linalg``
 code they replaced.
@@ -50,10 +53,10 @@ from soflqr import (
     unvec,
     vec,
 )
-from soflqr.second_order import schur_hessian
+from soflqr.second_order import eigen_hessian, schur_hessian
 from soflqr.verify import error_report, fd_hessian, kron_hessian, kron_lyapunov
 
-from conftest import recorded_iterates
+from conftest import drawn_member, recorded_iterates
 
 EIGHTHS = st.integers(-8, 8).map(lambda k: k / 8.0)
 
@@ -139,6 +142,42 @@ def test_curvature_is_hessian_quadratic_form(problem, data):
     assert abs(kappa - d @ reference @ d) <= 1e-9 * scale
 
 
+def _pinned(pins, K):
+    # One constraint per entry of the boolean mask pins, holding it at K's.
+    m, q = pins.shape
+    constraints = []
+    for i, j in zip(*np.nonzero(pins)):
+        left, right = np.zeros((1, m)), np.zeros((q, 1))
+        left[0, i] = right[j, 0] = 1.0
+        constraints.append(Constraint(terms=(ConstraintTerm(left, right),),
+                                      rhs=[[K[i, j]]]))
+    return ConstraintSet(constraints=constraints)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(st.integers(0, 2 ** 20))
+def test_reduced_hessian_on_drawn_pins(member):
+    # Benchmark-family plants with random zero pins, at K0 = 0: the two
+    # Hessian paths agree on Z^T H Z, and the curvature along Z theta is
+    # its quadratic form.  Both carry the input-weight term.
+    plant, costspec, pins = drawn_member(member)
+    K = np.zeros(pins.shape)
+    Z = _pinned(pins, K).null_basis(K.shape)
+    assume(Z.shape[1] > 0)
+    gp = gradient(plant, costspec, K)
+    H = hessian(plant, costspec, K, gp, Z)
+    scale = np.abs(H).max()
+    eigen = eigen_hessian(plant, costspec, gp, Z)
+    if eigen is not None:
+        loop = schur_hessian(plant, costspec, gp, Z)
+        assert np.abs(loop - eigen).max() <= 1e-12 * scale
+    theta = np.random.default_rng([member, 3]).standard_normal(Z.shape[1])
+    kappa = curvature(plant, costspec, gp, unvec(Z @ theta, *K.shape))
+    assert abs(kappa - theta @ H @ theta) <= 1e-12 * scale * (theta @ theta)
+
+
 def _kron_cost(plant, costspec, K):
     P = kron_lyapunov(closed_loop(plant, K),
                       effective_weight(costspec, plant, K))
@@ -193,21 +232,16 @@ def constrained_problems(draw, pinned=st.booleans()):
                         R=FR @ FR.T + 0.1 * np.eye(m), X0=np.eye(n))
     K0 = 0.1 * _matrix(draw, m, q)
     assume(spectral_abscissa(closed_loop(plant, K0)) < -0.1)
-    constraints = []
     if draw(pinned):
-        pins = draw(arrays(np.bool_, (m, q)))
-        for i, j in zip(*np.nonzero(pins)):
-            left, right = np.zeros((1, m)), np.zeros((q, 1))
-            left[0, i] = right[j, 0] = 1.0
-            constraints.append(Constraint(
-                terms=(ConstraintTerm(left, right),), rhs=[[K0[i, j]]]))
+        cs = _pinned(draw(arrays(np.bool_, (m, q))), K0)
     else:
+        constraints = []
         for _ in range(draw(st.integers(1, 2))):
             term = ConstraintTerm(_matrix(draw, draw(st.integers(1, m)), m),
                                   _matrix(draw, q, 1))
             constraints.append(Constraint(
                 terms=(term,), rhs=term.left @ K0 @ term.right))
-    cs = ConstraintSet(constraints=constraints)
+        cs = ConstraintSet(constraints=constraints)
     assume(np.any(cs.flattened((m, q))[1] != 0.0))
     return plant, costspec, cs, K0
 
